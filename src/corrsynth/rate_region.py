@@ -12,8 +12,14 @@ bounds apply, conditioned on a time-sharing variable Q.
 
 The frontier tracer scalarizes the two point-to-point bounds over a weight
 grid and, for each weight, runs multi-start softmax-parametrized descent on
-p_{W|X} with p_{Y|ZW} recovered by an inner linear feasibility solve (the
-consistency constraint is linear in p_{Y|ZW} once p_{W|X} is fixed).
+p_{W|X}.  Once p_{W|X} is fixed the consistency constraint is linear in
+p_{Y|ZW}, so each objective evaluation finds p_{Y|ZW}, one z at a time, as
+a nonnegative solution of a small linear system.  An exact active-set
+nonnegative least-squares solve (Lawson & Hanson 1974) decides it: such a
+solution exists exactly when the residual vanishes, and one is accepted
+when its residual, as :func:`ptp_consistency_residual` measures it, is
+within the search tolerance that the winners are certified at.  The same
+routine projects the polish steps back onto the consistent set.
 """
 
 from __future__ import annotations
@@ -97,14 +103,8 @@ def aux_ptp_from_tables(w_symbols, x_alphabet, z_alphabet, y_alphabet, w_table, 
 
 def ptp_consistency_residual(p_xyz: JointPmf, aux: AuxChannelPtp) -> float:
     """max over (x,z) with p(x,z)>0, and y, of |sum_w p(w|x)p(y|z,w) - p(y|x,z)|."""
-    target = p_xyz.marginalize(PTP_AXES).table  # (x, y, z)
-    p_xz = target.sum(axis=1)  # (x, z)
-    implied = np.einsum("xw,zwy->xyz", aux.p_w_given_x.table, aux.p_y_given_zw.table)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_target = target / p_xz[:, None, :]
-    mask = p_xz > 0
-    diff = np.abs(implied - np.nan_to_num(cond_target))
-    return float(diff.transpose(0, 2, 1)[mask].max())
+    blocks, rhs, weights = _z_blocks(p_xyz.marginalize(PTP_AXES).table, aux.p_w_given_x.table)
+    return float(_conditional_gaps(blocks, rhs, weights, aux.p_y_given_zw.table).max())
 
 
 def ptp_induced_joint(p_xyz: JointPmf, aux: AuxChannelPtp) -> JointPmf:
@@ -178,76 +178,159 @@ def ptp_membership(
 # ---------------------------------------------------------------------------
 
 
-def _z_block(target_xyz: np.ndarray, w_given_x: np.ndarray, z: int):
-    """Equality system for q(.|z,.): consistency rows then row-sum rows.
+def _z_blocks(target_xyz: np.ndarray, w_given_x: np.ndarray):
+    """Per-z equality systems for q(.|z,.): consistency rows then row-sum rows.
 
-    Unknown vector is q flattened as (w, y); returns (matrix, rhs).
-    """
-    nx, ny, _ = target_xyz.shape
-    nw = w_given_x.shape[1]
-    p_xz = target_xyz.sum(axis=1)
-    a = p_xz[:, z, None] * w_given_x  # (x, w)
-    big = np.zeros((nx * ny + nw, nw * ny))
-    for x in range(nx):
-        for y in range(ny):
-            for w in range(nw):
-                big[x * ny + y, w * ny + y] = a[x, w]
-    for w in range(nw):
-        big[nx * ny + w, w * ny : (w + 1) * ny] = 1.0
-    rhs = np.concatenate([target_xyz[:, :, z].reshape(-1), np.ones(nw)])
-    return big, rhs
-
-
-def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray):
-    """Feasible p(y|z,w) matching the target marginal, or None.
-
-    For each z the consistency constraint sum_w p(x,z) p(w|x) q(y|z,w) =
-    p(x,y,z) is linear in q; together with row-normalization this is a
-    least-squares system.  Negative entries are repaired by alternating
-    projections between the affine set and the nonnegative orthant.
-
-    Returns (q or None, equality_residual, nearest_violation) where q has
-    shape (|Z|, |W|, |Y|).
+    The unknown of block z is q(.|z,.) flattened as (w, y); consistency row
+    (x, y) reads sum_w p(x,z) p(w|x) q(y|z,w) = p(x,y,z).  Returns the
+    matrices (|Z|, |X||Y| + |W|, |W||Y|), the right-hand sides
+    (|Z|, |X||Y| + |W|) and per-row weights (|Z|, |X||Y|): 1/p(x,z), or 0
+    where p(x,z) = 0, which turn consistency-row residuals into conditional
+    ones.
     """
     nx, ny, nz = target_xyz.shape
     nw = w_given_x.shape[1]
+    nxy = nx * ny
     p_xz = target_xyz.sum(axis=1)
+    a = p_xz.T[:, :, None] * w_given_x  # (z, x, w)
+    blocks = np.empty((nz, nxy + nw, nw * ny))
+    blocks[:, :nxy] = (a[:, :, None, :, None] * np.eye(ny)[:, None, :]).reshape(nz, nxy, nw * ny)
+    blocks[:, nxy:] = np.repeat(np.eye(nw), ny, axis=1)
+    rhs = np.ones((nz, nxy + nw))
+    rhs[:, :nxy] = target_xyz.transpose(2, 0, 1).reshape(nz, nxy)
+    weights = np.divide(1.0, p_xz, out=np.zeros_like(p_xz), where=p_xz > 0).T.repeat(ny, axis=1)
+    return blocks, rhs, weights
+
+
+def _conditional_gaps(blocks, rhs, weights, q) -> np.ndarray:
+    """Per z: max over y, and x with p(x,z)>0, of |sum_w p(w|x)q(y|z,w) - p(y|x,z)|.
+
+    Arguments are (slices of) the output of :func:`_z_blocks` and q with
+    shape (|Z|, |W|, |Y|).  A NaN in q yields NaN, which fails every test.
+    """
+    nxy = weights.shape[1]
+    joint = np.einsum("zrc,zc->zr", blocks[:, :nxy], q.reshape(len(q), -1)) - rhs[:, :nxy]
+    return np.abs(joint * weights).max(axis=1)
+
+
+def _nnls(a: np.ndarray, b: np.ndarray):
+    """Lawson-Hanson active-set solution of min ||a x - b|| subject to x >= 0.
+
+    Returns (x, residual 2-norm).  Each outer step frees the bound variable
+    with the largest positive dual; each inner step walks back towards the
+    new least-squares point until a variable hits zero, and drops it.  No
+    passive set repeats, so it ends in finitely many steps (Lawson & Hanson
+    1974, ch. 23); the outer cap only guards against rounding cycles, and
+    since callers test the residual, stopping early can only reject.
+    """
+    n = a.shape[1]
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * np.abs(a).sum(axis=0).max()
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    dual = a.T @ b
+    for _ in range(3 * n):
+        if passive.all() or dual[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, dual))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (s[passive] > 0).all():
+                break
+            blocking = np.flatnonzero(passive & (s <= 0))
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            x += ratios.min() * (s - x)
+            passive &= x > tol
+            passive[blocking[np.argmin(ratios)]] = False
+        x = s
+        dual = a.T @ (b - a @ x)
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+def _stochastic_rows(q: np.ndarray) -> np.ndarray:
+    """Rows rescaled to sum to one; an all-zero row becomes NaN and fails every test."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q / q.sum(axis=-1, keepdims=True)
+
+
+def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float):
+    """Consistent p(y|z,w) for a fixed p(w|x), or None when none exists.
+
+    For each z the constraints sum_w p(x,z) p(w|x) q(y|z,w) = p(x,y,z) and
+    sum_y q(y|z,w) = 1 are linear in q(.|z,.), so a consistent q is a
+    nonnegative solution of one small linear system per z.  The block's
+    least-squares solution is that solution when it is already nonnegative;
+    otherwise the exact nonnegative least-squares solve :func:`_nnls`
+    decides.  A block is feasible exactly when that solution, rows
+    renormalized, has conditional residual (what
+    :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
+    feasible set leaves a residual and is rejected at once.
+
+    Returns (q or None, residual, violation), q of shape (|Z|, |W|, |Y|).
+    Accepted: the conditional residual of q, and violation 0.  Rejected: the
+    least-squares residual of the first failing block and max(0, -min) of
+    its least-squares solution, the slope inputs of the infeasibility penalty.
+    """
+    _, ny, nz = target_xyz.shape
+    nw = w_given_x.shape[1]
+    blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
     q = np.empty((nz, nw, ny))
-    worst_resid = 0.0
-    for z in range(nz):
-        big, rhs = _z_block(target_xyz, w_given_x, z)
-        sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        resid = float(np.abs(big @ sol - rhs).max())
+    worst = 0.0
+    for z, (a, b) in enumerate(zip(blocks, rhs)):
+        sol = np.linalg.lstsq(a, b, rcond=None)[0]
+        resid = float(np.abs(a @ sol - b).max())
         if resid > 1e-9:
             return None, resid, 0.0
-        if sol.min() < -1e-10:
-            pinv = np.linalg.pinv(big)
-            for _ in range(300):
-                sol = np.clip(sol, 0.0, None)
-                sol = sol - pinv @ (big @ sol - rhs)
-                if sol.min() >= -1e-12:
-                    break
-            resid = float(np.abs(big @ sol - rhs).max())
-            if resid > 1e-9 or sol.min() < -1e-8:
-                return None, resid, float(max(0.0, -sol.min()))
-        # exact row normalization after clipping the ~1e-8 negatives; rescore
-        # the equality system so the reported residual stays truthful
-        mat = np.clip(sol, 0.0, None).reshape(nw, ny)
-        mat = mat / mat.sum(axis=1, keepdims=True)
-        resid = float(np.abs(big @ mat.reshape(-1) - rhs).max())
-        if not np.isfinite(resid) or resid > 1e-7:
-            return None, resid, 0.0
-        worst_resid = max(worst_resid, resid)
-        q[z] = mat
-    return q, worst_resid, 0.0
+        exact = sol if sol.min() >= 0.0 else _nnls(a, b)[0]
+        q[z] = _stochastic_rows(exact.reshape(nw, ny))
+        at_z = slice(z, z + 1)
+        gap = float(_conditional_gaps(blocks[at_z], rhs[at_z], weights[at_z], q[at_z])[0])
+        if not gap <= tol:
+            return None, resid, max(0.0, -float(sol.min()))
+        worst = max(worst, gap)
+    return q, worst, 0.0
 
 
-def _polish_y_channel(target_xyz, w_given_x, q, iters=30):
-    """Descend I(XYZ;W) over the feasible q-polytope (projected gradient).
+def _project_consistent(blocks, rhs, weights, point, tol):
+    """Euclidean projection of ``point`` onto the consistent q-set.
 
-    Only matters when the consistency system is underdetermined; with a
-    unique solution the projection returns q unchanged.
+    Per z this is least-distance programming: minimize ||d|| subject to
+    point + d >= 0 and A (point + d) = b, each equality written as two
+    inequalities G d >= h.  Lawson & Hanson (1974, ch. 23) solve it as one
+    NNLS: with r the residual of [G^T; h^T] u ~ e_last, d = -r[:-1] / r[-1],
+    and r = 0 means the set is empty.  Returns (q, conditional residual), or
+    None when q fails the test of :func:`_consistent_y_channel`.
     """
+    out = np.empty_like(point)
+    for z, (a, b) in enumerate(zip(blocks, rhs)):
+        t = point[z].reshape(-1)
+        miss = b - a @ t
+        e = np.vstack([np.hstack([np.eye(t.size), a.T, -a.T]), np.concatenate([-t, miss, -miss])])
+        f = np.zeros(t.size + 1)
+        f[-1] = 1.0
+        r = e @ _nnls(e, f)[0] - f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = -r[:-1] / r[-1]
+        # d meets the bounds up to rounding; clip that away before the test
+        out[z] = _stochastic_rows(np.maximum(t + d, 0.0).reshape(point[z].shape))
+    gap = float(_conditional_gaps(blocks, rhs, weights, out).max())
+    if not gap <= tol:
+        return None
+    return out, gap
+
+
+def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
+    """Descend I(XYZ;W) over the consistent q-polytope (projected gradient).
+
+    Only a consistency system with a positive-dimensional solution set has
+    anything to polish; a unique q is returned unchanged.  Each gradient
+    step is projected back exactly by :func:`_project_consistent`, and a
+    step is kept only when it lowers I(XYZ;W).  Returns q and its
+    conditional residual (``resid`` belongs to the q passed in).
+    """
+    blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
+    if np.linalg.matrix_rank(blocks).sum() == blocks.shape[0] * blocks.shape[2]:
+        return q, resid
     p_xz = target_xyz.sum(axis=1)
     c = np.einsum("xz,xw->zxw", p_xz, w_given_x)
 
@@ -271,52 +354,19 @@ def _polish_y_channel(target_xyz, w_given_x, q, iters=30):
         grad = np.einsum("zxw,wxyz->zwy", c, logterm + 1.0 / np.log(2.0))
         if not np.isfinite(grad).all():
             break
-        trial = q - step * grad
-        # project back: re-solve feasibility started from the trial point by
-        # alternating projection against the same constraints
-        repaired, resid, _ = _repair_onto_feasible(target_xyz, w_given_x, trial)
-        if repaired is None:
+        projected = _project_consistent(blocks, rhs, weights, q - step * grad, tol)
+        if projected is None:
             step *= 0.5
             continue
-        val = info(repaired)
+        val = info(projected[0])
         if val < best - 1e-12:
-            best, q = val, repaired
+            best, (q, resid) = val, projected
             step *= 1.2
         else:
             step *= 0.5
             if step < 1e-6:
                 break
-    return q
-
-
-def _repair_onto_feasible(target_xyz, w_given_x, q):
-    """Alternating projection of q onto {consistency} ∩ {q >= 0}."""
-    nz = target_xyz.shape[2]
-    nw, ny = w_given_x.shape[1], target_xyz.shape[1]
-    out = np.empty_like(q)
-    worst = 0.0
-    for z in range(nz):
-        big, rhs = _z_block(target_xyz, w_given_x, z)
-        pinv = np.linalg.pinv(big)
-        sol = q[z].reshape(-1).copy()
-        for _ in range(120):
-            sol = sol - pinv @ (big @ sol - rhs)
-            if sol.min() >= -1e-12:
-                break
-            sol = np.clip(sol, 0.0, None)
-        resid = float(np.abs(big @ sol - rhs).max())
-        if not np.isfinite(resid) or resid > 1e-9 or sol.min() < -1e-8:
-            return None, resid, 0.0
-        # clipping the ~1e-8 negatives perturbs row sums past strict
-        # stochasticity, so renormalize exactly and report the true residual
-        mat = np.clip(sol, 0.0, None).reshape(nw, ny)
-        mat = mat / mat.sum(axis=1, keepdims=True)
-        resid = float(np.abs(big @ mat.reshape(-1) - rhs).max())
-        if not np.isfinite(resid) or resid > 1e-7:
-            return None, resid, 0.0
-        out[z] = mat
-        worst = max(worst, resid)
-    return out, worst, 0.0
+    return q, resid
 
 
 # ---------------------------------------------------------------------------
@@ -381,39 +431,22 @@ def _rates_from_tables(target_xyz, w_given_x, q):
     return i_x_w - i_w_z, i_xyz_w - i_w_z
 
 
-def _scalarized(target_xyz, w_given_x, lam, polish):
-    q, resid, neg = _consistent_y_channel(target_xyz, w_given_x)
+def _scalarized(target_xyz, w_given_x, lam, polish, tol):
+    q, resid, neg = _consistent_y_channel(target_xyz, w_given_x, tol)
     if q is None:
         # infeasible: large penalty, sloped by how badly equalities fail
         return 10.0 + 100.0 * (resid + neg), None, resid
     if polish and lam > 0:
-        nz = target_xyz.shape[2]
-        nw, ny = w_given_x.shape[1], target_xyz.shape[1]
-        # polishing only matters when the feasible q-set has positive dimension
-        if np.linalg.matrix_rank(_stack_constraints(target_xyz, w_given_x)) < nz * nw * ny:
-            q = _polish_y_channel(target_xyz, w_given_x, q)
+        q, resid = _polish_y_channel(target_xyz, w_given_x, q, resid, tol)
     r_raw, rc_raw = _rates_from_tables(target_xyz, w_given_x, q)
     value = (1.0 - lam) * max(0.0, r_raw) + lam * max(0.0, rc_raw)
     return value, q, resid
 
 
-def _stack_constraints(target_xyz, w_given_x):
-    """Block-diagonal stack of the per-z equality systems (for rank checks)."""
-    nz = target_xyz.shape[2]
-    nw, ny = w_given_x.shape[1], target_xyz.shape[1]
-    blocks = [_z_block(target_xyz, w_given_x, z)[0] for z in range(nz)]
-    out = np.zeros((sum(b.shape[0] for b in blocks), nz * nw * ny))
-    r = 0
-    for i, b in enumerate(blocks):
-        out[r : r + b.shape[0], i * nw * ny : (i + 1) * nw * ny] = b
-        r += b.shape[0]
-    return out
-
-
-def _descend_from(target_xyz, lam, logits, iters):
+def _descend_from(target_xyz, lam, logits, iters, tol):
     """Numerical-gradient descent with backtracking on p_{W|X} logits."""
     h = 1e-5
-    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=False)
+    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
     for _ in range(iters):
         grad = np.zeros_like(logits)
         flat = logits.reshape(-1)
@@ -421,9 +454,9 @@ def _descend_from(target_xyz, lam, logits, iters):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False)
+            up, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
             flat[k] = orig - h
-            dn, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False)
+            dn, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
             flat[k] = orig
             gflat[k] = (up - dn) / (2 * h)
         norm = float(np.abs(grad).max())
@@ -433,7 +466,7 @@ def _descend_from(target_xyz, lam, logits, iters):
         improved = False
         for _ in range(25):
             trial = logits - step * grad
-            tv, tq, tr = _scalarized(target_xyz, _softmax(trial), lam, polish=False)
+            tv, tq, tr = _scalarized(target_xyz, _softmax(trial), lam, polish=False, tol=tol)
             if tv < value - 1e-12:
                 logits, value, q, resid = trial, tv, tq, tr
                 improved = True
@@ -442,7 +475,7 @@ def _descend_from(target_xyz, lam, logits, iters):
         if not improved:
             break
     # final evaluation with the polish pass enabled
-    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=True)
+    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=True, tol=tol)
     return value, _softmax(logits), q, resid
 
 
@@ -515,7 +548,7 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(li, s)))
             starts.append((rng.normal(0.0, 2.0, size=(nx, w_size)), cfg.iters))
         for logits, iters in starts:
-            value, wt, q, resid = _descend_from(target, float(lam), logits, iters)
+            value, wt, q, resid = _descend_from(target, float(lam), logits, iters, cfg.tol)
             if q is not None:
                 candidates.append((value, wt, q, resid))
         winners.append(min(candidates, key=lambda c: c[0]) if candidates else None)
@@ -540,7 +573,7 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
         for wt, _, _ in ranked:
             with np.errstate(all="ignore"):
                 logits = np.log(np.clip(wt, 1e-12, None))
-            value, wt2, q2, resid2 = _descend_from(target, float(lam), logits, short_iters)
+            value, wt2, q2, resid2 = _descend_from(target, float(lam), logits, short_iters, cfg.tol)
             if q2 is not None and (best is None or value < best[0]):
                 best = (value, wt2, q2, resid2)
         if best is None:
@@ -555,7 +588,7 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
             wt,
             q,
         )
-        rates = ptp_rates_for(p_xyz, aux, tol=max(cfg.tol, 1e-6))
+        rates = ptp_rates_for(p_xyz, aux, tol=cfg.tol)
         r, c = rates.corner
         raw_points.append(FrontierPoint(float(lams[li]), r, c, float(value), aux, float(resid)))
     pruned = pareto_prune(raw_points)

@@ -4,7 +4,14 @@ The grid oracle scans every binary auxiliary channel p(w|x) on a uniform
 (step = 1/steps) grid.  For binary Y with no side information the consistent
 output channel p(y|w) is the unique solution of a 2x2 linear system, so each
 grid cell is either infeasible or evaluates exactly — no inner search.
+
+The nonnegative least-squares oracle decides the inner consistency solve's
+question, whether {x >= 0 : A x = b} is empty, by brute force over column
+subsets instead of an active set; ``z_block`` builds that system entry by
+entry, as the reference for the vectorized construction.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -87,3 +94,43 @@ def chebyshev_to_polyline(point, polyline, samples=257):
         seg = polyline[s] * (1.0 - ts) + polyline[s + 1] * ts
         best = min(best, float(np.abs(seg - point).max(axis=1).min()))
     return best
+
+
+def nonnegative_lstsq_residual(a, b):
+    """min ||a x - b|| over x >= 0, by scanning every column subset.
+
+    The minimizer can be taken supported on linearly independent columns
+    (Carathéodory), where it is the restricted least-squares solution.  So
+    the least residual among subsets whose restricted least-squares solution
+    is nonnegative is the exact optimum, and the system has a nonnegative
+    solution exactly when that residual is zero.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    best = float(np.linalg.norm(b))
+    for k in range(1, a.shape[1] + 1):
+        for cols in combinations(range(a.shape[1]), k):
+            sub = a[:, cols]
+            x = np.linalg.lstsq(sub, b, rcond=None)[0]
+            if x.min() >= 0.0:
+                best = min(best, float(np.linalg.norm(sub @ x - b)))
+    return best
+
+
+def z_block(target_xyz, w_given_x, z):
+    """Equality system for q(.|z,.) built entry by entry; unknown is q as (w, y).
+
+    Consistency rows (x, y) come first, then one row-sum row per w.
+    """
+    nx, ny, _ = target_xyz.shape
+    nw = w_given_x.shape[1]
+    p_xz = target_xyz.sum(axis=1)
+    big = np.zeros((nx * ny + nw, nw * ny))
+    for x in range(nx):
+        for y in range(ny):
+            for w in range(nw):
+                big[x * ny + y, w * ny + y] = p_xz[x, z] * w_given_x[x, w]
+    for w in range(nw):
+        big[nx * ny + w, w * ny : (w + 1) * ny] = 1.0
+    rhs = np.concatenate([target_xyz[:, :, z].reshape(-1), np.ones(nw)])
+    return big, rhs

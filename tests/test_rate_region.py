@@ -3,7 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import binary_grid_frontier, chebyshev_to_polyline, pareto_polyline, scalarized_minimum
+from _oracles import (
+    binary_grid_frontier,
+    chebyshev_to_polyline,
+    nonnegative_lstsq_residual,
+    pareto_polyline,
+    scalarized_minimum,
+    z_block,
+)
+from corrsynth import rate_region
 from corrsynth.polyhedra import dist_theorem_system, lp_membership, ptp_theorem_system
 from corrsynth.probability import JointPmf, verify_markov_chain
 from corrsynth.rate_region import (
@@ -229,6 +237,85 @@ def test_ptp_bindings_certify_corner_against_closed_form():
 
 
 # ---------------------------------------------------------------------------
+# inner consistency solve
+# ---------------------------------------------------------------------------
+
+
+def inner_solve_case(kind, seed):
+    """(target, p(w|x)) for one of the inner solve's three regimes.
+
+    ``feasible``: the target is pushed forward from |W| = |X| channels.
+    ``full-rank``: a free 2x2x2 target with |W| = |X|, so every z-block has
+    full column rank and a unique, possibly negative, solution.
+    ``rank-deficient``: |W| > |X| and a near-deterministic p(y|z,w), pushed
+    forward, so the set is nonempty while the minimum-norm solution is often
+    negative.
+    """
+    gen = np.random.default_rng(seed)
+    if kind == "full-rank":
+        target = gen.gamma(1.0, size=(2, 2, 2))
+        return target / target.sum(), random_simplex(gen, (2, 2))
+    nx, ny, nz, nw = (2, 2, 2, 2) if kind == "feasible" else (2, 2, 1, 3)
+    p_xz = gen.random((nx, nz)) + 0.05
+    p_xz /= p_xz.sum()
+    w_table = gen.dirichlet(np.ones(nw), size=nx)
+    y_table = gen.dirichlet(np.full(ny, 1.0 if kind == "feasible" else 0.1), size=(nz, nw))
+    return np.einsum("xz,xw,zwy->xyz", p_xz, w_table, y_table), w_table
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 2, 4), (2, 3, 1, 3)])
+def test_z_blocks_equal_the_entrywise_construction(shape):
+    nx, ny, nz, nw = shape
+    gen = np.random.default_rng(nw)
+    target = gen.gamma(1.0, size=(nx, ny, nz))
+    target /= target.sum()
+    target[0, :, 0] = 0.0  # a null (x, z) cell gets zero weight
+    w_table = random_simplex(gen, (nx, nw))
+    blocks, rhs, weights = rate_region._z_blocks(target, w_table)
+    p_xz = target.sum(axis=1)
+    for z in range(nz):
+        big, small = z_block(target, w_table, z)
+        assert np.array_equal(blocks[z], big) and np.array_equal(rhs[z], small)
+        want = np.repeat([1.0 / p if p > 0 else 0.0 for p in p_xz[:, z]], ny)
+        assert np.array_equal(weights[z], want)
+
+
+@pytest.mark.parametrize("kind", ["feasible", "full-rank", "rank-deficient"])
+def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
+    """_nnls reaches the brute-force optimum, and the inner solve accepts a
+    channel exactly when every z-block has a nonnegative solution."""
+    negative_min_norm = 0
+    for seed in range(12):
+        target, w_table = inner_solve_case(kind, seed)
+        blocks, rhs, _ = rate_region._z_blocks(target, w_table)
+        feasible = True
+        for a, b in zip(blocks, rhs):
+            x, residual = rate_region._nnls(a, b)
+            optimum = nonnegative_lstsq_residual(a, b)
+            assert x.min() >= 0.0
+            assert abs(residual - optimum) <= 1e-10
+            assert optimum < 1e-12 or optimum > 1e-6
+            feasible &= optimum < 1e-12
+            sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+            negative_min_norm += sol.min() < -1e-6
+            assert (rank == a.shape[1]) == (kind != "rank-deficient")
+        q, residual, violation = rate_region._consistent_y_channel(target, w_table, 1e-9)
+        assert (q is not None) == feasible
+        if q is None:
+            assert violation > 0.0
+        else:
+            assert q.min() >= 0.0
+            assert np.abs(q.sum(axis=2) - 1.0).max() <= 1e-12
+            assert residual <= 1e-9
+            assert violation == 0.0
+    if kind == "feasible":
+        assert negative_min_norm == 0
+    else:
+        # the regime the test is about must actually occur
+        assert negative_min_norm >= 3
+
+
+# ---------------------------------------------------------------------------
 # frontier tracing
 # ---------------------------------------------------------------------------
 
@@ -252,6 +339,48 @@ def test_frontier_rerun_is_bit_identical():
     second = ptp_frontier(target, cfg)
     assert [(p.lam, p.rate, p.cr, p.value) for p in first.raw] == [
         (p.lam, p.rate, p.cr, p.value) for p in second.raw
+    ]
+
+
+@pytest.mark.parametrize("seed, tol", [(0, 1e-9), (1, 1e-12), (2, 1e-9)])
+def test_frontier_points_are_certified_at_the_configured_tolerance(seed, tol):
+    # seed 0 once produced a winner with residual 3.7e-9, certified only
+    # because the certificate's tolerance was floored at 1e-6
+    cells = np.random.default_rng(seed).gamma(1.0, size=(2, 2, 2))
+    target = JointPmf.from_table(("X", "Y", "Z"), cells / cells.sum())
+    cfg = SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=20, seed=0, tol=tol)
+    res = ptp_frontier(target, cfg)
+    assert res.failures == ()
+    for point in res.raw:
+        assert point.residual <= cfg.tol
+        assert ptp_consistency_residual(target, point.aux) <= cfg.tol
+
+
+def test_frontier_polishes_an_underdetermined_output_channel(monkeypatch):
+    # |W| = 4 > |X| = 2 leaves the consistent p(y|z,w) non-unique, so the
+    # final evaluation of every descent runs the polish pass
+    polished = []
+
+    def counting_polish(*args, **kwargs):
+        polished.append(1)
+        return polish(*args, **kwargs)
+
+    polish = rate_region._polish_y_channel
+    monkeypatch.setattr(rate_region, "_polish_y_channel", counting_polish)
+    target = JointPmf.from_table(("X", "Y", "Z"), np.array([[[0.375], [0.125]], [[0.125], [0.375]]]))
+    cfg = SearchConfig(w_cap=4, restarts=1, lambda_grid=2, iters=20, seed=0)
+    first = ptp_frontier(target, cfg)
+    assert polished
+    assert first.failures == ()
+    # values reached by the earlier alternating-projection solve, plus the
+    # 0.01-bit slack of the acceptance gate
+    for point, earlier in zip(first.raw, (0.229955, 0.610817)):
+        assert point.value <= earlier + 0.01
+        assert point.residual <= cfg.tol
+        assert ptp_consistency_residual(target, point.aux) <= cfg.tol
+    second = ptp_frontier(target, cfg)
+    assert [(p.lam, p.rate, p.cr, p.value, p.residual) for p in first.raw] == [
+        (p.lam, p.rate, p.cr, p.value, p.residual) for p in second.raw
     ]
 
 
