@@ -2,8 +2,10 @@
 
 Exact computations in this package enumerate sequence spaces whose size grows
 exponentially in the blocklength.  Every such loop calls :func:`check_budget`
-with its term count before allocating; anything larger must go through a
-sampling path instead.
+with its term count before allocating.  Nothing here estimates past the
+budget: a larger computation runs only after raising the budget
+(``$CORRSYNTH_BUDGET`` or a ``budget`` argument) or at a smaller blocklength.
+The count is of terms, not of the bytes a computation allocates.
 """
 
 from __future__ import annotations
@@ -40,5 +42,5 @@ def check_budget(terms: int, budget: int | None = None, what: str = "enumeration
     if terms > limit:
         raise BudgetExceededError(
             f"{what} needs {terms} terms, budget is {limit}; "
-            f"raise {ENV_VAR} or use a sampling path"
+            f"raise {ENV_VAR} (or --budget) or lower the blocklength n"
         )

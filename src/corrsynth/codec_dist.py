@@ -37,17 +37,21 @@ from .codec_ptp import (
     Codebook,
     CodecParams,
     EmptyTypicalSetError,
+    _decoded_rows,
     _encoder_weight_batch,
     _message_pmf_from_labels,
+    _message_table,
     _pow2_size,
     _rowwise_categorical,
+    _word_ids,
+    _word_rows,
     derived_rng,
     null_codebook,
     sample_codebook,
     tv_deficit,
     word_alphabet,
 )
-from .probability import CondPmf, JointPmf
+from .probability import CondPmf, JointPmf, ProductPmf
 from .typicality import enumerate_sequences, pairwise_typical_mask
 
 #: derived-stream indices off a run seed (matching the single-encoder layout
@@ -316,11 +320,8 @@ def _build_dist_tables(
     check_budget((nx1 * nx2 * ny) ** n, budget, what="exact induced-law enumeration")
     xs1 = enumerate_sequences(nx1, n, budget)
     xs2 = enumerate_sequences(nx2, n, budget)
-    ys = enumerate_sequences(ny, n, budget)
 
-    p_x_words = np.ones((xs1.shape[0], xs2.shape[0]))
-    for i in range(n):
-        p_x_words *= p_x1x2.table[xs1[:, i][:, None], xs2[None, :, i]]
+    p_x_words = ProductPmf(p_x1x2, n).table(budget)
 
     marg1 = p_x1x2.table.sum(axis=1)
     marg2 = p_x1x2.table.sum(axis=0)
@@ -341,62 +342,32 @@ def _build_dist_tables(
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
     bn1, bn2 = binnings
 
-    def encoder_messages(book, binning, xs, p_joint, leg, kk, mm):
-        out = np.zeros((kk, xs.shape[0], mm + 1))
-        for mu in range(kk):
-            weights, _, valid = _encoder_weight_batch(
-                xs, book.entries[mu], p_joint, book.epsilon, leg
+    def encoder_messages(book, binning, xs, p_joint, leg):
+        return np.stack([
+            _message_table(
+                xs, book.entries[mu], binning.labels[mu], binning.m_size,
+                p_joint, book.epsilon, leg,
             )
-            onehot = np.zeros((book.l_size, mm + 1))
-            onehot[np.arange(book.l_size), binning.labels[mu]] = 1.0
-            msg = weights @ onehot
-            msg[~valid] = 0.0
-            msg[:, 0] = np.maximum(0.0, 1.0 - msg[:, 1:].sum(axis=1))
-            out[mu] = msg
-        return out
+            for mu in range(book.k_size)
+        ])
 
-    messages1 = encoder_messages(
-        codebooks.first, bn1, xs1, p_joint_xw1, _leg_params(params, 1), k1, m1
-    )
-    messages2 = encoder_messages(
-        codebooks.second, bn2, xs2, p_joint_xw2, _leg_params(params, 2), k2, m2
-    )
+    messages1 = encoder_messages(codebooks.first, bn1, xs1, p_joint_xw1, _leg_params(params, 1))
+    messages2 = encoder_messages(codebooks.second, bn2, xs2, p_joint_xw2, _leg_params(params, 2))
 
-    # decode outcomes: map every (mu1, mu2, m1, m2) to a decoded pair row
-    fallback_key = (np.zeros(n, np.int64).tobytes(), np.zeros(n, np.int64).tobytes())
-    row_of: dict[tuple[bytes, bytes], int] = {fallback_key: 0}
-    pairs: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros(n, np.int64), np.zeros(n, np.int64))]
-    decoded = np.zeros((k1, k2, m1 + 1, m2 + 1), dtype=np.int64)
-    for mu1 in range(k1):
-        for mu2 in range(k2):
-            ok = pairwise_typical_mask(
-                codebooks.first.entries[mu1], codebooks.second.entries[mu2],
-                p_w1w2, params.delta,
-            )
-            for mm1 in range(1, m1 + 1):
-                rows_sel = bn1.labels[mu1] == mm1
-                if not rows_sel.any():
-                    continue
-                for mm2 in range(1, m2 + 1):
-                    cols_sel = bn2.labels[mu2] == mm2
-                    if not cols_sel.any():
-                        continue
-                    sub = ok[rows_sel][:, cols_sel]
-                    if int(sub.sum()) != 1:
-                        continue
-                    i, k = np.argwhere(sub)[0]
-                    w1 = codebooks.first.entries[mu1][np.flatnonzero(rows_sel)[i]]
-                    w2 = codebooks.second.entries[mu2][np.flatnonzero(cols_sel)[k]]
-                    key = (w1.tobytes(), w2.tobytes())
-                    if key not in row_of:
-                        row_of[key] = len(pairs)
-                        pairs.append((w1, w2))
-                    decoded[mu1, mu2, mm1, mm2] = row_of[key]
-
-    y_rows = np.ones((len(pairs), ys.shape[0]))
-    for ridx, (w1, w2) in enumerate(pairs):
-        for i in range(n):
-            y_rows[ridx] *= p_y_given_w1w2.table[w1[i], w2[i], ys[:, i]]
+    # A (μ1, μ2, m1, m2) cell decodes when exactly one jointly typical index
+    # pair sits in it; duplicate codewords count multiply.
+    e1 = codebooks.first.entries.reshape(-1, n)
+    e2 = codebooks.second.entries.reshape(-1, n)
+    a, b = np.nonzero(pairwise_typical_mask(e1, e2, p_w1w2, params.delta))
+    mu1, mu2 = a // codebooks.first.l_size, b // codebooks.second.l_size
+    cell = ((mu1 * k2 + mu2) * (m1 + 1) + bn1.labels.reshape(-1)[a]) * (m2 + 1)
+    cell += bn2.labels.reshape(-1)[b]
+    (id1, words1), (id2, words2) = _word_ids(e1), _word_ids(e2)
+    pair = id1[a] * words2.shape[0] + id2[b]  # 0 = the fallback pair
+    used, decoded = _decoded_rows(cell, pair, k1 * k2 * (m1 + 1) * (m2 + 1))
+    decoded = decoded.reshape(k1, k2, m1 + 1, m2 + 1)
+    w1s, w2s = words1[used // words2.shape[0]], words2[used % words2.shape[0]]
+    y_rows = _word_rows([p_y_given_w1w2.table[None, w1s[:, i], w2s[:, i], :] for i in range(n)])[0]
     return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows)
 
 
@@ -426,15 +397,9 @@ def dist_induced_joint_exact(
     out = np.zeros((a1, a2, tabs.y_rows.shape[1]))
     for mu1 in range(k1):
         for mu2 in range(k2):
-            gather = np.zeros((tabs.decoded.shape[2] * tabs.decoded.shape[3], tabs.y_rows.shape[0]))
-            gather[np.arange(gather.shape[0]), tabs.decoded[mu1, mu2].reshape(-1)] = 1.0
-            y_by_msgs = gather @ tabs.y_rows  # ((M1+1)(M2+1), Ay)
-            y_by_msgs = y_by_msgs.reshape(
-                tabs.decoded.shape[2], tabs.decoded.shape[3], -1
-            )
-            out += np.einsum(
-                "am,bv,mvy->aby", tabs.messages1[mu1], tabs.messages2[mu2], y_by_msgs
-            )
+            y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
+            by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
+            out += np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
     out *= tabs.p_x_words[:, :, None] / (k1 * k2)
     total = float(out.sum())
     if abs(total - 1.0) > 1e-9:

@@ -292,8 +292,12 @@ def _encoder_weight_batch(
 
     Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
     all-zero weights, which downstream logic reads as a point mass on index 0.
-    Shared verbatim by the scalar operation, the exact-joint enumeration, and
-    the sampler, so all paths agree to the last bit.
+    The scalar operation, the exact-joint enumeration and the sampler all
+    call it, so their index weights agree to the last bit.  Message 0 does
+    not: the tables take ``max(0, 1 - Σ)`` of the binned row
+    (:func:`_message_table`), the scalar operation the compensated
+    complement :func:`_complement_to_one`, and the two can differ in the
+    last bits.
     """
     p_x = p_joint_xw.table.sum(axis=1)
     typical_x = marginal_typical_mask(xs, p_x, params.delta)
@@ -447,8 +451,74 @@ class _SystemTables:
 
     p_xz_words: np.ndarray  # (Ax, Az) source-word law
     messages: np.ndarray  # (K, Ax, M+1) message PMFs
-    decoded: np.ndarray  # (K, Az, M+1) indices into per-μ decode rows, 0 = w0
-    y_rows: list[np.ndarray]  # per μ: (Az, 1+Θ_μ, Ay) output-word laws
+    decoded: np.ndarray  # (K, Az, M+1) row ids into y_rows, 0 = w0
+    y_rows: np.ndarray  # (Az, R, Ay) output-word laws; row 0 = w0, then one per decoded word
+
+
+def _word_ids(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number (N, n) words behind the fallback word w0 = 0^n.
+
+    Returns (ids (N,), words (U, n)): ``words[ids[e]]`` equals ``entries[e]``,
+    ``words[0]`` is w0, and ids count up in first-occurrence order.
+    """
+    stacked = np.vstack([np.zeros((1, entries.shape[1]), np.int64), entries])
+    ids, firsts = _first_occurrence_dedup(stacked)
+    return ids[1:], stacked[firsts]
+
+
+def _decoded_rows(cell: np.ndarray, code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder outcome of every cell, as row ids into a table of used codes.
+
+    Candidate t sits in ``cell[t]`` and decodes to ``code[t]``.  A cell with
+    exactly one candidate decodes to its code, any other to code 0 (the
+    fallback).  Returns (used codes, ascending; row id of each of the
+    ``size`` cells into them), so once any cell falls back, code 0 is row 0.
+    """
+    candidate = np.zeros(size, dtype=np.int64)
+    candidate[cell] = code
+    decoded = np.where(np.bincount(cell, minlength=size) == 1, candidate, 0)
+    used, rows = np.unique(decoded, return_inverse=True)
+    return used, rows.reshape(-1)
+
+
+def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
+    """Output-word laws from per-letter factors, extended one letter at a time.
+
+    ``letters[i]`` is an (S, R, Y) table: for conditioning letter s and row r,
+    the law of output letter i.  The result is (S^n, R, Y^n) with words coded
+    big-endian, ``out[s, r, y] = Π_i letters[i][s_i, r, y_i]``.  Each step is a
+    Kronecker product, so the factors multiply in letter order, exactly as a
+    per-cell running product would.
+    """
+    rows = letters[0]
+    for f in letters[1:]:
+        rows = (rows[:, None, :, :, None] * f[None, :, :, None, :]).reshape(
+            rows.shape[0] * f.shape[0], rows.shape[1], rows.shape[2] * f.shape[2]
+        )
+    return rows
+
+
+def _message_table(
+    xs: np.ndarray,
+    entries_mu: np.ndarray,
+    labels: np.ndarray,
+    m_size: int,
+    p_joint_xw: JointPmf,
+    epsilon: float,
+    params: CodecParams,
+) -> np.ndarray:
+    """(A, M+1) message PMFs of one μ-block; ``labels[l]`` is the bin of index l.
+
+    Bins collect the index weights, invalid rows send nothing, and message 0
+    takes ``max(0, 1 - Σ)`` of each row.
+    """
+    weights, _, valid = _encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params)
+    onehot = np.zeros((entries_mu.shape[0], m_size + 1))
+    onehot[np.arange(entries_mu.shape[0]), labels] = 1.0
+    msg = weights @ onehot
+    msg[~valid] = 0.0
+    msg[:, 0] = np.maximum(0.0, 1.0 - msg[:, 1:].sum(axis=1))
+    return msg
 
 
 def _build_system_tables(
@@ -462,17 +532,12 @@ def _build_system_tables(
 ) -> _SystemTables:
     nx, nz = (a.size for a in p_xz.alphabets)
     ny = p_y_given_zw.out_alphabets[0].size
-    nw = codebook.w_size
     n, kk, mm = params.n, codebook.k_size, binning.m_size
     check_budget((nx * ny * nz) ** n, budget, what="exact induced-law enumeration")
     typ = TypicalityParams(params.delta, nx, ny, nz)
     xs = enumerate_sequences(nx, n, budget)
     zs = enumerate_sequences(nz, n, budget)
-    ys = enumerate_sequences(ny, n, budget)
-
-    p_xz_words = np.ones((xs.shape[0], zs.shape[0]))
-    for i in range(n):
-        p_xz_words *= p_xz.table[xs[:, i][:, None], zs[None, :, i]]
+    p_xz_words = ProductPmf(p_xz, n).table(budget)
 
     p_x = p_xz.table.sum(axis=1)
     p_joint_xw = JointPmf(
@@ -482,38 +547,31 @@ def _build_system_tables(
     )
     p_zw_table = np.einsum("xz,xw->zw", p_xz.table, p_w_given_x.table)
 
-    messages = np.zeros((kk, xs.shape[0], mm + 1))
-    decoded = np.zeros((kk, zs.shape[0], mm + 1), dtype=np.int64)
-    y_rows: list[np.ndarray] = []
-    for mu in range(kk):
-        weights, _, valid = _encoder_weight_batch(
-            xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
+    messages = np.stack([
+        _message_table(
+            xs, codebook.entries[mu], binning.messages(mu), mm,
+            p_joint_xw, codebook.epsilon, params,
         )
-        onehot = np.zeros((codebook.l_size, mm + 1))
-        onehot[np.arange(codebook.l_size), binning.messages(mu)] = 1.0
-        msg = weights @ onehot
-        msg[~valid] = 0.0
-        msg[:, 0] = np.maximum(0.0, 1.0 - msg[:, 1:].sum(axis=1))
-        messages[mu] = msg
+        for mu in range(kk)
+    ])
 
-        _, firsts = _first_occurrence_dedup(codebook.entries[mu])
-        words = codebook.entries[mu][firsts]
-        ok = pairwise_typical_mask(zs, words, p_zw_table, typ.delta2)  # (Az, Θ)
-        for m in range(1, mm + 1):
-            cols = np.where(binning.bins[mu] == m)[0]
-            if cols.size == 0:
-                continue
-            sub = ok[:, cols]
-            unique = sub.sum(axis=1) == 1
-            decoded[mu, unique, m] = 1 + cols[np.argmax(sub[unique], axis=1)]
+    # Entry e is distinct word j of block block_of[e], in bin bin_of[e]; its
+    # letters are words[gid[e]], numbered across blocks.
+    blocks = [
+        codebook.entries[mu][_first_occurrence_dedup(codebook.entries[mu])[1]]
+        for mu in range(kk)
+    ]
+    gid, words = _word_ids(np.vstack(blocks))
+    block_of = np.repeat(np.arange(kk), [b.shape[0] for b in blocks])
+    bin_of = np.concatenate(binning.bins)
+    ok = pairwise_typical_mask(zs, words, p_zw_table, typ.delta2)[:, gid]  # (Az, ΣΘ)
+    zz, ee = np.nonzero(ok)
+    cell = (block_of[ee] * zs.shape[0] + zz) * (mm + 1) + bin_of[ee]
+    used, decoded = _decoded_rows(cell, gid[ee], kk * zs.shape[0] * (mm + 1))
+    decoded = decoded.reshape(kk, zs.shape[0], mm + 1)
 
-        rows_words = np.vstack([np.zeros((1, n), dtype=np.int64), words])
-        tbl = np.ones((zs.shape[0], rows_words.shape[0], ys.shape[0]))
-        for i in range(n):
-            tbl *= p_y_given_zw.table[
-                zs[:, i][:, None, None], rows_words[None, :, i, None], ys[None, None, :, i]
-            ]
-        y_rows.append(tbl)
+    rows_words = words[used]
+    y_rows = _word_rows([p_y_given_zw.table[:, rows_words[:, i], :] for i in range(n)])
     return _SystemTables(p_xz_words, messages, decoded, y_rows)
 
 
@@ -534,18 +592,22 @@ def induced_joint_exact(
     alphabets; the table totals one within 1e-9 (checked).
     """
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
-    ax, az = tabs.p_xz_words.shape
-    ay = tabs.y_rows[0].shape[2]
-    kk, mm = tabs.messages.shape[0], tabs.messages.shape[2] - 1
-    out = np.zeros((ax, ay, az))
-    for mu in range(kk):
-        for zi in range(az):
-            rows = tabs.y_rows[mu][zi]  # (1+Θ, Ay)
-            gather = np.zeros((mm + 1, rows.shape[0]))
-            gather[np.arange(mm + 1), tabs.decoded[mu, zi]] = 1.0
-            mass = tabs.messages[mu] @ gather  # (Ax, 1+Θ)
-            out[:, :, zi] += tabs.p_xz_words[:, zi][:, None] * (mass @ rows)
-    out /= kk
+    kk, ax, m1 = tabs.messages.shape
+    az, rr, ay = tabs.y_rows.shape
+    # mass[z, r, x] = Σ_μ Σ_{m decoding to r} P(m | x, μ).  A block's distinct
+    # words sit in one bin each, so per (μ, z) at most one message decodes to
+    # a row r >= 1: gather it (index m1 reads a zero column).  Row 0 (w0)
+    # collects every other message.
+    mu_i, z_i, m_i = np.nonzero(tabs.decoded)
+    source = np.full((kk, az, rr), m1)
+    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i
+    padded = np.concatenate([tabs.messages, np.zeros((kk, ax, 1))], axis=2).transpose(0, 2, 1)
+    mass = padded[np.arange(kk)[:, None, None], source].sum(axis=0)  # (Az, R, Ax)
+    fallback = (tabs.decoded == 0).astype(float)
+    mass[:, 0, :] = np.tensordot(fallback, tabs.messages, axes=([0, 2], [0, 2]))
+    mass *= (tabs.p_xz_words.T / kk)[:, None, :]
+    # one batched product over z; the (X, Y, Z) table is a view of its result
+    out = np.matmul(mass.transpose(0, 2, 1), tabs.y_rows).transpose(1, 2, 0)
     total = float(out.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
@@ -583,6 +645,7 @@ def sample_induced(
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     ax, az = tabs.p_xz_words.shape
     kk = tabs.messages.shape[0]
+    rr = tabs.y_rows.shape[1]
 
     flat = tabs.p_xz_words.reshape(-1)
     xz = rng.choice(ax * az, size=num_samples, p=flat / flat.sum())
@@ -592,18 +655,9 @@ def sample_induced(
     msg_rows = tabs.messages.reshape(kk * ax, -1)
     ms = _rowwise_categorical(msg_rows, mus * ax + x_codes, rng.random(num_samples))
 
-    y_codes = np.empty(num_samples, dtype=np.int64)
-    uy = rng.random(num_samples)
-    for mu in range(kk):
-        sel = mus == mu
-        if not np.any(sel):
-            continue
-        rows = tabs.y_rows[mu]  # (Az, 1+Θ, Ay)
-        dec = tabs.decoded[mu, z_codes[sel], ms[sel]]
-        flat_rows = rows.reshape(-1, rows.shape[2])
-        y_codes[sel] = _rowwise_categorical(
-            flat_rows, z_codes[sel] * rows.shape[1] + dec, uy[sel]
-        )
+    rows = z_codes * rr + tabs.decoded[mus, z_codes, ms]
+    y_rows = tabs.y_rows.reshape(az * rr, -1)
+    y_codes = _rowwise_categorical(y_rows, rows, rng.random(num_samples))
     return x_codes, y_codes, z_codes
 
 

@@ -255,7 +255,8 @@ def total_variation(p: JointPmf, q: JointPmf) -> float:
     """Total variation distance (1/2) * sum |p - q|; axes must match."""
     if p.names != q.names or p.alphabets != q.alphabets:
         raise ValueError("total_variation requires identical axes and alphabets")
-    return 0.5 * float(np.abs(p.table - q.table).sum())
+    diff = p.table - q.table
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def verify_markov_chain(p: JointPmf, chain, tol: float = 1e-10) -> tuple[bool, float]:

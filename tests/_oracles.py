@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the rate-region and acceptance tests.
+"""Brute-force oracles shared by the rate-region, codec and acceptance tests.
 
 The grid oracle scans every binary auxiliary channel p(w|x) on a uniform
 (step = 1/steps) grid.  For binary Y with no side information the consistent
@@ -9,6 +9,9 @@ The nonnegative least-squares oracle decides the inner consistency solve's
 question, whether {x >= 0 : A x = b} is empty, by brute force over column
 subsets instead of an active set; ``z_block`` builds that system entry by
 entry, as the reference for the vectorized construction.
+
+``output_word_law`` evaluates one cell of a codec's output-word table as a
+running product over letters, the reference for the letter-by-letter build.
 """
 
 from itertools import combinations
@@ -134,3 +137,15 @@ def z_block(target_xyz, w_given_x, z):
         big[nx * ny + w, w * ny : (w + 1) * ny] = 1.0
     rhs = np.concatenate([target_xyz[:, :, z].reshape(-1), np.ones(nw)])
     return big, rhs
+
+
+def output_word_law(chan, a_word, b_word, y_word):
+    """P(y^n | a^n, b^n) = prod_i chan[a_i, b_i, y_i], multiplied in letter order.
+
+    The two conditioning words are (side information, codeword) for the
+    single-encoder codec and the decoded codeword pair for the two-encoder one.
+    """
+    value = 1.0
+    for a, b, y in zip(a_word, b_word, y_word):
+        value *= chan[a, b, y]
+    return value

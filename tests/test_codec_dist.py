@@ -33,7 +33,11 @@ from corrsynth.codec_ptp import (
     induced_joint_exact,
     product_pmf,
 )
+from corrsynth.codec_dist import _build_dist_tables
+from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
+
+from _oracles import output_word_law
 
 rng = np.random.default_rng(20260816)
 
@@ -354,6 +358,35 @@ def test_induced_joint_recomposes_from_scalar_factors():
                                     p_src * msg1[mm1] * msg2[mm2] * p_out / (k1 * k2)
                                 )
     np.testing.assert_allclose(ind.table, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_output_rows_match_per_cell_oracle(seed):
+    """Every (μ, m1, m2) cell's output row is the per-cell product at the
+    pair the scalar decoder picks, and each decoded pair has one row."""
+    inst = named_instance("dist-demo")
+    params = DistCodecParams(
+        n=3, rt1=1.75, rt2=1.75, r1=1.0, r2=1.0, c1=0.25, c2=0.25,
+        delta=0.5, eta=0.45, seed=seed,
+    )
+    books, bins = build_dist_codec(inst.p_w1(), inst.p_w2(), params)
+    tabs = _build_dist_tables(
+        inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2, inst.p_y_given_w1w2,
+        books, bins, params,
+    )
+    assert 0 < np.count_nonzero(tabs.decoded) < tabs.decoded.size
+    pair_law = inst.pair_law()
+    chan = inst.p_y_given_w1w2.table
+    (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
+    words = list(itertools.product(range(chan.shape[2]), repeat=params.n))
+    pairs = {}
+    for mu1, mu2, mm1, mm2 in itertools.product(range(k1), range(k2), range(m1 + 1), range(m2 + 1)):
+        w1, w2 = dist_decode_map(mm1, mm2, mu1 * k2 + mu2, books, bins, pair_law, params)
+        row = tabs.decoded[mu1, mu2, mm1, mm2]
+        want = [output_word_law(chan, w1, w2, y) for y in words]
+        np.testing.assert_array_equal(tabs.y_rows[row], want)
+        assert pairs.setdefault((tuple(w1), tuple(w2)), row) == row
+    assert sorted(pairs.values()) == list(range(tabs.y_rows.shape[0]))
 
 
 def test_induced_joint_matches_end_to_end_sampling():

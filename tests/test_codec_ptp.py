@@ -31,8 +31,11 @@ from corrsynth.codec_ptp import (
     write_codec,
     read_codec,
 )
+from corrsynth.codec_ptp import _build_system_tables
 from corrsynth.probability import CondPmf, JointPmf, total_variation
 from corrsynth.typicality import TypicalityParams
+
+from _oracles import output_word_law
 
 rng = np.random.default_rng(20260815)
 
@@ -473,29 +476,115 @@ def test_exact_joint_preserves_source_word_law(n, delta):
         assert np.abs(marg.table - target.table).max() < 1e-12
 
 
-def test_exact_joint_agrees_with_scalar_operation_chain():
-    generator = np.random.default_rng(55)
-    p_xz, p_w_given_x, p_y_given_zw, params = identity_instance(generator, 2, 0.3, 31)
+def drawn_codec(generator_seed, codec_seed):
+    """Codec drawn from its run seed on a random copy-coupled instance (n=2, K=2)."""
+    generator = np.random.default_rng(generator_seed)
+    p_xz, p_w_given_x, p_y_given_zw, params = identity_instance(generator, 2, 0.3, codec_seed)
     p_w = JointPmf.from_table(("W",), p_xz.table.sum(axis=1))
     cb, bn = build_ptp_codec(p_w, params)
+    return p_xz, p_w_given_x, p_y_given_zw, params, cb, bn
+
+
+def shared_rows_codec(n, kk):
+    """Hand-built codec whose blocks share their words, on a copy-coupled source.
+
+    Block μ lists the same distinct words (four at n=2, six at n=3) rotated
+    by μ, then word 1 again, so every word recurs in every block at a
+    different index and with a different bin.  Distinct words fill bins
+    1, 1, 2, 4, 4, 2 in first-occurrence order: bin 3 stays empty and other
+    bins hold two words.  At δ = 0.7 the decoder slack admits one mismatched
+    letter per off-diagonal cell, so some bins are ambiguous (checked).  At
+    n = 2, w0 is itself a codeword.
+    """
+    p_xz = JointPmf.from_table(("X", "Z"), np.array([[0.4, 0.1], [0.1, 0.4]]))
+    p_w_given_x = CondPmf.from_rows(("X",), (2,), ("W",), (2,), np.eye(2))
+    p_y_given_zw = CondPmf.from_rows(
+        ("Z", "W"), (2, 2), ("Y",), (2,), random_channel(np.random.default_rng(9), (2, 2, 2))
+    )
+    params = CodecParams(n=n, rt=1.5, r=2.0 / n, c=math.log2(kk) / n, delta=0.7, eta=0.1, seed=0)
+    assert (params.m_size, params.k_size) == (4, kk)
+    words = np.array(list(itertools.product(range(2), repeat=n)))[:6]
+    base = list(range(words.shape[0])) + [1]
+    entries, dedup, bins = [], [], []
+    for mu in range(kk):
+        order = base[mu:] + base[:mu]
+        firsts = {}
+        dedup.append([firsts.setdefault(w, len(firsts)) for w in order])
+        entries.append(words[order])
+        bins.append(np.array([1, 1, 2, 4, 4, 2][: len(firsts)]))
+    cb = Codebook(entries=np.array(entries), epsilon=0.2, w_size=2)
+    bn = BinningMap(dedup=np.array(dedup), bins=tuple(bins), m_size=4)
+    delta2 = TypicalityParams(params.delta, 2, 2, 2).delta2
+    assert {"unique", "ambiguous", "empty"} <= decode_outcomes(cb, bn, p_xz.table.T, delta2)
+    return p_xz, p_w_given_x, p_y_given_zw, params, cb, bn
+
+
+def decode_outcomes(cb, bn, p_zw_table, delta2):
+    """Outcome kinds the decoder meets over every (μ, z, m >= 1), by brute force."""
+    brute_pair_typical.delta = delta2
+    kinds = set()
+    for mu in range(cb.k_size):
+        distinct = list(dict.fromkeys(map(tuple, cb.entries[mu])))
+        for z in itertools.product(range(2), repeat=cb.n):
+            for m in range(1, bn.m_size + 1):
+                cands = [w for j, w in enumerate(distinct) if bn.bins[mu][j] == m]
+                hits = sum(brute_pair_typical(list(zip(z, w)), p_zw_table) for w in cands)
+                kinds.add("empty" if not cands else {0: "miss", 1: "unique"}.get(hits, "ambiguous"))
+    return kinds
+
+
+def shared_rows_case(n, kk):
+    return pytest.param(lambda: shared_rows_codec(n, kk), id=f"shared-n{n}-K{kk}")
+
+
+@pytest.mark.parametrize(
+    "codec",
+    [pytest.param(lambda: drawn_codec(55, 31), id="drawn")]
+    + [shared_rows_case(n, kk) for n in (2, 3) for kk in (2, 3)],
+)
+def test_exact_joint_agrees_with_scalar_operation_chain(codec):
+    p_xz, p_w_given_x, p_y_given_zw, params, cb, bn = codec()
     ind = induced_joint_exact(p_xz, p_w_given_x, p_y_given_zw, cb, bn, params)
     want = exact_joint_by_scalar_ops(p_xz, p_w_given_x, p_y_given_zw, cb, bn, params)
     np.testing.assert_allclose(ind.table, want, atol=1e-13)
 
 
-def test_exact_joint_matches_end_to_end_sampling():
-    generator = np.random.default_rng(56)
-    p_xz, p_w_given_x, p_y_given_zw, params = identity_instance(generator, 2, 0.3, 32)
-    p_w = JointPmf.from_table(("W",), p_xz.table.sum(axis=1))
-    cb, bn = build_ptp_codec(p_w, params)
-    ind = induced_joint_exact(p_xz, p_w_given_x, p_y_given_zw, cb, bn, params)
-    xs, ys, zs = sample_induced(
-        p_xz, p_w_given_x, p_y_given_zw, cb, bn, params, 200_000, np.random.default_rng(6)
-    )
+@pytest.mark.parametrize("n, kk", [(2, 3), (3, 2)])
+def test_output_rows_match_per_cell_oracle(n, kk):
+    p_xz, p_w_given_x, p_y_given_zw, params, cb, bn = shared_rows_codec(n, kk)
+    tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, cb, bn, params)
+    # one row per decoded word, shared by the blocks: w0 plus at most the distinct words
+    distinct = {tuple(w) for w in cb.entries.reshape(-1, n)}
+    rows = tabs.y_rows.shape[1]
+    assert rows <= 1 + len(distinct) < sum(1 + t for t in bn.theta)
+    assert set(np.unique(tabs.decoded)) == set(range(rows))
+    p_wz = JointPmf.from_table(("W", "Z"), p_xz.table)  # copy coupling: p(w, z) = p(x=w, z)
+    typ = TypicalityParams(params.delta, 2, 2, 2)
+    words = list(itertools.product(range(2), repeat=n))
+    for mu in range(kk):
+        for zi, z in enumerate(words):
+            for m in range(bn.m_size + 1):
+                w_hat = decode_map(np.array(z), m, mu, cb, bn, p_wz, typ)
+                want = [output_word_law(p_y_given_zw.table, z, w_hat, y) for y in words]
+                np.testing.assert_array_equal(tabs.y_rows[zi, tabs.decoded[mu, zi, m]], want)
+
+
+@pytest.mark.parametrize(
+    "codec", [pytest.param(lambda: drawn_codec(56, 32), id="drawn"), shared_rows_case(2, 3)]
+)
+def test_exact_joint_matches_end_to_end_sampling(codec):
+    p_xz, p_w_given_x, p_y_given_zw, params, cb, bn = codec()
+    assert cb.k_size >= 2
+    args = (p_xz, p_w_given_x, p_y_given_zw, cb, bn, params)
+    ind = induced_joint_exact(*args)
+    xs, ys, zs = sample_induced(*args, 200_000, np.random.default_rng(6))
     emp = np.zeros_like(ind.table)
     np.add.at(emp, (xs, ys, zs), 1.0)
     emp /= emp.sum()
     assert 0.5 * np.abs(emp - ind.table).sum() < 0.02
+    again = sample_induced(*args, 200_000, np.random.default_rng(6))
+    for first, second in zip((xs, ys, zs), again):
+        np.testing.assert_array_equal(first, second)
 
 
 def test_null_codebook_system_is_fallback_only():
