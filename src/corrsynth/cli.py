@@ -7,8 +7,8 @@ and the two concentration checks.  Every run writes CSV rows (floats via
 sidecar that makes each row replayable.  Outputs are byte-identical across
 reruns with the same spec and seed.
 
-Exit codes: 0 on success, 1 on validation or usage errors, 2 when an
-enumeration budget is exceeded.
+Exit codes: 0 on success, 1 on validation or usage errors and on failed
+numerical checks, 2 when an enumeration budget is exceeded.
 """
 
 from __future__ import annotations
@@ -289,6 +289,13 @@ def cli_dispatch(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError, np.linalg.LinAlgError) as err:
+        # A numerical check inside a subcommand failed, such as an induced law
+        # that does not sum to one.  LinAlgError is a ValueError, so this
+        # clause comes first.
+        detail = " ".join(str(err).split())
+        print(f"error: {args.command}: {type(err).__name__}: {detail}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

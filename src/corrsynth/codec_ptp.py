@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .budget import check_budget
-from .probability import Alphabet, CondPmf, JointPmf, ProductPmf, total_variation
+from .probability import Alphabet, CondPmf, JointPmf, ProductPmf
 from .typicality import (
     Sequence,
     TypicalityParams,
@@ -143,6 +143,8 @@ class Codebook:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 3:
             raise ValueError("entries must have shape (K, L, n)")
+        if entries.size and (entries.min() < 0 or entries.max() >= self.w_size):
+            raise ValueError(f"codeword letters must lie in 0..{self.w_size - 1}")
         if not (0 <= self.epsilon <= 1):
             raise ValueError(f"epsilon must lie in [0,1], got {self.epsilon}")
 
@@ -219,17 +221,24 @@ class BinningMap:
 
 
 def _first_occurrence_dedup(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dedup indices over rows, first-occurrence row positions)."""
-    seen: dict[bytes, int] = {}
+    """(dedup indices over rows, first-occurrence row positions).
+
+    Equal rows share one index, and indices count up in order of first
+    occurrence.  A stable sort on the letter columns brings equal rows
+    together with the earliest first, so no row is packed into an integer
+    code and any word length works.
+    """
+    order = np.lexsort(block.T)
+    ranked = block[order]
+    starts = np.ones(block.shape[0], dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    firsts = order[starts]  # first row of each run of equal rows
+    by_first = np.argsort(firsts)
+    relabel = np.empty_like(by_first)
+    relabel[by_first] = np.arange(by_first.shape[0])
     dedup = np.empty(block.shape[0], dtype=np.int64)
-    firsts: list[int] = []
-    for l in range(block.shape[0]):
-        key = block[l].tobytes()
-        if key not in seen:
-            seen[key] = len(firsts)
-            firsts.append(l)
-        dedup[l] = seen[key]
-    return dedup, np.asarray(firsts, dtype=np.int64)
+    dedup[order] = relabel[np.cumsum(starts) - 1]
+    return dedup, firsts[by_first]
 
 
 def sample_binning(codebook: Codebook, params: CodecParams, rng: np.random.Generator) -> BinningMap:
@@ -292,6 +301,13 @@ def _encoder_weight_batch(
 
     Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
     all-zero weights, which downstream logic reads as a point mass on index 0.
+    A weight depends on its index only through the codeword, so the
+    posterior, the pair mask and the scale are computed once per distinct
+    codeword of the block, on an (A, Θ) table, and gathered back per index.
+    Each weight is the product a per-index evaluation forms, in the same
+    letter order, and the gather keeps the per-index memory layout, so
+    weights, s and valid equal a per-index evaluation bit for bit (the
+    reference is ``encoder_weight_batch`` in ``tests/_oracles.py``).
     The scalar operation, the exact-joint enumeration and the sampler all
     call it, so their index weights agree to the last bit.  Message 0 does
     not: the tables take ``max(0, 1 - Σ)`` of the binned row
@@ -301,17 +317,20 @@ def _encoder_weight_batch(
     """
     p_x = p_joint_xw.table.sum(axis=1)
     typical_x = marginal_typical_mask(xs, p_x, params.delta)
-    pair_mask = pairwise_typical_mask(xs, entries_mu, p_joint_xw.table, params.delta)
+    ids, firsts = _first_occurrence_dedup(entries_mu)
+    words = entries_mu[firsts]  # (Θ, n)
+    pair_mask = pairwise_typical_mask(xs, words, p_joint_xw.table, params.delta)
     cond_xw = _conditional_rows(p_joint_xw, axis=1)  # (w, x)
-    factors = cond_xw[entries_mu[None, :, :], xs[:, None, :]]  # (A, L, n)
-    post = factors.prod(axis=2)
+    post = cond_xw[words[None, :, :], xs[:, None, :]].prod(axis=2)  # (A, Θ)
     p_xn = np.prod(p_x[xs], axis=1)
     if np.any(typical_x & (p_xn <= 0.0)):
         raise AssertionError("typical source word with zero product probability")
     scale = np.zeros_like(p_xn)
     live = typical_x & (p_xn > 0.0)
     scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * entries_mu.shape[0] * p_xn[live])
-    weights = scale[:, None] * post * pair_mask
+    # t[:, ids] would come back in another memory order, and the row sums
+    # would then add in another order; np.take keeps the per-index layout.
+    weights = np.take(scale[:, None] * post * pair_mask, ids, axis=1)
     s = weights.sum(axis=1)
     return weights, s, s <= 1.0
 
@@ -691,7 +710,12 @@ def tv_deficit(p_xyz: JointPmf, induced: JointPmf, budget: int | None = None) ->
         # mass, so the laws coincide no matter the blocklength
         return 0.0
     target = product_pmf(marginal, n, budget)
-    return total_variation(target, induced)
+    if target.names != induced.names or target.alphabets != induced.alphabets:
+        raise ValueError("tv_deficit requires the induced law on the target's word axes")
+    # The target table is this call's own: taking |target - induced| in it
+    # leaves two full-size word tables alive at this step, not three.
+    diff = np.subtract(target.table, induced.table, out=target.table)
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def soft_covering_deficit(

@@ -301,22 +301,26 @@ class ProductPmf:
 
         Sequence codes are big-endian: the code of ``x_1..x_n`` on an axis of
         size ``s`` is ``sum x_i * s**(n-i)``, i.e. lexicographic enumeration.
+        The table is a new array at every n, n = 1 included, so the caller
+        may write to it.
         """
         sizes = [a.size for a in self.base.alphabets]
         terms = int(np.prod([float(s) ** self.n for s in sizes]))
         check_budget(terms, budget, what="product extension")
         k = len(sizes)
-        out = self.base.table
+        base = self.base.table
+        out = base.copy()
         for _ in range(self.n - 1):
-            # append one letter position per axis: (S_i) x (s_i) -> (S_i * s_i)
-            out = np.multiply.outer(out, self.base.table)
-            perm = []
-            for ax in range(k):
-                perm.extend([ax, k + ax])
-            out = out.transpose(perm)
-            out = out.reshape(
-                [out.shape[2 * ax] * out.shape[2 * ax + 1] for ax in range(k)]
+            # append one letter position per axis: (S_i) x (s_i) -> (S_i * s_i).
+            # The products go straight into the result seen as (S_1, s_1, S_2,
+            # s_2, ...), so no full-size outer product is transposed and copied.
+            grown = np.empty([big * small for big, small in zip(out.shape, sizes)])
+            np.multiply(
+                np.expand_dims(out, tuple(range(1, 2 * k, 2))),
+                np.expand_dims(base, tuple(range(0, 2 * k, 2))),
+                out=grown.reshape([d for pair in zip(out.shape, sizes) for d in pair]),
             )
+            out = grown
         return out
 
 

@@ -12,11 +12,21 @@ entry, as the reference for the vectorized construction.
 
 ``output_word_law`` evaluates one cell of a codec's output-word table as a
 running product over letters, the reference for the letter-by-letter build.
+
+``encoder_weight_batch`` evaluates the encoder's index weights once per
+index, through an (A, L, n) gather, and ``first_occurrence_dedup`` numbers
+words with a dictionary of their bytes: the references for the per-word
+evaluation and the vectorised numbering, which must match them bit for bit.
+``product_table`` builds the n-fold product table by outer products and
+transposes, the reference for the in-place build.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from corrsynth.codec_ptp import _conditional_rows
+from corrsynth.typicality import marginal_typical_mask, pairwise_typical_mask
 
 
 def binary_grid_frontier(p_xy, steps=64):
@@ -149,3 +159,45 @@ def output_word_law(chan, a_word, b_word, y_word):
     for a, b, y in zip(a_word, b_word, y_word):
         value *= chan[a, b, y]
     return value
+
+
+def first_occurrence_dedup(block):
+    """(dedup indices over rows, first-occurrence row positions), by a dict loop."""
+    seen = {}
+    dedup = np.empty(block.shape[0], dtype=np.int64)
+    firsts = []
+    for l in range(block.shape[0]):
+        key = block[l].tobytes()
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(l)
+        dedup[l] = seen[key]
+    return dedup, np.asarray(firsts, dtype=np.int64)
+
+
+def encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params):
+    """(weights (A, L), s (A,), valid (A,)) of one block, evaluated per index."""
+    p_x = p_joint_xw.table.sum(axis=1)
+    typical_x = marginal_typical_mask(xs, p_x, params.delta)
+    pair_mask = pairwise_typical_mask(xs, entries_mu, p_joint_xw.table, params.delta)
+    cond_xw = _conditional_rows(p_joint_xw, axis=1)  # (w, x)
+    factors = cond_xw[entries_mu[None, :, :], xs[:, None, :]]  # (A, L, n)
+    post = factors.prod(axis=2)
+    p_xn = np.prod(p_x[xs], axis=1)
+    scale = np.zeros_like(p_xn)
+    live = typical_x & (p_xn > 0.0)
+    scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * entries_mu.shape[0] * p_xn[live])
+    weights = scale[:, None] * post * pair_mask
+    s = weights.sum(axis=1)
+    return weights, s, s <= 1.0
+
+
+def product_table(base, n):
+    """n-fold product of a k-axis table: outer product, then interleave the axes."""
+    k = base.ndim
+    out = base
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, base)
+        out = out.transpose([ax for pair in zip(range(k), range(k, 2 * k)) for ax in pair])
+        out = out.reshape([out.shape[2 * ax] * out.shape[2 * ax + 1] for ax in range(k)])
+    return out

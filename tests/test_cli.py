@@ -259,6 +259,30 @@ def test_validation_errors_exit_one(tmp_path, sim_spec):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        ArithmeticError("induced law sums to 0.98, expected 1"),
+        AssertionError("typical source word with zero product probability"),
+        np.linalg.LinAlgError("Singular matrix\nin the inner solve"),
+    ],
+    ids=lambda err: type(err).__name__,
+)
+def test_numerical_failures_exit_one_without_traceback(
+    tmp_path, sim_spec, capsys, monkeypatch, error
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("corrsynth.harness.induced_joint_exact", fail)
+    out = tmp_path / "o.csv"
+    assert cli_dispatch(["simulate-ptp", "--spec", sim_spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: simulate-ptp: {type(error).__name__}: ")
+    assert " ".join(str(error).split()) in err
+
+
 def test_exhausted_budgets_exit_two(tmp_path):
     spec = write_json(
         tmp_path / "soft.json",

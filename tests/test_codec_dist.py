@@ -320,14 +320,43 @@ def test_induced_joint_preserves_source_word_law(n):
         assert np.abs(marg.table - target.table).max() < 1e-12
 
 
-def test_induced_joint_recomposes_from_scalar_factors():
-    """Definition-level factorization: encoder 1 law x encoder 2 law x the
-    decoded channel row, summed over blocks and messages."""
-    generator = np.random.default_rng(44)
-    p_x1x2, p_w1x1, p_w2x2, p_y, params = correlated_binary_instance(generator, 2, seed=3)
+def binary_codec(generator_seed, codec_seed):
+    """Codec on a correlated binary instance (n=2); it never decodes a pair."""
+    generator = np.random.default_rng(generator_seed)
+    p_x1x2, p_w1x1, p_w2x2, p_y, params = correlated_binary_instance(generator, 2, seed=codec_seed)
     p_w1 = JointPmf.from_table(("W1",), p_x1x2.table.sum(axis=1))
     p_w2 = JointPmf.from_table(("W2",), p_x1x2.table.sum(axis=0))
     books, bins = build_dist_codec(p_w1, p_w2, params)
+    return p_x1x2, p_w1x1, p_w2x2, p_y, params, books, bins
+
+
+def dist_demo_codec():
+    """Codec on dist-demo (n=2) whose messages reach decoded codeword pairs (checked)."""
+    inst = named_instance("dist-demo")
+    params = DistCodecParams(
+        n=2, rt1=1.5, rt2=1.5, r1=1.0, r2=1.0, c1=0.5, c2=0.5, delta=0.5, eta=0.45, seed=2
+    )
+    books, bins = build_dist_codec(inst.p_w1(), inst.p_w2(), params)
+    args = (inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2, inst.p_y_given_w1w2)
+    tabs = _build_dist_tables(*args, books, bins, params)
+    reached = np.einsum(
+        "kam,lbn,klmn,ab->", tabs.messages1, tabs.messages2, tabs.decoded > 0, tabs.p_x_words
+    )
+    assert reached > 0, "some source mass must decode to a codeword pair"
+    return (*args, params, books, bins)
+
+
+@pytest.mark.parametrize(
+    "codec",
+    [
+        pytest.param(lambda: binary_codec(44, 3), id="binary"),
+        pytest.param(dist_demo_codec, id="dist-demo"),
+    ],
+)
+def test_induced_joint_recomposes_from_scalar_factors(codec):
+    """Definition-level factorization: encoder 1 law x encoder 2 law x the
+    decoded channel row, summed over blocks and messages."""
+    p_x1x2, p_w1x1, p_w2x2, p_y, params, books, bins = codec()
     ind = dist_induced_joint_exact(p_x1x2, p_w1x1, p_w2x2, p_y, books, bins, params)
 
     j1 = JointPmf.from_table(("X1", "W1"), p_x1x2.table.sum(axis=1)[:, None] * p_w1x1.table)
@@ -335,9 +364,10 @@ def test_induced_joint_recomposes_from_scalar_factors():
     pair_law = joint_codeword_law(p_x1x2, p_w1x1, p_w2x2)
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
     n = params.n
+    (nx1, nx2), ny = p_x1x2.table.shape, p_y.table.shape[-1]
     want = np.zeros_like(ind.table)
-    for x1i, x1 in enumerate(itertools.product(range(2), repeat=n)):
-        for x2i, x2 in enumerate(itertools.product(range(2), repeat=n)):
+    for x1i, x1 in enumerate(itertools.product(range(nx1), repeat=n)):
+        for x2i, x2 in enumerate(itertools.product(range(nx2), repeat=n)):
             p_src = float(np.prod([p_x1x2.table[a, b] for a, b in zip(x1, x2)]))
             for mu1 in range(k1):
                 msg1 = dist_encoder_pmf(1, np.array(x1), mu1, books, bins[0], j1, params)
@@ -348,7 +378,7 @@ def test_induced_joint_recomposes_from_scalar_factors():
                             w1, w2 = dist_decode_map(
                                 mm1, mm2, mu1 * k2 + mu2, books, bins, pair_law, params
                             )
-                            for yi, y in enumerate(itertools.product(range(2), repeat=n)):
+                            for yi, y in enumerate(itertools.product(range(ny), repeat=n)):
                                 p_out = float(
                                     np.prod(
                                         [p_y.table[a, b, c] for a, b, c in zip(w1, w2, y)]
@@ -389,12 +419,15 @@ def test_output_rows_match_per_cell_oracle(seed):
     assert sorted(pairs.values()) == list(range(tabs.y_rows.shape[0]))
 
 
-def test_induced_joint_matches_end_to_end_sampling():
-    generator = np.random.default_rng(45)
-    p_x1x2, p_w1x1, p_w2x2, p_y, params = correlated_binary_instance(generator, 2, seed=6)
-    p_w1 = JointPmf.from_table(("W1",), p_x1x2.table.sum(axis=1))
-    p_w2 = JointPmf.from_table(("W2",), p_x1x2.table.sum(axis=0))
-    books, bins = build_dist_codec(p_w1, p_w2, params)
+@pytest.mark.parametrize(
+    "codec",
+    [
+        pytest.param(lambda: binary_codec(45, 6), id="binary"),
+        pytest.param(dist_demo_codec, id="dist-demo"),
+    ],
+)
+def test_induced_joint_matches_end_to_end_sampling(codec):
+    p_x1x2, p_w1x1, p_w2x2, p_y, params, books, bins = codec()
     ind = dist_induced_joint_exact(p_x1x2, p_w1x1, p_w2x2, p_y, books, bins, params)
     x1s, x2s, ys = sample_dist_induced(
         p_x1x2, p_w1x1, p_w2x2, p_y, books, bins, params, 200_000, np.random.default_rng(10)

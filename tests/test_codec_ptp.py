@@ -31,10 +31,16 @@ from corrsynth.codec_ptp import (
     write_codec,
     read_codec,
 )
-from corrsynth.codec_ptp import _build_system_tables
+from corrsynth.codec_ptp import (
+    _build_system_tables,
+    _encoder_weight_batch,
+    _first_occurrence_dedup,
+)
+from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf, total_variation
-from corrsynth.typicality import TypicalityParams
+from corrsynth.typicality import TypicalityParams, enumerate_sequences, typical_set
 
+import _oracles
 from _oracles import output_word_law
 
 rng = np.random.default_rng(20260815)
@@ -300,6 +306,118 @@ def test_oversubscribed_weights_flag_invalid_and_send_message_zero():
     bn = sample_binning(cb, params, derived_rng(2, 1))
     msg = induced_message_pmf(x, 0, cb, bn, p_joint_xw, params)
     assert msg[0] == 1.0 and not msg[1:].any()
+
+
+def small_case(entries, eta=0.1, table=((0.3, 0.2), (0.2, 0.3))):
+    """Every binary source word against hand-made blocks (K, L, n) or one (L, n) block."""
+    entries = np.asarray(entries, dtype=np.int64).reshape(-1, *np.shape(entries)[-2:])
+    n = entries.shape[-1]
+    params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=0.5, eta=eta, seed=0)
+    p_joint_xw = JointPmf.from_table(("X", "W"), np.array(table))
+    return enumerate_sequences(2, n), entries, p_joint_xw, 0.2, params
+
+
+def drawn_case(n, eta):
+    """Every binary source word against a drawn synthesis-demo codebook (rt=1.5)."""
+    inst = named_instance("synthesis-demo")
+    params = CodecParams(n=n, rt=1.5, r=0.0, c=0.25, delta=0.5, eta=eta, seed=n)
+    cb, _ = build_ptp_codec(inst.p_w(), params)
+    return enumerate_sequences(2, n), cb.entries, inst.p_joint_xw(), cb.epsilon, params
+
+
+def null_case():
+    inst = named_instance("synthesis-demo")
+    params = CodecParams(n=4, rt=1.5, r=0.5, c=0.25, delta=0.5, eta=0.1, seed=0)
+    entries = null_codebook(3, params).entries
+    return enumerate_sequences(2, 4), entries, inst.p_joint_xw(), 1.0, params
+
+
+def long_word_case():
+    """n=48 over |W|=3, where big-endian int64 word codes overflow.
+
+    The block repeats words and holds two distinct words whose codes differ
+    by exactly 2^64, so they wrap to one int64 value: with t the
+    balanced-ternary digits of 2^64, the words are 1 + t and 1.
+    """
+    n = 48
+    digits, v = [], 2**64
+    while v:
+        t = (v + 1) % 3 - 1
+        digits.append(t)
+        v = (v - t) // 3
+    pair = np.ones((2, n), dtype=np.int64)
+    pair[0, n - len(digits):] += digits[::-1]
+    codes = pair @ 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    assert codes[0] == codes[1]
+    g = np.random.default_rng(48)
+    pool = np.vstack([pair, g.integers(0, 3, size=(6, n))])
+    entries = pool[np.r_[0, 1, g.integers(0, pool.shape[0], size=38)]][None]
+    xs = np.vstack([pool, g.integers(0, 3, size=(12, n))])
+    params = CodecParams(n=n, rt=0.1, r=0.0, c=0.0, delta=0.9, eta=0.1, seed=0)
+    p_joint_xw = JointPmf.from_table(("X", "W"), np.full((3, 3), 1.0 / 9.0))
+    return xs, entries, p_joint_xw, 0.05, params
+
+
+# name -> (builder, traits the case must show): "repeats" = some block has a
+# repeated word, "weighted" / "unweighted" = some source row has nonzero / all
+# zero weights, "invalid" = some row is oversubscribed.
+ENCODER_CASES = {
+    "drawn-n6": (
+        lambda: drawn_case(6, 0.1), {"repeats": True, "weighted": True, "unweighted": True}
+    ),
+    "drawn-n8": (lambda: drawn_case(8, 0.9), {"repeats": True, "weighted": True}),
+    "all-distinct": (
+        lambda: small_case(enumerate_sequences(2, 4)[np.random.default_rng(4).permutation(16)]),
+        {"repeats": False, "weighted": True},
+    ),
+    "null-codebook": (null_case, {"repeats": True, "weighted": False}),
+    "eta0-oversubscribed": (
+        lambda: small_case(
+            np.vstack([np.tile([0, 1, 0, 1], (12, 1)), enumerate_sequences(2, 4)[:4]]),
+            eta=0.0, table=((0.5, 0.0), (0.0, 0.5)),
+        ),
+        {"repeats": True, "invalid": True},
+    ),
+    # 0000 and 1111 are atypical under the uniform source marginal
+    "atypical": (
+        lambda: small_case(enumerate_sequences(2, 4)[[5, 5, 3, 9, 5, 3]]),
+        {"repeats": True, "weighted": True, "unweighted": True},
+    ),
+    "one-letter": (
+        lambda: small_case([[[1], [0], [1], [1]], [[0], [0], [0], [1]]], table=((0, 1.0), (0, 0))),
+        {"repeats": True, "weighted": True},
+    ),
+    "one-codeword": (lambda: small_case([[0, 1, 1, 0]]), {"repeats": False, "weighted": True}),
+    "long-words": (long_word_case, {"repeats": True, "weighted": True}),
+}
+
+
+@pytest.mark.parametrize("name", ENCODER_CASES)
+def test_encoder_weights_equal_the_per_index_oracle(name):
+    build, traits = ENCODER_CASES[name]
+    xs, entries, p_joint_xw, epsilon, params = build()
+    seen = dict.fromkeys(("repeats", "weighted", "unweighted", "invalid"), False)
+    for block in entries:
+        got = _encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
+        want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        weights, _, valid = got
+        seen["repeats"] |= len({w.tobytes() for w in block}) < block.shape[0]
+        seen["weighted"] |= bool(weights.any(axis=1).any())
+        seen["unweighted"] |= bool((~weights.any(axis=1)).any())
+        seen["invalid"] |= bool((~valid).any())
+    assert {k: seen[k] for k in traits} == traits
+
+
+@pytest.mark.parametrize("name", ENCODER_CASES)
+def test_word_numbering_equals_the_dict_oracle(name):
+    _, entries, *_ = ENCODER_CASES[name][0]()
+    for block in entries:
+        got = _first_occurrence_dedup(block)
+        want = _oracles.first_occurrence_dedup(block)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # --------------------------------------------------------------------------
@@ -752,3 +870,13 @@ def test_codec_json_round_trip(tmp_path):
     assert params3 == params and np.array_equal(cb3.entries, cb.entries)
     with pytest.raises(ValueError, match="malformed"):
         codec_from_dict({"params": {}})
+
+
+@pytest.mark.parametrize("letter", [-1, 2])
+def test_codebook_rejects_letters_outside_the_alphabet(letter):
+    p_w = JointPmf.from_table(("W",), np.array([0.5, 0.5]))
+    params = CodecParams(n=4, rt=1.0, r=0.5, c=0.5, delta=0.3, eta=0.1, seed=19)
+    blob = codec_to_dict(params, *build_ptp_codec(p_w, params))
+    blob["codebook"]["entries"][0][1][2] = letter
+    with pytest.raises(ValueError, match="letters must lie in 0..1"):
+        codec_from_dict(blob)

@@ -17,6 +17,8 @@ from corrsynth.probability import (
     verify_markov_chain,
 )
 
+import _oracles
+
 rng = np.random.default_rng(20260815)
 
 
@@ -108,6 +110,15 @@ def test_product_extension_matches_kron_oracle():
     got = product_extension(p, 2).table()
     oracle = np.einsum("ab,cd->acbd", t, t).reshape(4, 4)
     assert np.array_equal(got, oracle)
+
+
+@pytest.mark.parametrize("shape, n", [((2,), 6), ((2, 3), 3), ((2, 3, 2), 3), ((3, 1, 2), 2)])
+def test_product_extension_equals_outer_product_oracle(shape, n):
+    table = random_joint(shape, np.random.default_rng(7))
+    p = JointPmf.from_table(tuple("XYZ"[: len(shape)]), table)
+    got = product_extension(p, n).table()
+    assert np.array_equal(got, _oracles.product_table(p.table, n))
+    assert not np.shares_memory(product_extension(p, 1).table(), p.table)
 
 
 def test_product_seq_prob_is_product_of_cells():
