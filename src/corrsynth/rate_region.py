@@ -20,12 +20,19 @@ solution exists exactly when the residual vanishes, and one is accepted
 when its residual, as :func:`ptp_consistency_residual` measures it, is
 within the search tolerance that the winners are certified at.  The same
 routine projects the polish steps back onto the consistent set.
+
+The descent's gradient is exact.  Each block's solution is x_S = A_S^+ b on
+its support S, so it moves with p_{W|X} by the derivative of the
+pseudoinverse (Golub & Pereyra 1973), and the gradient of the bounds, or of
+the infeasibility penalty, follows by the chain rule from what the current
+point's inner solve already built: a descent step needs no extra solve.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,7 +260,23 @@ def _stochastic_rows(q: np.ndarray) -> np.ndarray:
         return q / q.sum(axis=-1, keepdims=True)
 
 
-def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float):
+class InnerSolve(NamedTuple):
+    """What one inner solve decided, and what the descent's gradient reuses."""
+
+    #: consistent p(y|z,w) of shape (|Z|, |W|, |Y|), or None when rejected
+    q: np.ndarray | None
+    residual: float
+    violation: float
+    blocks: np.ndarray
+    rhs: np.ndarray
+    #: (|Z|, |W||Y|) columns each accepted block's solution lives on: all
+    #: of them on the least-squares path, the passive set on the NNLS path
+    support: np.ndarray
+    #: the block that rejected the channel, or -1 when every block passed
+    failing: int
+
+
+def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
     """Consistent p(y|z,w) for a fixed p(w|x), or None when none exists.
 
     For each z the constraints sum_w p(x,z) p(w|x) q(y|z,w) = p(x,y,z) and
@@ -266,29 +289,33 @@ def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: fl
     :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
     feasible set leaves a residual and is rejected at once.
 
-    Returns (q or None, residual, violation), q of shape (|Z|, |W|, |Y|).
-    Accepted: the conditional residual of q, and violation 0.  Rejected: the
-    least-squares residual of the first failing block and max(0, -min) of
-    its least-squares solution, the slope inputs of the infeasibility penalty.
+    Accepted: q, its conditional residual, and violation 0.  Rejected: q is
+    None, with the least-squares residual (max norm) of the failing block and
+    max(0, -min) of its least-squares solution, the slope inputs of the
+    infeasibility penalty.
     """
     _, ny, nz = target_xyz.shape
     nw = w_given_x.shape[1]
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
     q = np.empty((nz, nw, ny))
+    support = np.ones((nz, nw * ny), dtype=bool)
     worst = 0.0
     for z, (a, b) in enumerate(zip(blocks, rhs)):
         sol = np.linalg.lstsq(a, b, rcond=None)[0]
         resid = float(np.abs(a @ sol - b).max())
         if resid > 1e-9:
-            return None, resid, 0.0
-        exact = sol if sol.min() >= 0.0 else _nnls(a, b)[0]
+            return InnerSolve(None, resid, 0.0, blocks, rhs, support, z)
+        exact = sol
+        if sol.min() < 0.0:
+            exact = _nnls(a, b)[0]
+            support[z] = exact > 0.0
         q[z] = _stochastic_rows(exact.reshape(nw, ny))
         at_z = slice(z, z + 1)
         gap = float(_conditional_gaps(blocks[at_z], rhs[at_z], weights[at_z], q[at_z])[0])
         if not gap <= tol:
-            return None, resid, max(0.0, -float(sol.min()))
+            return InnerSolve(None, resid, max(0.0, -float(sol.min())), blocks, rhs, support, z)
         worst = max(worst, gap)
-    return q, worst, 0.0
+    return InnerSolve(q, worst, 0.0, blocks, rhs, support, -1)
 
 
 def _project_consistent(blocks, rhs, weights, point, tol):
@@ -319,6 +346,25 @@ def _project_consistent(blocks, rhs, weights, point, tol):
     return out, gap
 
 
+def _log2_ratio(num, den):
+    """log2(num / den), and 0 where num is 0: the convention 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num > 0, np.log2(num / den), 0.0)
+
+
+def _i_xyz_w_partials(c, q):
+    """Partials of I(XYZ;W) = H(W) + H(XYZ) - H(WXYZ) in c and in q.
+
+    The joint is p(w,x,y,z) = c[z,x,w] q[z,w,y], with c[z,x,w] = p(x,z) p(w|x)
+    and H(XYZ) the target's, a constant.  The partial in a joint cell is
+    log2(p(w,x,y,z) / p(w)), taken as 0 on an empty cell.  Returns d/dc of
+    shape (|Z|, |X|, |W|) and d/dq of shape (|Z|, |W|, |Y|).
+    """
+    joint = c[:, :, :, None] * q[:, None, :, :]  # (z, x, w, y)
+    log_ratio = _log2_ratio(joint, joint.sum(axis=(0, 1, 3))[:, None])
+    return np.einsum("zxwy,zwy->zxw", log_ratio, q), np.einsum("zxwy,zxw->zwy", log_ratio, c)
+
+
 def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
     """Descend I(XYZ;W) over the consistent q-polytope (projected gradient).
 
@@ -331,29 +377,16 @@ def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
     if np.linalg.matrix_rank(blocks).sum() == blocks.shape[0] * blocks.shape[2]:
         return q, resid
-    p_xz = target_xyz.sum(axis=1)
-    c = np.einsum("xz,xw->zxw", p_xz, w_given_x)
+    c = target_xyz.sum(axis=1).T[:, :, None] * w_given_x
 
     def info(qq):
-        joint = np.einsum("zxw,zwy->wxyz", c, qq)
-        pw = joint.sum(axis=(1, 2, 3))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = joint / (pw[:, None, None, None] * target_xyz[None])
-            terms = joint * np.log2(np.where(joint > 0, ratio, 1.0))
-        return float(np.where(joint > 0, terms, 0.0).sum())
+        # I(W;Z) does not depend on q, so r+c orders q as I(XYZ;W) does
+        return _rates_from_tables(target_xyz, w_given_x, qq)[1]
 
     best = info(q)
     step = 0.25
     for _ in range(iters):
-        joint = np.einsum("zxw,zwy->wxyz", c, q)
-        pw = joint.sum(axis=(1, 2, 3))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = np.log2(
-                np.where(joint > 0, joint / (pw[:, None, None, None] * target_xyz[None]), 1.0)
-            )
-        grad = np.einsum("zxw,wxyz->zwy", c, logterm + 1.0 / np.log(2.0))
-        if not np.isfinite(grad).all():
-            break
+        grad = _i_xyz_w_partials(c, q)[1]
         projected = _project_consistent(blocks, rhs, weights, q - step * grad, tol)
         if projected is None:
             step *= 0.5
@@ -384,6 +417,13 @@ class SearchConfig:
     iters: int = 60
     tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("w_cap", 1), ("restarts", 0), ("lambda_grid", 1), ("iters", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"search {name} must be at least {least}, got {getattr(self, name)}")
+        if not self.tol > 0:
+            raise ValueError(f"search tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -431,52 +471,147 @@ def _rates_from_tables(target_xyz, w_given_x, q):
     return i_x_w - i_w_z, i_xyz_w - i_w_z
 
 
-def _scalarized(target_xyz, w_given_x, lam, polish, tol):
-    q, resid, neg = _consistent_y_channel(target_xyz, w_given_x, tol)
-    if q is None:
+def _weigh(lam, rates):
+    """The scalarized value (1-λ) max(0, r) + λ max(0, r+c) of raw rates."""
+    return (1.0 - lam) * max(0.0, rates[0]) + lam * max(0.0, rates[1])
+
+
+def _scalarized(target_xyz, w_given_x, lam, tol):
+    """(value, inner solve, raw rates or None) of one p(w|x)."""
+    solve = _consistent_y_channel(target_xyz, w_given_x, tol)
+    if solve.q is None:
         # infeasible: large penalty, sloped by how badly equalities fail
-        return 10.0 + 100.0 * (resid + neg), None, resid
-    if polish and lam > 0:
-        q, resid = _polish_y_channel(target_xyz, w_given_x, q, resid, tol)
-    r_raw, rc_raw = _rates_from_tables(target_xyz, w_given_x, q)
-    value = (1.0 - lam) * max(0.0, r_raw) + lam * max(0.0, rc_raw)
-    return value, q, resid
+        return 10.0 + 100.0 * (solve.residual + solve.violation), solve, None
+    rates = _rates_from_tables(target_xyz, w_given_x, solve.q)
+    return _weigh(lam, rates), solve, rates
 
 
-def _descend_from(target_xyz, lam, logits, iters, tol):
-    """Numerical-gradient descent with backtracking on p_{W|X} logits."""
-    h = 1e-5
-    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
+def _bilinear_in_c(rows, cols, dims):
+    """Slope of sum(dA * outer(rows, cols)) per unit of c[z,x,w].
+
+    c[z,x,w] sits at row (x,y), column (w,y) of block z for every y, so the
+    slope is sum_y rows(x,y) cols(w,y).  Works on one block or a stack.
+    """
+    nx, nw, ny = dims
+    lead = rows.shape[:-1]
+    return np.einsum(
+        "...xy,...wy->...xw", rows[..., : nx * ny].reshape(lead + (nx, ny)), cols.reshape(lead + (nw, ny))
+    )
+
+
+def _solution_slope(blocks, support, x, g, dims):
+    """g . dx per unit of c, where x = A_S^+ b solves a consistent block.
+
+    On the support S, dx = -A_S^+ dA x + (I - A_S^+ A_S) dA^T A_S^+T x
+    (Golub & Pereyra 1973), so g . dx = sum(dA * (outer(s, v) - outer(u, x)))
+    with u = A_S^+T g, s = A_S^+T x and v = (I - A_S^+ A_S) g.  Columns off
+    S are masked to zero, which zeroes the pseudoinverse's rows there.
+    """
+    masked = blocks * support[..., None, :]
+    pinv = np.linalg.pinv(masked)
+    u = np.einsum("...nm,...n->...m", pinv, g)
+    s = np.einsum("...nm,...n->...m", pinv, x)
+    v = support * (g - (pinv @ (masked @ g[..., None]))[..., 0])
+    return _bilinear_in_c(s, v, dims) - _bilinear_in_c(u, x, dims)
+
+
+def _logit_gradient(target_xyz, w_given_x, lam, solve, rates):
+    """Exact gradient of the scalarized value in the p(w|x) logits.
+
+    Every term is differentiated in c[z,x,w] = p(x,z) p(w|x), the
+    coefficients of the inner solve's consistency rows, and pulled back
+    through p(w|x) and the softmax at the end.  At a feasible point the
+    value is (1-λ) max(0, I(X;W) - I(W;Z)) + λ max(0, I(XYZ;W) - I(W;Z));
+    I(XYZ;W) also moves with q = p(y|z,w), which each block's solution
+    carries into c by :func:`_solution_slope`.  At an infeasible point the
+    penalty 10 + 100 (resid + neg) slopes with the failing block's
+    least-squares solution: its most negative entry when the block is
+    consistent, otherwise its largest residual, whose projection
+    r = (A A^+ - I) b moves as dr = (I - A A^+) dA sol - A^+T dA^T r.
+    Empty cells contribute 0 (0 log 0 = 0), so the gradient stays finite
+    when p(w|x) or q has exact zeros.
+    """
+    nx, ny, nz = target_xyz.shape
+    nw = w_given_x.shape[1]
+    dims = (nx, nw, ny)
+    p_xz = target_xyz.sum(axis=1)
+    c = p_xz.T[:, :, None] * w_given_x  # (z, x, w)
+    d_c = np.zeros_like(c)
+    if solve.q is None:
+        z = solve.failing
+        a, b = solve.blocks[z], solve.rhs[z]
+        pinv = np.linalg.pinv(a)
+        sol = pinv @ b
+        if solve.violation > 0.0:
+            g = np.zeros_like(sol)
+            g[np.argmin(sol)] = -100.0
+            d_c[z] = _solution_slope(a, np.ones(sol.shape, dtype=bool), sol, g, dims)
+        else:
+            r = a @ sol - b
+            worst = np.argmax(np.abs(r))
+            e = np.zeros_like(r)
+            e[worst] = 100.0 * np.sign(r[worst])
+            ae = pinv @ e
+            d_c[z] = _bilinear_in_c(e - a @ ae, sol, dims) - _bilinear_in_c(r, ae, dims)
+    else:
+        pw = c.sum(axis=(0, 1))
+        w_z = _log2_ratio(c.sum(axis=1), pw)[:, None, :]  # log2 p(w,z)/p(w)
+        if rates[0] > 0:
+            d_c += (1.0 - lam) * (_log2_ratio(c.sum(axis=0), pw) - w_z)
+        if rates[1] > 0:
+            d_cq, d_q = _i_xyz_w_partials(c, solve.q)
+            through_q = _solution_slope(
+                solve.blocks, solve.support, solve.q.reshape(nz, -1), d_q.reshape(nz, -1), dims
+            )
+            d_c += lam * (d_cq - w_z + through_q)
+    d_w = np.einsum("xz,zxw->xw", p_xz, d_c)
+    return w_given_x * (d_w - (w_given_x * d_w).sum(axis=1, keepdims=True))
+
+
+class _Descent(NamedTuple):
+    value: float
+    w_given_x: np.ndarray
+    q: np.ndarray | None
+    residual: float
+    #: inner solves and accepted descent steps this run took
+    solves: int
+    steps: int
+
+
+def _descend_from(target_xyz, lam, logits, iters, tol) -> _Descent:
+    """Gradient descent with backtracking on the p_{W|X} logits.
+
+    The gradient is exact (:func:`_logit_gradient`) and reuses the current
+    point's inner solve, so a step costs one inner solve per line-search
+    trial and nothing more.  The last point's output channel is polished.
+    """
+    w_given_x = _softmax(logits)
+    value, solve, rates = _scalarized(target_xyz, w_given_x, lam, tol)
+    solves, steps = 1, 0
     for _ in range(iters):
-        grad = np.zeros_like(logits)
-        flat = logits.reshape(-1)
-        gflat = grad.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
-            flat[k] = orig - h
-            dn, _, _ = _scalarized(target_xyz, _softmax(logits), lam, polish=False, tol=tol)
-            flat[k] = orig
-            gflat[k] = (up - dn) / (2 * h)
+        grad = _logit_gradient(target_xyz, w_given_x, lam, solve, rates)
         norm = float(np.abs(grad).max())
         if norm < 1e-9:
             break
         step = 1.0 / max(1.0, norm)
-        improved = False
         for _ in range(25):
             trial = logits - step * grad
-            tv, tq, tr = _scalarized(target_xyz, _softmax(trial), lam, polish=False, tol=tol)
-            if tv < value - 1e-12:
-                logits, value, q, resid = trial, tv, tq, tr
-                improved = True
+            trial_w = _softmax(trial)
+            trial_value, trial_solve, trial_rates = _scalarized(target_xyz, trial_w, lam, tol)
+            solves += 1
+            if trial_value < value - 1e-12:
+                logits, w_given_x = trial, trial_w
+                value, solve, rates = trial_value, trial_solve, trial_rates
+                steps += 1
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-    # final evaluation with the polish pass enabled
-    value, q, resid = _scalarized(target_xyz, _softmax(logits), lam, polish=True, tol=tol)
-    return value, _softmax(logits), q, resid
+    q, resid = solve.q, solve.residual
+    if q is not None and lam > 0:
+        q, resid = _polish_y_channel(target_xyz, w_given_x, q, resid, tol)
+        value = _weigh(lam, _rates_from_tables(target_xyz, w_given_x, q))
+    return _Descent(value, w_given_x, q, resid, solves, steps)
 
 
 def _corner_logit_inits(nx, w_size):
@@ -504,7 +639,7 @@ def _coarse_grid_inits(nx, w_size, cap=24):
         bank = [np.array([p, 1.0 - p]) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
     else:
         bank = [np.full(w_size, 1.0 / w_size)]
-        for j in range(w_size):
+        for j in range(w_size if w_size > 1 else 0):
             row = np.full(w_size, 0.1 / (w_size - 1))
             row[j] = 0.9
             bank.append(row)
@@ -528,6 +663,11 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     pruned (ties broken lexicographically by R then C).  Deterministic given
     the seed: every (λ, restart) pair owns a derived RNG stream, and results
     merge by sorted order, so parallel evaluation cannot reorder them.
+
+    Each λ logs one DEBUG record: its inner solves, accepted descent steps,
+    the winning start (corner, coarse, random or warm, with its index; a
+    warm start's index is the λ whose winner it adopted) and the winner's
+    residual.
     """
     target = p_xyz.marginalize(PTP_AXES).table
     nx, ny, nz = target.shape
@@ -537,49 +677,61 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     lams = np.linspace(0.0, 1.0, cfg.lambda_grid)
     effective = np.clip(lams, 5e-4, 1.0 - 5e-4)
     short_iters = max(10, cfg.iters // 3)
-    winners: list[tuple[float, np.ndarray, np.ndarray, float] | None] = []
-    for li, lam in enumerate(effective):
-        candidates = []
+    winners: list[tuple[_Descent, tuple[str, int]] | None] = []
+    effort = np.zeros((len(lams), 2), dtype=np.int64)  # inner solves, steps
+
+    def descend(li, logits, iters, start, best):
+        run = _descend_from(target, float(effective[li]), logits, iters, cfg.tol)
+        effort[li] += (run.solves, run.steps)
+        if run.q is not None and (best is None or run.value < best[0].value):
+            return run, start
+        return best
+
+    for li in range(len(lams)):
         # corner and random starts descend in full; the coarse scan exists for
         # basin coverage and only needs enough steps to sort the basins out
-        starts = [(logits, cfg.iters) for logits in _corner_logit_inits(nx, w_size)]
-        starts.extend((logits, short_iters) for logits in _coarse_grid_inits(nx, w_size))
+        corners = _corner_logit_inits(nx, w_size)
+        starts = [(logits, cfg.iters, ("corner", i)) for i, logits in enumerate(corners)]
+        coarse = _coarse_grid_inits(nx, w_size)
+        starts.extend((logits, short_iters, ("coarse", i)) for i, logits in enumerate(coarse))
         for s in range(cfg.restarts):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(li, s)))
-            starts.append((rng.normal(0.0, 2.0, size=(nx, w_size)), cfg.iters))
-        for logits, iters in starts:
-            value, wt, q, resid = _descend_from(target, float(lam), logits, iters, cfg.tol)
-            if q is not None:
-                candidates.append((value, wt, q, resid))
-        winners.append(min(candidates, key=lambda c: c[0]) if candidates else None)
+            starts.append((rng.normal(0.0, 2.0, size=(nx, w_size)), cfg.iters, ("random", s)))
+        best = None
+        for logits, iters, start in starts:
+            best = descend(li, logits, iters, start, best)
+        winners.append(best)
     # warm-start sweep: each λ may adopt another λ's winner if it scores
     # better, then takes a short polishing descent from the adopted channel;
-    # each pool entry carries its rate pair so candidates can be ranked per λ
-    pool: list[tuple[np.ndarray, float, float]] = []
+    # each pool entry carries its raw rate pair so candidates can be ranked
+    # per λ, and the λ it came from
+    pool: list[tuple[np.ndarray, tuple[float, float], int]] = []
     seen = set()
-    for w in winners:
+    for li, w in enumerate(winners):
         if w is None:
             continue
-        key = tuple(np.round(w[1], 6).reshape(-1))
+        run = w[0]
+        key = tuple(np.round(run.w_given_x, 6).reshape(-1))
         if key not in seen:
             seen.add(key)
-            r_raw, rc_raw = _rates_from_tables(target, w[1], w[2])
-            pool.append((w[1], max(0.0, r_raw), max(0.0, rc_raw)))
+            pool.append((run.w_given_x, _rates_from_tables(target, run.w_given_x, run.q), li))
     raw_points: list[FrontierPoint] = []
     failures: list[float] = []
     for li, lam in enumerate(effective):
         best = winners[li]
-        ranked = sorted(pool, key=lambda e: (1.0 - lam) * e[1] + lam * e[2])[:6]
-        for wt, _, _ in ranked:
+        for wt, _, source in sorted(pool, key=lambda e: _weigh(lam, e[1]))[:6]:
             with np.errstate(all="ignore"):
                 logits = np.log(np.clip(wt, 1e-12, None))
-            value, wt2, q2, resid2 = _descend_from(target, float(lam), logits, short_iters, cfg.tol)
-            if q2 is not None and (best is None or value < best[0]):
-                best = (value, wt2, q2, resid2)
+            best = descend(li, logits, short_iters, ("warm", source), best)
+        solves, steps = effort[li]
         if best is None:
+            logger.debug("lambda %.6g: %d inner solves, %d descent steps, no consistent aux",
+                         lams[li], solves, steps)
             failures.append(float(lams[li]))
             continue
-        value, wt, q, resid = best
+        (value, wt, q, resid, _, _), (kind, index) = best
+        logger.debug("lambda %.6g: %d inner solves, %d descent steps, winner %s start %d, residual %.3e",
+                     lams[li], solves, steps, kind, index, resid)
         aux = aux_ptp_from_tables(
             tuple(f"w{i}" for i in range(w_size)),
             p_xyz.alphabet("X"),

@@ -19,12 +19,17 @@ words with a dictionary of their bytes: the references for the per-word
 evaluation and the vectorised numbering, which must match them bit for bit.
 ``product_table`` builds the n-fold product table by outer products and
 transposes, the reference for the in-place build.
+
+``central_difference_gradient`` differentiates the frontier search's
+scalarized value in the p(w|x) logits numerically, two full evaluations per
+logit: the reference for the closed-form gradient.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from corrsynth import rate_region
 from corrsynth.codec_ptp import _conditional_rows
 from corrsynth.typicality import marginal_typical_mask, pairwise_typical_mask
 
@@ -201,3 +206,20 @@ def product_table(base, n):
         out = out.transpose([ax for pair in zip(range(k), range(k, 2 * k)) for ax in pair])
         out = out.reshape([out.shape[2 * ax] * out.shape[2 * ax + 1] for ax in range(k)])
     return out
+
+
+def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):
+    """d(scalarized value)/d(logits) by central differences of step ``h``."""
+    logits = np.array(logits, float)
+    grad = np.zeros_like(logits)
+    flat = logits.reshape(-1)
+    gflat = grad.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        up = rate_region._scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
+        flat[k] = orig - h
+        dn = rate_region._scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
+        flat[k] = orig
+        gflat[k] = (up - dn) / (2 * h)
+    return grad

@@ -77,6 +77,16 @@ def test_region_ptp_writes_frontier_rows(tmp_path):
     assert sidecar["spec"]["lambda_grid"] == 2
 
 
+@pytest.mark.parametrize("knob, value", [("w_cap", 0), ("lambda_grid", 0), ("iters", -1), ("tol", 0.0)])
+def test_region_ptp_rejects_out_of_range_search_knobs(tmp_path, capsys, knob, value):
+    spec = write_json(tmp_path / "region.json", {"p_xyz": np.full((2, 2, 2), 0.125).tolist(), knob: value})
+    out = tmp_path / "frontier.csv"
+    assert cli_dispatch(["region-ptp", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and knob in err
+    assert not out.exists()
+
+
 def test_region_dist_writes_the_bound_row(tmp_path):
     spec = write_json(
         tmp_path / "dist.json",

@@ -1,3 +1,5 @@
+import logging
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from _oracles import (
     binary_grid_frontier,
+    central_difference_gradient,
     chebyshev_to_polyline,
     nonnegative_lstsq_residual,
     pareto_polyline,
@@ -299,7 +302,7 @@ def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
             sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
             negative_min_norm += sol.min() < -1e-6
             assert (rank == a.shape[1]) == (kind != "rank-deficient")
-        q, residual, violation = rate_region._consistent_y_channel(target, w_table, 1e-9)
+        q, residual, violation = rate_region._consistent_y_channel(target, w_table, 1e-9)[:3]
         assert (q is not None) == feasible
         if q is None:
             assert violation > 0.0
@@ -313,6 +316,80 @@ def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
     else:
         # the regime the test is about must actually occur
         assert negative_min_norm >= 3
+
+
+def gradient_case(kind, seed):
+    """(target, logits, λ) aimed at one regime of the scalarized value."""
+    gen = np.random.default_rng(seed)
+    lam = 0.3 if seed % 2 else 0.7
+    if kind in ("neg", "resid"):
+        # a random channel on a random target: |X| = |W| leaves each block
+        # consistent but mostly not nonnegative, |X| = 3 > |W| inconsistent
+        nx = 2 if kind == "neg" else 3
+        target = gen.gamma(1.0, size=(nx, 2, 2))
+        return target / target.sum(), gen.normal(0.0, 2.0, size=(nx, 2)), lam
+    if kind.startswith("clamp"):
+        # Z a copy of X makes I(X;W) = I(W;Z), so r sits at its clamp
+        p_x = random_simplex(gen, (2,))
+        target = np.einsum("x,xy,xz->xyz", p_x, random_simplex(gen, (2, 2)), np.eye(2))
+        lam = 5e-4 if kind == "clamp-low" else 1.0 - 5e-4
+        return target, gen.normal(0.0, 2.0, size=(2, 2)), lam
+    shapes = {"full-rank": (2, 2, 1.0), "ls-3": (2, 3, 1.0), "ls-4": (2, 4, 1.0), "nnls": (2, 3, 0.5)}
+    nz, nw, spread = shapes[kind]
+    # pushed forward from the channel itself, so the point is feasible
+    p_xz = gen.random((2, nz)) + 0.05
+    p_xz /= p_xz.sum()
+    w_table = gen.dirichlet(np.ones(nw), size=2)
+    y_table = gen.dirichlet(np.full(2, spread), size=(nz, nw))
+    return np.einsum("xz,xw,zwy->xyz", p_xz, w_table, y_table), np.log(w_table), lam
+
+
+def gradient_regime(w_table, solve, rates):
+    """Which branch of the scalarized value the inner solve put the point on."""
+    if solve.q is None:
+        return "neg" if solve.violation > 0.0 else "resid"
+    if not solve.support.all():
+        return "nnls"
+    if min(rates) <= 1e-12:
+        return "clamp"
+    nw = w_table.shape[1]
+    full = all(np.linalg.matrix_rank(a) == a.shape[1] for a in solve.blocks)
+    return "full-rank" if full else f"ls-{nw}"
+
+
+@pytest.mark.parametrize(
+    "kind", ["full-rank", "ls-3", "ls-4", "nnls", "neg", "resid", "clamp-low", "clamp-high"]
+)
+def test_logit_gradient_matches_central_differences(kind):
+    regime = "clamp" if kind.startswith("clamp") else kind
+    hits = 0
+    for seed in range(8):
+        target, logits, lam = gradient_case(kind, seed)
+        w_table = rate_region._softmax(logits)
+        _, solve, rates = rate_region._scalarized(target, w_table, lam, 1e-9)
+        hits += gradient_regime(w_table, solve, rates) == regime
+        analytic = rate_region._logit_gradient(target, w_table, lam, solve, rates)
+        numeric = central_difference_gradient(target, lam, logits)
+        assert np.abs(analytic - numeric).max() <= 1e-5 * np.abs(numeric).max()
+    # the branch the case is about must actually occur
+    assert hits >= 3
+
+
+def test_logit_gradient_is_finite_at_exact_zero_probabilities():
+    # X independent of (Y, Z), Y a copy of Z: half the target's cells are 0;
+    # logits of +-800 underflow the softmax to exact zeros and ones
+    table = np.einsum("x,z,yz->xyz", [0.3, 0.7], [0.5, 0.5], np.eye(2))
+    for logits in (np.array([[800.0, -800.0], [-800.0, 800.0]]), np.array([[800.0, -800.0], [0.3, -0.2]])):
+        w_table = rate_region._softmax(logits)
+        assert (w_table == 0.0).any()
+        for lam in (5e-4, 0.5, 1.0 - 5e-4):
+            _, solve, rates = rate_region._scalarized(table, w_table, lam, 1e-9)
+            assert solve.q is not None and (solve.q == 0.0).any()
+            grad = rate_region._logit_gradient(table, w_table, lam, solve, rates)
+            assert np.isfinite(grad).all()
+            assert np.abs(grad - central_difference_gradient(table, lam, logits)).max() <= 1e-9
+            run = rate_region._descend_from(table, lam, logits, 10, 1e-9)
+            assert np.isfinite(run.w_given_x).all() and np.isfinite(run.value)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +474,49 @@ def test_frontier_tracks_exhaustive_grid_on_symmetric_binary_source():
         opt_value = (1.0 - point.lam) * point.rate + point.lam * (point.rate + point.cr)
         assert opt_value <= grid_value + 5e-3
         assert chebyshev_to_polyline((point.rate, point.cr), frontier_poly) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [("w_cap", 0), ("w_cap", -2), ("restarts", -1), ("lambda_grid", 0), ("iters", -1),
+     ("tol", 0.0), ("tol", -1e-9), ("tol", float("nan"))],
+)
+def test_search_config_rejects_out_of_range_knobs(knob, value):
+    with pytest.raises(ValueError, match=knob):
+        SearchConfig(**{knob: value})
+
+
+def test_search_config_accepts_the_smallest_knobs():
+    SearchConfig(w_cap=1, restarts=0, lambda_grid=1, iters=0, tol=1e-15)
+
+
+def test_frontier_runs_with_a_single_auxiliary_letter():
+    # a constant W is consistent exactly when X - Z - Y; then both bounds are 0
+    free = np.einsum("x,z,yz->xyz", [0.3, 0.7], [0.5, 0.5], np.eye(2))
+    cfg = SearchConfig(w_cap=1, restarts=1, lambda_grid=2, iters=5, seed=0)
+    res = ptp_frontier(JointPmf.from_table(("X", "Y", "Z"), free), cfg)
+    assert res.failures == () and len(res.raw) == 2
+    assert all(p.rate == 0.0 and p.cr == 0.0 and p.residual <= cfg.tol for p in res.raw)
+    tied = JointPmf.from_table(("X", "Y", "Z"), np.array([[[0.375], [0.125]], [[0.125], [0.375]]]))
+    assert ptp_frontier(tied, cfg).failures == (0.0, 1.0)
+
+
+def test_frontier_logs_one_debug_record_per_lambda(caplog):
+    caplog.set_level(logging.DEBUG, logger="corrsynth.rate_region")
+    cells = np.random.default_rng(5).gamma(1.0, size=(2, 2, 2))
+    target = JointPmf.from_table(("X", "Y", "Z"), cells / cells.sum())
+    res = ptp_frontier(target, SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=10, seed=0))
+    pattern = re.compile(
+        r"lambda (\S+): (\d+) inner solves, (\d+) descent steps, "
+        r"winner (corner|coarse|random|warm) start (\d+), residual (\S+)"
+    )
+    records = [pattern.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("lambda")]
+    assert len(records) == len(res.raw) == 3 and all(records)
+    for match, point in zip(records, res.raw):
+        assert float(match[1]) == pytest.approx(point.lam, abs=1e-6)
+        # at least one inner solve per start: 3 corners, 25 coarse, 1 random
+        assert int(match[2]) >= 29 and int(match[3]) >= 1
+        assert float(match[6]) == pytest.approx(point.residual, rel=1e-3, abs=1e-300)
 
 
 def test_pareto_prune_drops_dominated_and_duplicate_points():
