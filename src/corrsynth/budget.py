@@ -1,11 +1,12 @@
 """Guard rails for exact enumerations.
 
 Exact computations in this package enumerate sequence spaces whose size grows
-exponentially in the blocklength.  Every such loop calls :func:`check_budget`
-with its term count before allocating.  Nothing here estimates past the
-budget: a larger computation runs only after raising the budget
-(``$CORRSYNTH_BUDGET`` or a ``budget`` argument) or at a smaller blocklength.
-The count is of terms, not of the bytes a computation allocates.
+exponentially in the blocklength.  Each calls :func:`check_budget` before
+allocating, with the cells (array entries) of the table it builds; a trial's
+streamed deficit counts its largest array held at once, so its chunks shrink
+to fit.  Nothing here estimates past the budget: a larger computation runs
+only after raising the budget (``$CORRSYNTH_BUDGET`` or a ``budget``
+argument) or at a smaller blocklength.
 """
 
 from __future__ import annotations

@@ -37,12 +37,16 @@ from .codec_ptp import (
     Codebook,
     CodecParams,
     EmptyTypicalSetError,
+    _check_joint_budget,
     _decoded_rows,
     _encoder_weight_batch,
+    _letter_target,
     _message_pmf_from_labels,
     _message_table,
     _pow2_size,
     _rowwise_categorical,
+    _stream_chunk,
+    _streamed_tv,
     _word_ids,
     _word_rows,
     derived_rng,
@@ -316,8 +320,9 @@ def _build_dist_tables(
 ) -> _DistSystemTables:
     n = params.n
     nx1, nx2 = (a.size for a in p_x1x2.alphabets)
-    ny = p_y_given_w1w2.out_alphabets[0].size
-    check_budget((nx1 * nx2 * ny) ** n, budget, what="exact induced-law enumeration")
+    (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
+    cells = max(k1 * nx1**n * (m1 + 1), k2 * nx2**n * (m2 + 1), k1 * k2 * (m1 + 1) * (m2 + 1))
+    check_budget(cells, budget, what="message and decoder tables")
     xs1 = enumerate_sequences(nx1, n, budget)
     xs2 = enumerate_sequences(nx2, n, budget)
 
@@ -338,21 +343,13 @@ def _build_dist_tables(
     p_w1w2 = np.einsum(
         "ab,aw,bv->wv", p_x1x2.table, p_w1_given_x1.table, p_w2_given_x2.table
     )
-
-    (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
     bn1, bn2 = binnings
-
-    def encoder_messages(book, binning, xs, p_joint, leg):
-        return np.stack([
-            _message_table(
-                xs, book.entries[mu], binning.labels[mu], binning.m_size,
-                p_joint, book.epsilon, leg,
-            )
-            for mu in range(book.k_size)
-        ])
-
-    messages1 = encoder_messages(codebooks.first, bn1, xs1, p_joint_xw1, _leg_params(params, 1))
-    messages2 = encoder_messages(codebooks.second, bn2, xs2, p_joint_xw2, _leg_params(params, 2))
+    messages1 = _message_table(
+        xs1, codebooks.first, bn1.labels, bn1.m_size, p_joint_xw1, _leg_params(params, 1)
+    )
+    messages2 = _message_table(
+        xs2, codebooks.second, bn2.labels, bn2.m_size, p_joint_xw2, _leg_params(params, 2)
+    )
 
     # A (μ1, μ2, m1, m2) cell decodes when exactly one jointly typical index
     # pair sits in it; duplicate codewords count multiply.
@@ -367,8 +364,20 @@ def _build_dist_tables(
     used, decoded = _decoded_rows(cell, pair, k1 * k2 * (m1 + 1) * (m2 + 1))
     decoded = decoded.reshape(k1, k2, m1 + 1, m2 + 1)
     w1s, w2s = words1[used // words2.shape[0]], words2[used % words2.shape[0]]
-    y_rows = _word_rows([p_y_given_w1w2.table[None, w1s[:, i], w2s[:, i], :] for i in range(n)])[0]
+    check_budget(used.size * p_y_given_w1w2.out_alphabets[0].size ** n, budget, what="output rows")
+    y_rows = _word_rows([p_y_given_w1w2.table[w1s[:, i], w2s[:, i]] for i in range(n)])
     return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows)
+
+
+def _dist_slice(tabs: _DistSystemTables, k_sizes: tuple[int, int], x1s: slice) -> np.ndarray:
+    """q[a1, a2, y] of the induced law for the source-1 words ``x1s``."""
+    k1, k2 = k_sizes
+    out = 0.0
+    for mu1, mu2 in np.ndindex(k1, k2):
+        y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
+        by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
+        out = out + np.tensordot(tabs.messages1[mu1][x1s], by_m1, axes=([1], [1]))
+    return out * (tabs.p_x_words[x1s, :, None] / (k1 * k2))
 
 
 def dist_induced_joint_exact(
@@ -388,19 +397,12 @@ def dist_induced_joint_exact(
     channel law at the decoded codeword pair.  Axes are (X₁, X₂, Y) with
     word alphabets; the table totals one within 1e-9 (checked).
     """
+    _check_joint_budget((*p_x1x2.table.shape, p_y_given_w1w2.table.shape[-1]), params.n, budget)
     tabs = _build_dist_tables(
         p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
         codebooks, binnings, params, budget,
     )
-    k1, k2 = params.k_sizes
-    a1, a2 = tabs.p_x_words.shape
-    out = np.zeros((a1, a2, tabs.y_rows.shape[1]))
-    for mu1 in range(k1):
-        for mu2 in range(k2):
-            y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
-            by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
-            out += np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
-    out *= tabs.p_x_words[:, :, None] / (k1 * k2)
+    out = _dist_slice(tabs, params.k_sizes, slice(None))
     total = float(out.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
@@ -428,6 +430,7 @@ def sample_dist_induced(
     budget: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """End-to-end Monte Carlo of the two-encoder chain: word codes (x1, x2, y)."""
+    _check_joint_budget((*p_x1x2.table.shape, p_y_given_w1w2.table.shape[-1]), params.n, budget)
     tabs = _build_dist_tables(
         p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
         codebooks, binnings, params, budget,
@@ -453,6 +456,41 @@ def sample_dist_induced(
 def dist_tv_deficit(p_x1x2y: JointPmf, induced: JointPmf, budget: int | None = None) -> float:
     """Total variation between the n-fold target and the induced word law."""
     return tv_deficit(p_x1x2y, induced, budget)
+
+
+def dist_streamed_tv_deficit(
+    p_x1x2y: JointPmf,
+    p_x1x2: JointPmf,
+    p_w1_given_x1: CondPmf,
+    p_w2_given_x2: CondPmf,
+    p_y_given_w1w2: CondPmf,
+    codebooks: DistCodebooks,
+    binnings: tuple[DistBinning, DistBinning],
+    params: DistCodecParams,
+    budget: int | None = None,
+) -> float:
+    """``dist_tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed.
+
+    Streams over chunks of source-1 words, each with its induced slice and its
+    target slice t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) built letter by letter.
+    """
+    alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
+    target = _letter_target(p_x1x2y, (*p_x1x2.names, p_y_given_w1w2.out_names[0]), alphabets)
+    tabs = _build_dist_tables(
+        p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
+        codebooks, binnings, params, budget,
+    )
+    n, (m1, m2) = params.n, params.m_sizes
+    (a1, a2), ay = tabs.p_x_words.shape, tabs.y_rows.shape[1]
+    fixed = max(n * a1 * a2 * alphabets[2].size, (m1 + 1) * max(a2, m2 + 1) * ay)
+    chunk = _stream_chunk(a1, a2 * ay, fixed, budget)
+    xs1, xs2 = (enumerate_sequences(a.size, n) for a in alphabets[:2])
+    head = target[xs1.T[:, :, None], xs2.T[:, None, :]]  # (n, A1, A2, Y) letter factors
+    pairs = (
+        (_word_rows(list(head[:, x1s])), _dist_slice(tabs, params.k_sizes, x1s))
+        for x1s in (slice(s, s + chunk) for s in range(0, a1, chunk))
+    )
+    return _streamed_tv(pairs, alphabets)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ into M bins, the transmitted message being the bin (0 = declare failure);
 the decoder intersects the received bin with the decoder-side typical set
 against its side information and emits the codeword if unique, else a fixed
 fallback word.  The induced law over source/output words is measured exactly
-by enumeration or estimated by end-to-end sampling.
+by enumeration or estimated by end-to-end sampling; a trial streams its exact
+deficit over side-information words, building neither the law nor the target.
 
 Conventions adopted where the construction leaves freedom:
 
@@ -34,8 +35,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .budget import check_budget
-from .probability import Alphabet, CondPmf, JointPmf, ProductPmf
+from .budget import check_budget, enumeration_budget
+from .probability import Alphabet, CondPmf, JointPmf, ProductPmf, letter_product
 from .typicality import (
     Sequence,
     TypicalityParams,
@@ -48,6 +49,8 @@ from .typicality import (
 #: derived-stream indices off a run seed (the distributed codec uses 0..3)
 CODEBOOK_STREAM = 0
 BINNING_STREAM = 1
+#: cells a streamed-deficit chunk aims at (one word at n=6, one chunk for small laws)
+STREAM_CHUNK_CELLS = 1 << 16
 
 
 class EmptyTypicalSetError(ValueError):
@@ -466,12 +469,18 @@ def product_pmf(p: JointPmf, n: int, budget: int | None = None) -> JointPmf:
 
 @dataclass(frozen=True)
 class _SystemTables:
-    """Shared precomputation behind exact enumeration and sampling."""
+    """Shared precomputation behind exact enumeration, streaming and sampling."""
 
     p_xz_words: np.ndarray  # (Ax, Az) source-word law
     messages: np.ndarray  # (K, Ax, M+1) message PMFs
-    decoded: np.ndarray  # (K, Az, M+1) row ids into y_rows, 0 = w0
-    y_rows: np.ndarray  # (Az, R, Ay) output-word laws; row 0 = w0, then one per decoded word
+    decoded: np.ndarray  # (K, Az, M+1) output-row ids, 0 = w0
+    zs: np.ndarray  # (Az, n) side-information words
+    row_letters: np.ndarray  # (n, Az, R, Y) factors p(y | z_i, w_i); row 0 = w0, then decoded
+
+    @property
+    def y_rows(self) -> np.ndarray:
+        """(Az, R, Ay) output-word laws of every side-information word."""
+        return _word_rows(list(self.row_letters))
 
 
 def _word_ids(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,43 +510,50 @@ def _decoded_rows(cell: np.ndarray, code: np.ndarray, size: int) -> tuple[np.nda
 
 
 def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
-    """Output-word laws from per-letter factors, extended one letter at a time.
+    """Word laws from per-letter factors, extended one letter at a time.
 
-    ``letters[i]`` is an (S, R, Y) table: for conditioning letter s and row r,
-    the law of output letter i.  The result is (S^n, R, Y^n) with words coded
-    big-endian, ``out[s, r, y] = Π_i letters[i][s_i, r, y_i]``.  Each step is a
-    Kronecker product, so the factors multiply in letter order, exactly as a
-    per-cell running product would.
+    ``letters[i]`` is a (..., Y) table such as (C, R, Y), the factor of letter
+    i per conditioning word c and row r.  The result is (..., Y^n), words coded
+    big-endian: ``out[..., y] = Π_i letters[i][..., y_i]``, multiplied in letter
+    order as a per-cell running product would.  Each step fills one new-letter
+    value at a time, so the inner loops run over the word axis, not over Y.
     """
     rows = letters[0]
     for f in letters[1:]:
-        rows = (rows[:, None, :, :, None] * f[None, :, :, None, :]).reshape(
-            rows.shape[0] * f.shape[0], rows.shape[1], rows.shape[2] * f.shape[2]
-        )
+        grown = np.empty((*rows.shape, f.shape[-1]))
+        for y in range(f.shape[-1]):
+            np.multiply(rows, f[..., y, None], out=grown[..., y])
+        rows = grown.reshape(*f.shape[:-1], -1)
     return rows
 
 
 def _message_table(
     xs: np.ndarray,
-    entries_mu: np.ndarray,
+    codebook: Codebook,
     labels: np.ndarray,
     m_size: int,
     p_joint_xw: JointPmf,
-    epsilon: float,
     params: CodecParams,
 ) -> np.ndarray:
-    """(A, M+1) message PMFs of one μ-block; ``labels[l]`` is the bin of index l.
+    """(K, A, M+1) message PMFs; ``labels[μ, l]`` is the bin of index l in block μ.
 
     Bins collect the index weights, invalid rows send nothing, and message 0
     takes ``max(0, 1 - Σ)`` of each row.
     """
-    weights, _, valid = _encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params)
-    onehot = np.zeros((entries_mu.shape[0], m_size + 1))
-    onehot[np.arange(entries_mu.shape[0]), labels] = 1.0
-    msg = weights @ onehot
-    msg[~valid] = 0.0
-    msg[:, 0] = np.maximum(0.0, 1.0 - msg[:, 1:].sum(axis=1))
+    msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
+    for mu, entries in enumerate(codebook.entries):
+        weights, _, valid = _encoder_weight_batch(xs, entries, p_joint_xw, codebook.epsilon, params)
+        onehot = np.zeros((entries.shape[0], m_size + 1))
+        onehot[np.arange(entries.shape[0]), labels[mu]] = 1.0
+        msg[mu] = weights @ onehot
+        msg[mu, ~valid] = 0.0
+    msg[:, :, 0] = np.maximum(0.0, 1.0 - msg[:, :, 1:].sum(axis=2))
     return msg
+
+
+def _check_joint_budget(sizes: tuple[int, ...], n: int, budget: int | None) -> None:
+    """Refuse an n-fold joint table over letter alphabets of these sizes."""
+    check_budget(math.prod(sizes) ** n, budget, what="exact induced-law enumeration")
 
 
 def _build_system_tables(
@@ -552,7 +568,7 @@ def _build_system_tables(
     nx, nz = (a.size for a in p_xz.alphabets)
     ny = p_y_given_zw.out_alphabets[0].size
     n, kk, mm = params.n, codebook.k_size, binning.m_size
-    check_budget((nx * ny * nz) ** n, budget, what="exact induced-law enumeration")
+    check_budget(kk * max(nx, nz) ** n * (mm + 1), budget, what="message and decoder tables")
     typ = TypicalityParams(params.delta, nx, ny, nz)
     xs = enumerate_sequences(nx, n, budget)
     zs = enumerate_sequences(nz, n, budget)
@@ -566,13 +582,8 @@ def _build_system_tables(
     )
     p_zw_table = np.einsum("xz,xw->zw", p_xz.table, p_w_given_x.table)
 
-    messages = np.stack([
-        _message_table(
-            xs, codebook.entries[mu], binning.messages(mu), mm,
-            p_joint_xw, codebook.epsilon, params,
-        )
-        for mu in range(kk)
-    ])
+    labels = np.stack([binning.messages(mu) for mu in range(kk)])
+    messages = _message_table(xs, codebook, labels, mm, p_joint_xw, params)
 
     # Entry e is distinct word j of block block_of[e], in bin bin_of[e]; its
     # letters are words[gid[e]], numbered across blocks.
@@ -588,10 +599,37 @@ def _build_system_tables(
     cell = (block_of[ee] * zs.shape[0] + zz) * (mm + 1) + bin_of[ee]
     used, decoded = _decoded_rows(cell, gid[ee], kk * zs.shape[0] * (mm + 1))
     decoded = decoded.reshape(kk, zs.shape[0], mm + 1)
+    row_letters = p_y_given_zw.table[zs.T[:, :, None], words[used].T[:, None, :]]
+    return _SystemTables(p_xz_words, messages, decoded, zs, row_letters)
 
-    rows_words = words[used]
-    y_rows = _word_rows([p_y_given_zw.table[:, rows_words[:, i], :] for i in range(n)])
-    return _SystemTables(p_xz_words, messages, decoded, y_rows)
+
+def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
+    """Yield (head words, q[c, x, y] = P(x, y, z_c)) per chunk of z-words.
+
+    ``head`` (n, Az, H, Y) holds further letter factors, built into words in
+    the same pass as the output rows.  mass[c, r, x] = Σ_μ Σ_{m → r} P(m|x, μ)
+    p(x, z_c)/K: a block's distinct words sit in one bin each, so per (μ, z)
+    at most one message decodes to a row r >= 1 (index M+1 reads zeros), and
+    row 0 (w0) takes every other message.  A slice is one batched product
+    with its own output rows, so it does not depend on the chunk size.
+    """
+    kk, ax, m1 = tabs.messages.shape
+    letters = np.concatenate([head, tabs.row_letters], axis=2)
+    (_, az, width, _), rr = letters.shape, tabs.row_letters.shape[2]
+    mu_i, z_i, m_i = np.nonzero(tabs.decoded)
+    source = np.full((kk, az, rr), m1)
+    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i
+    by_message = tabs.messages.transpose(0, 2, 1)  # (K, M+1, Ax)
+    padded = np.concatenate([by_message, np.zeros((kk, 1, ax))], axis=1)
+    fallback = (tabs.decoded == 0).transpose(1, 0, 2).reshape(az, -1).astype(float)
+    fallback_mass = fallback @ by_message.reshape(-1, ax)  # (Az, Ax)
+    for start in range(0, az, chunk):
+        zs = slice(start, start + chunk)
+        mass = padded[np.arange(kk)[:, None, None], source[:, zs]].sum(axis=0)  # (C, R, Ax)
+        mass[:, 0, :] = fallback_mass[zs]
+        mass *= (tabs.p_xz_words[:, zs].T / kk)[:, None, :]
+        words = _word_rows(list(letters[:, zs]))
+        yield words[:, : width - rr], np.matmul(mass.transpose(0, 2, 1), words[:, width - rr :])
 
 
 def induced_joint_exact(
@@ -610,23 +648,11 @@ def induced_joint_exact(
     and the side-information word.  Axes are the source names with word
     alphabets; the table totals one within 1e-9 (checked).
     """
+    _check_joint_budget((*p_xz.table.shape, p_y_given_zw.table.shape[-1]), params.n, budget)
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
-    kk, ax, m1 = tabs.messages.shape
-    az, rr, ay = tabs.y_rows.shape
-    # mass[z, r, x] = Σ_μ Σ_{m decoding to r} P(m | x, μ).  A block's distinct
-    # words sit in one bin each, so per (μ, z) at most one message decodes to
-    # a row r >= 1: gather it (index m1 reads a zero column).  Row 0 (w0)
-    # collects every other message.
-    mu_i, z_i, m_i = np.nonzero(tabs.decoded)
-    source = np.full((kk, az, rr), m1)
-    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i
-    padded = np.concatenate([tabs.messages, np.zeros((kk, ax, 1))], axis=2).transpose(0, 2, 1)
-    mass = padded[np.arange(kk)[:, None, None], source].sum(axis=0)  # (Az, R, Ax)
-    fallback = (tabs.decoded == 0).astype(float)
-    mass[:, 0, :] = np.tensordot(fallback, tabs.messages, axes=([0, 2], [0, 2]))
-    mass *= (tabs.p_xz_words.T / kk)[:, None, :]
-    # one batched product over z; the (X, Y, Z) table is a view of its result
-    out = np.matmul(mass.transpose(0, 2, 1), tabs.y_rows).transpose(1, 2, 0)
+    # one chunk, one batched product over z; the (X, Y, Z) table is a view of it
+    _, q = next(_induced_slices(tabs, tabs.zs.shape[0], tabs.row_letters[:, :, :0]))
+    out = q.transpose(1, 2, 0)
     total = float(out.sum())
     if abs(total - 1.0) > 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
@@ -661,10 +687,11 @@ def sample_induced(
     Categorical draws batch by distinct table row, so the cost is linear in
     the sample count.
     """
+    _check_joint_budget((*p_xz.table.shape, p_y_given_zw.table.shape[-1]), params.n, budget)
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     ax, az = tabs.p_xz_words.shape
     kk = tabs.messages.shape[0]
-    rr = tabs.y_rows.shape[1]
+    rr = tabs.row_letters.shape[2]
 
     flat = tabs.p_xz_words.reshape(-1)
     xz = rng.choice(ax * az, size=num_samples, p=flat / flat.sum())
@@ -718,6 +745,64 @@ def tv_deficit(p_xyz: JointPmf, induced: JointPmf, budget: int | None = None) ->
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
+def _letter_target(p: JointPmf, names: tuple[str, ...], alphabets: tuple[Alphabet, ...]):
+    """Single-letter target table on the codec's axes, checked like :func:`tv_deficit`."""
+    marginal = p.marginalize(names)
+    if marginal.alphabets != alphabets:
+        raise ValueError("a streamed deficit requires the target on the codec's letter axes")
+    return marginal.table
+
+
+def _stream_chunk(words: int, slice_cells: int, fixed_cells: int, budget: int | None) -> int:
+    """Words per chunk of per-word arrays of ``slice_cells`` (budget-checked)."""
+    chunk = max(1, min(STREAM_CHUNK_CELLS, enumeration_budget(budget)) // slice_cells)
+    check_budget(max(min(chunk, words) * slice_cells, fixed_cells), budget, what="streamed deficit")
+    return chunk
+
+
+def _streamed_tv(pairs, alphabets: tuple[Alphabet, ...]) -> float:
+    """½ Σ|t − q| over (target, induced) chunk pairs, overwriting t; Σq must be 1 ± 1e-9."""
+    total = dev = 0.0
+    for t, q in pairs:
+        total += float(q.sum())
+        t -= q
+        dev += float(np.abs(t, out=t).sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"induced law sums to {total}, expected 1")
+    # single-letter alphabets throughout: both laws are the one point mass
+    return 0.0 if all(a.size == 1 for a in alphabets) else 0.5 * dev
+
+
+def streamed_tv_deficit(
+    p_xyz: JointPmf,
+    p_xz: JointPmf,
+    p_w_given_x: CondPmf,
+    p_y_given_zw: CondPmf,
+    codebook: Codebook,
+    binning: BinningMap,
+    params: CodecParams,
+    budget: int | None = None,
+) -> float:
+    """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table.
+
+    Streams over chunks of side-information words: each chunk builds its own
+    output rows, its induced slice and its target slice
+    t[z, x, y] = Π_i p(x_i, y_i, z_i), letter by letter, and adds up |t − q|.
+    The slices equal the full tables' bit for bit; only the order of the
+    final sums differs.  The budget counts the largest array held at once.
+    """
+    x_name, z_name = p_xz.names
+    alphabets = (p_xz.alphabets[0], p_y_given_zw.out_alphabets[0], p_xz.alphabets[1])
+    target = _letter_target(p_xyz, (x_name, p_y_given_zw.out_names[0], z_name), alphabets)
+    tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
+    (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
+    xs = enumerate_sequences(alphabets[0].size, n)
+    chunk = _stream_chunk(az, max((ax + rr) * ny**n, kk * rr * ax), n * az * (ax + rr) * ny, budget)
+    # t's letters p(x_i, y, z_i) ride along with the output rows' letters
+    head = target[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]  # (n, Az, Ax, Y)
+    return _streamed_tv(_induced_slices(tabs, chunk, head), alphabets)
+
+
 def soft_covering_deficit(
     p_wxyz: JointPmf, codebook: Codebook, params: CodecParams, budget: int | None = None
 ) -> float:
@@ -742,24 +827,11 @@ def soft_covering_deficit(
     flat = codebook.entries.reshape(-1, params.n)
     distinct, counts = np.unique(flat, axis=0, return_counts=True)
     check_budget(cells * (distinct.shape[0] + 1), budget, what="codeword mixture enumeration")
-
-    def letterwise_product(tables):
-        out = tables[0]
-        k = out.ndim
-        for tbl in tables[1:]:
-            out = np.multiply.outer(out, tbl)
-            perm = []
-            for axis in range(k):
-                perm.extend([axis, k + axis])
-            out = out.transpose(perm)
-            out = out.reshape([out.shape[2 * a] * out.shape[2 * a + 1] for a in range(k)])
-        return out
-
     mixture = np.zeros([s**params.n for s in sizes])
     for word, count in zip(distinct, counts):
-        mixture += count * letterwise_product([cond.table[w] for w in word])
+        mixture += count * letter_product([cond.table[w] for w in word])
     mixture /= flat.shape[0]
-    target = letterwise_product([target_letter.table] * params.n)
+    target = letter_product([target_letter.table] * params.n)
     return 0.5 * float(np.abs(target - mixture).sum())
 
 

@@ -26,17 +26,16 @@ import numpy as np
 from .budget import BudgetExceededError
 from .codec_dist import (
     DistCodecParams,
+    _leg_params,
     build_dist_codec,
-    dist_induced_joint_exact,
-    dist_tv_deficit,
+    dist_streamed_tv_deficit,
 )
 from .codec_ptp import (
     CodecParams,
     build_ptp_codec,
     encoder_validity,
-    induced_joint_exact,
     soft_covering_deficit,
-    tv_deficit,
+    streamed_tv_deficit,
 )
 from .probability import CondPmf, JointPmf, entropy, mutual_information
 from .typicality import typical_set
@@ -643,22 +642,14 @@ def experiment_spec_from_dict(d: dict) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _leg_codec_params(params: DistCodecParams, j: int) -> CodecParams:
-    rt, r, c = params.leg(j)
-    return CodecParams(
-        n=params.n, rt=rt, r=r, c=c, delta=params.delta, eta=params.eta, seed=params.seed
-    )
-
-
 def _ptp_trial(instance: PtpInstance, params: CodecParams, budget):
     codebook, binning = build_ptp_codec(
         instance.p_w(), params, allow_degenerate=True, budget=budget
     )
-    induced = induced_joint_exact(
-        instance.p_xz, instance.p_w_given_x, instance.p_y_given_zw,
+    tv = streamed_tv_deficit(
+        instance.target_joint(), instance.p_xz, instance.p_w_given_x, instance.p_y_given_zw,
         codebook, binning, params, budget,
     )
-    tv = tv_deficit(instance.target_joint(), induced, budget)
     all_valid, _ = encoder_validity(codebook, instance.p_joint_xw(), params, budget)
     return tv, all_valid, codebook.degenerate
 
@@ -667,17 +658,12 @@ def _dist_trial(instance: DistInstance, params: DistCodecParams, budget):
     books, binnings = build_dist_codec(
         instance.p_w1(), instance.p_w2(), params, allow_degenerate=True, budget=budget
     )
-    induced = dist_induced_joint_exact(
-        instance.p_x1x2, instance.p_w1_given_x1, instance.p_w2_given_x2,
-        instance.p_y_given_w1w2, books, binnings, params, budget,
+    tv = dist_streamed_tv_deficit(
+        instance.target_joint(), instance.p_x1x2, instance.p_w1_given_x1,
+        instance.p_w2_given_x2, instance.p_y_given_w1w2, books, binnings, params, budget,
     )
-    tv = dist_tv_deficit(instance.target_joint(), induced, budget)
-    ok1, _ = encoder_validity(
-        books.first, instance.p_joint_x1w1(), _leg_codec_params(params, 1), budget
-    )
-    ok2, _ = encoder_validity(
-        books.second, instance.p_joint_x2w2(), _leg_codec_params(params, 2), budget
-    )
+    ok1, _ = encoder_validity(books.first, instance.p_joint_x1w1(), _leg_params(params, 1), budget)
+    ok2, _ = encoder_validity(books.second, instance.p_joint_x2w2(), _leg_params(params, 2), budget)
     degenerate = books.first.degenerate or books.second.degenerate
     return tv, ok1 and ok2, degenerate
 

@@ -8,8 +8,6 @@ never silently read.
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,31 +295,32 @@ class ProductPmf:
         return float(np.prod(self.base.table[tuple(seqs)]))
 
     def table(self, budget: int | None = None) -> np.ndarray:
-        """Dense table indexed by per-axis sequence codes.
-
-        Sequence codes are big-endian: the code of ``x_1..x_n`` on an axis of
-        size ``s`` is ``sum x_i * s**(n-i)``, i.e. lexicographic enumeration.
-        The table is a new array at every n, n = 1 included, so the caller
-        may write to it.
-        """
-        sizes = [a.size for a in self.base.alphabets]
-        terms = int(np.prod([float(s) ** self.n for s in sizes]))
+        """New dense table over per-axis sequence codes (:func:`letter_product`)."""
+        terms = int(np.prod([float(a.size) ** self.n for a in self.base.alphabets]))
         check_budget(terms, budget, what="product extension")
-        k = len(sizes)
-        base = self.base.table
-        out = base.copy()
-        for _ in range(self.n - 1):
-            # append one letter position per axis: (S_i) x (s_i) -> (S_i * s_i).
-            # The products go straight into the result seen as (S_1, s_1, S_2,
-            # s_2, ...), so no full-size outer product is transposed and copied.
-            grown = np.empty([big * small for big, small in zip(out.shape, sizes)])
-            np.multiply(
-                np.expand_dims(out, tuple(range(1, 2 * k, 2))),
-                np.expand_dims(base, tuple(range(0, 2 * k, 2))),
-                out=grown.reshape([d for pair in zip(out.shape, sizes) for d in pair]),
-            )
-            out = grown
-        return out
+        return letter_product([self.base.table] * self.n)
+
+
+def letter_product(tables) -> np.ndarray:
+    """New dense table of Π_i tables[i], the factors multiplied in letter order.
+
+    Each axis indexes words over that axis of the letter tables, coded
+    big-endian: ``x_1..x_n`` on an axis of size ``s`` is ``sum x_i * s**(n-i)``.
+    """
+    out = np.array(tables[0], dtype=float)
+    k = out.ndim
+    for base in tables[1:]:
+        # append one letter position per axis: (S_i) x (s_i) -> (S_i * s_i).
+        # The products go straight into the result seen as (S_1, s_1, S_2,
+        # s_2, ...), so no full-size outer product is transposed and copied.
+        grown = np.empty([big * small for big, small in zip(out.shape, base.shape)])
+        np.multiply(
+            np.expand_dims(out, tuple(range(1, 2 * k, 2))),
+            np.expand_dims(base, tuple(range(0, 2 * k, 2))),
+            out=grown.reshape([d for pair in zip(out.shape, base.shape) for d in pair]),
+        )
+        out = grown
+    return out
 
 
 def product_extension(p: JointPmf, n: int) -> ProductPmf:
@@ -350,21 +349,3 @@ def pmf_from_dict(d: dict) -> JointPmf:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed PMF spec: {exc}") from exc
     return JointPmf.from_table(names, table, alphabets)
-
-
-def write_pmf(path, p: JointPmf) -> None:
-    with open(path, "w") as fh:
-        json.dump(pmf_to_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_pmf(path) -> JointPmf:
-    with open(path) as fh:
-        return pmf_from_dict(json.load(fh))
-
-
-def all_cells(p: JointPmf):
-    """Iterate (index-tuple, probability) over every cell of the table."""
-    ranges = [range(a.size) for a in p.alphabets]
-    for idx in itertools.product(*ranges):
-        yield idx, float(p.table[idx])

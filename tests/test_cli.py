@@ -284,7 +284,7 @@ def test_numerical_failures_exit_one_without_traceback(
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("corrsynth.harness.induced_joint_exact", fail)
+    monkeypatch.setattr("corrsynth.harness.streamed_tv_deficit", fail)
     out = tmp_path / "o.csv"
     assert cli_dispatch(["simulate-ptp", "--spec", sim_spec, "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -18,6 +18,7 @@ from corrsynth.codec_dist import (
     dist_decode_map,
     dist_encoder_pmf,
     dist_induced_joint_exact,
+    dist_streamed_tv_deficit,
     dist_tv_deficit,
     read_dist_codec,
     sample_dist_binning,
@@ -34,6 +35,8 @@ from corrsynth.codec_ptp import (
     product_pmf,
 )
 from corrsynth.codec_dist import _build_dist_tables
+import corrsynth.codec_dist as codec_dist
+import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
 
@@ -548,6 +551,45 @@ def test_tv_deficit_trivial_and_fallback_instances():
     )
     assert d == pytest.approx(direct, abs=1e-14)
     assert 0 <= d <= 1
+
+
+def streamed_case(name, n, seed):
+    """(target, codec args) on dist-demo or the correlated binary instance."""
+    if name == "dist-demo":
+        inst = named_instance("dist-demo")
+        args = (inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2, inst.p_y_given_w1w2)
+        params = DistCodecParams(
+            n=n, rt1=1.75, rt2=1.75, r1=1.6, r2=1.6, c1=0.25, c2=0.25,
+            delta=0.5, eta=0.45, seed=seed,
+        )
+    else:
+        *args, params = correlated_binary_instance(np.random.default_rng(seed), n, seed, delta=0.5)
+    p_x1x2, p_w1x1, p_w2x2, p_y = args
+    p_w1 = JointPmf.from_table(("W1",), np.einsum("ab,aw->w", p_x1x2.table, p_w1x1.table))
+    p_w2 = JointPmf.from_table(("W2",), np.einsum("ab,bv->v", p_x1x2.table, p_w2x2.table))
+    target = JointPmf.from_table(("X1", "X2", "Y"), np.einsum(
+        "ab,aw,bv,wvy->aby", p_x1x2.table, p_w1x1.table, p_w2x2.table, p_y.table
+    ))
+    books, bins = build_dist_codec(p_w1, p_w2, params, allow_degenerate=True)
+    return target, (*args, books, bins, params)
+
+
+@pytest.mark.parametrize("name", ["dist-demo", "binary"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n, monkeypatch):
+    target, args = streamed_case(name, n, seed=n)
+    want = dist_tv_deficit(target, dist_induced_joint_exact(*args))
+    assert abs(dist_streamed_tv_deficit(target, *args) - want) <= 1e-12
+    monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", 1)  # one source-1 word per chunk
+    assert abs(dist_streamed_tv_deficit(target, *args) - want) <= 1e-12
+
+
+def test_streamed_deficit_checks_the_total_mass(monkeypatch):
+    target, args = streamed_case("dist-demo", 2, seed=2)
+    message_table = codec_dist._message_table
+    monkeypatch.setattr(codec_dist, "_message_table", lambda *a: 2.0 * message_table(*a))
+    with pytest.raises(ArithmeticError, match="induced law sums to"):
+        dist_streamed_tv_deficit(target, *args)
 
 
 def test_dist_codec_json_round_trip(tmp_path):

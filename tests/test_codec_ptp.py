@@ -27,6 +27,7 @@ from corrsynth.codec_ptp import (
     sample_codebook,
     sample_induced,
     soft_covering_deficit,
+    streamed_tv_deficit,
     tv_deficit,
     write_codec,
     read_codec,
@@ -35,8 +36,11 @@ from corrsynth.codec_ptp import (
     _build_system_tables,
     _encoder_weight_batch,
     _first_occurrence_dedup,
+    _induced_slices,
 )
+import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
+from corrsynth.harness import ptp_instance_from_tables
 from corrsynth.probability import CondPmf, JointPmf, total_variation
 from corrsynth.typicality import TypicalityParams, enumerate_sequences, typical_set
 
@@ -730,6 +734,102 @@ def test_exact_joint_budget_guard():
     cb, bn = build_ptp_codec(p_w, params)
     with pytest.raises(BudgetExceededError):
         induced_joint_exact(p_xz, p_w_given_x, p_y_given_zw, cb, bn, params, budget=10)
+
+
+# --------------------------------------------------------------------------
+# streamed exact deficit
+# --------------------------------------------------------------------------
+
+#: gate-10 rates on the demo, the README example's rates on the reference
+STREAM_RATES = {
+    "synthesis-demo": dict(rt=1.5, r=1.35, c=0.25, delta=0.5, eta=0.1),
+    "reference": dict(rt=0.9, r=0.4, c=0.3, delta=0.34, eta=0.1),
+}
+
+
+def instance_codec(name, n, seed=11):
+    inst = named_instance(name)
+    params = CodecParams(n=n, seed=seed, **STREAM_RATES[name])
+    cb, bn = build_ptp_codec(inst.p_w(), params, allow_degenerate=True)
+    return inst, (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_RATES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n):
+    inst, args = instance_codec(name, n)
+    want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
+    assert abs(streamed_tv_deficit(inst.target_joint(), *args) - want) <= 1e-12
+
+
+def test_streamed_deficit_on_a_null_codebook():
+    inst = named_instance("synthesis-demo")
+    params = CodecParams(n=3, seed=4, **STREAM_RATES["synthesis-demo"])
+    cb = null_codebook(3, params)
+    bn = sample_binning(cb, params, derived_rng(params.seed, 1))
+    args = (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
+    want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
+    assert want > 0.1
+    assert abs(streamed_tv_deficit(inst.target_joint(), *args) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_streamed_deficit_on_single_letter_alphabets_is_exactly_zero(seed):
+    inst = ptp_instance_from_tables([[1.0]], [[0.25, 0.4, 0.35]], [[[1.0]] * 3])
+    params = CodecParams(n=3, rt=1.875, r=0.875, c=0.875, delta=0.9, eta=0.625, seed=seed)
+    cb, bn = build_ptp_codec(inst.p_w(), params, allow_degenerate=True)
+    args = (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
+    ind = induced_joint_exact(*args)
+    # seed 4: the message complements leave the one cell a few ulps off 1
+    assert (ind.table.item() != 1.0) == (seed == 4)
+    assert tv_deficit(inst.target_joint(), ind) == 0.0
+    assert streamed_tv_deficit(inst.target_joint(), *args) == 0.0
+
+
+def test_streamed_deficit_checks_the_target_axes():
+    inst, args = instance_codec("synthesis-demo", 2)
+    other = JointPmf.from_table(("X", "Y", "Z"), np.full((2, 2, 2), 0.125))
+    with pytest.raises(ValueError, match="letter axes"):
+        streamed_tv_deficit(other, *args)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
+    inst, args = instance_codec("synthesis-demo", n, seed=n)
+    ind = induced_joint_exact(*args)
+    target = product_pmf(inst.target_joint(), n).table
+    tabs = _build_system_tables(*args)
+    xs = enumerate_sequences(2, n)
+    head = inst.target_joint().table[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]
+    for chunk in (1, 8):
+        start = 0
+        for t, q in _induced_slices(tabs, chunk, head):
+            stop = start + q.shape[0]
+            assert np.array_equal(q, ind.table[:, :, start:stop].transpose(2, 0, 1))
+            assert np.array_equal(t, target[:, :, start:stop].transpose(2, 0, 1))
+            start = stop
+        assert start == tabs.zs.shape[0]
+
+
+def test_streamed_deficit_budgets_its_largest_array():
+    inst, args = instance_codec("synthesis-demo", 4)
+    assert 10_000 < 12**4
+    with pytest.raises(BudgetExceededError):
+        induced_joint_exact(*args, budget=10_000)
+    want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
+    got = streamed_tv_deficit(inst.target_joint(), *args, budget=10_000)
+    assert abs(got - want) <= 1e-12
+    # the message tables (1,376 cells) fit, the letter factors (5,952) do not
+    with pytest.raises(BudgetExceededError, match="streamed deficit"):
+        streamed_tv_deficit(inst.target_joint(), *args, budget=2_000)
+
+
+def test_streamed_deficit_checks_the_total_mass(monkeypatch):
+    inst, args = instance_codec("synthesis-demo", 3)
+    message_table = codec_ptp._message_table
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: 2.0 * message_table(*a))
+    with pytest.raises(ArithmeticError, match="induced law sums to"):
+        streamed_tv_deficit(inst.target_joint(), *args)
 
 
 # --------------------------------------------------------------------------

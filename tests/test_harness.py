@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrsynth
 from corrsynth.budget import BudgetExceededError
 from corrsynth.codec_dist import DistCodecParams
 from corrsynth.codec_ptp import CodecParams, build_ptp_codec, encoder_validity
@@ -333,6 +338,58 @@ def test_rerun_and_thread_count_leave_results_identical(tmp_path):
     write_report(tmp_path / "b.csv", threaded)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_trials_never_build_the_joint_table_or_word_alphabets(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial built a full word table")
+
+    for target in (
+        "corrsynth.codec_ptp.induced_joint_exact",
+        "corrsynth.codec_ptp.tv_deficit",
+        "corrsynth.codec_ptp.product_pmf",
+        "corrsynth.codec_ptp.word_alphabet",
+        "corrsynth.codec_dist.dist_induced_joint_exact",
+        "corrsynth.codec_dist.dist_tv_deficit",
+        "corrsynth.codec_dist.word_alphabet",
+    ):
+        monkeypatch.setattr(target, fail)
+    for name in ("induced_joint_exact", "tv_deficit", "dist_induced_joint_exact", "dist_tv_deficit"):
+        monkeypatch.setattr(f"corrsynth.harness.{name}", fail, raising=False)
+    specs = [
+        ExperimentSpec("ptp", synthesis_demo_instance(), ptp_params(n=4), trials=2, seed=1),
+        ExperimentSpec("dist", dist_demo_instance(), dist_params(n=2), trials=2, seed=1),
+    ]
+    for spec in specs:
+        report = run_tv_experiment(spec)
+        assert not any(row.skipped for row in report.rows)
+        assert all(0.0 <= row.tv_deficit <= 1.0 for row in report.rows)
+
+
+def test_an_n7_trial_peaks_below_300_mb(tmp_path):
+    spec = tmp_path / "sim.json"
+    spec.write_text(json.dumps({
+        "instance": "synthesis-demo",
+        "params": {"n": 7, "rt": 1.5, "r": 1.35, "c": 0.25, "delta": 0.5, "eta": 0.1, "seed": 0},
+        "trials": 1,
+    }))
+    script = (
+        "import resource, sys\n"
+        "from corrsynth.cli import cli_dispatch\n"
+        "rc = cli_dispatch(['simulate-ptp', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(corrsynth.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(spec), str(tmp_path / "sim.csv")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kib = proc.stdout.split()[-2:]
+    assert rc == "0"
+    assert not read_report_rows(tmp_path / "sim.csv")[0].skipped
+    assert int(peak_kib) < 300 * 1024
 
 
 def test_trials_over_budget_become_skipped_rows():
