@@ -138,11 +138,13 @@ def _cmd_region_ptp(args) -> None:
 def _cmd_region_dist(args) -> None:
     spec = _load_json(args.spec)
     p = JointPmf.from_table(("X1", "X2", "Y"), np.asarray(spec["p_x1x2y"], dtype=float))
-    aux_spec = spec["aux"]
-    w1 = np.asarray(aux_spec["w1_given_qx1"], dtype=float)
-    w2 = np.asarray(aux_spec["w2_given_qx2"], dtype=float)
-    y = np.asarray(aux_spec["y_given_qw1w2"], dtype=float)
-    p_q = np.asarray(aux_spec.get("p_q", [1.0]), dtype=float)
+    aux_spec = {"p_q": [1.0], **spec["aux"]}
+    tables = []
+    for name, rank in (("p_q", 1), ("w1_given_qx1", 3), ("w2_given_qx2", 3), ("y_given_qw1w2", 4)):
+        tables.append(np.asarray(aux_spec[name], dtype=float))
+        if tables[-1].ndim != rank:
+            raise ValueError(f"aux table {name} must have {rank} axes, got shape {tables[-1].shape}")
+    p_q, w1, w2, y = tables
     aux = aux_dist_from_tables(
         tuple(str(i) for i in range(p_q.shape[0])),
         p_q,

@@ -38,10 +38,10 @@ from .codec_ptp import (
     CodecParams,
     EmptyTypicalSetError,
     _check_joint_budget,
+    _codebook_from_dict,
+    _codebook_to_dict,
     _decoded_rows,
-    _encoder_weight_batch,
     _letter_target,
-    _message_pmf_from_labels,
     _message_table,
     _pow2_size,
     _rowwise_categorical,
@@ -221,77 +221,6 @@ def _leg_params(params: DistCodecParams, j: int) -> CodecParams:
     )
 
 
-def dist_encoder_pmf(
-    j: int,
-    x_seq,
-    mu: int,
-    codebooks: DistCodebooks,
-    binning: DistBinning,
-    p_joint_xw: JointPmf,
-    params: DistCodecParams,
-) -> np.ndarray:
-    """Message PMF of encoder j for one source word and randomness block.
-
-    Same three-case rule as the single-encoder chain: oversubscribed or
-    atypical inputs send message 0, otherwise bins collect the index weights
-    and message 0 absorbs the deficit; the vector always totals one.
-    """
-    book = codebooks.book(j)
-    x = np.asarray(x_seq, dtype=int)
-    if x.shape != (params.n,):
-        raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
-    weights, s, valid = _encoder_weight_batch(
-        x[None, :], book.entries[mu], p_joint_xw, book.epsilon, _leg_params(params, j)
-    )
-    return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)
-
-
-def split_mu(mu: int, params: DistCodecParams) -> tuple[int, int]:
-    """Positional decomposition μ → (μ₁, μ₂) with μ₁ in the high bits."""
-    k1, k2 = params.k_sizes
-    if not (0 <= mu < k1 * k2):
-        raise ValueError(f"randomness index must lie in 0..{k1 * k2 - 1}, got {mu}")
-    return mu // k2, mu % k2
-
-
-def dist_decode_map(
-    m1: int,
-    m2: int,
-    mu: int,
-    codebooks: DistCodebooks,
-    binnings: tuple[DistBinning, DistBinning],
-    p_w1w2: JointPmf,
-    params: DistCodecParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unique jointly-typical codeword pair in the bin pair, else fallback.
-
-    Candidates are indexed by (l₁, l₂) — duplicate codewords count multiply
-    — with bins matched per encoder and the pair tested against the joint
-    codeword law at the plain slack δ.  Every failure mode (either message
-    0, empty intersection, or multiplicity) yields the fallback pair of
-    constant first-symbol words.
-    """
-    mu1, mu2 = split_mu(mu, params)
-    bn1, bn2 = binnings
-    n = params.n
-    fallback = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    if not (0 <= m1 <= bn1.m_size and 0 <= m2 <= bn2.m_size):
-        raise ValueError("messages must lie in 0..M_j")
-    if m1 == 0 or m2 == 0:
-        return fallback
-    sel1 = np.flatnonzero(bn1.labels[mu1] == m1)
-    sel2 = np.flatnonzero(bn2.labels[mu2] == m2)
-    if sel1.size == 0 or sel2.size == 0:
-        return fallback
-    words1 = codebooks.first.entries[mu1][sel1]
-    words2 = codebooks.second.entries[mu2][sel2]
-    ok = pairwise_typical_mask(words1, words2, p_w1w2.table, params.delta)
-    if int(ok.sum()) != 1:
-        return fallback
-    i, k = np.argwhere(ok)[0]
-    return words1[i].copy(), words2[k].copy()
-
-
 # ---------------------------------------------------------------------------
 # exact induced law and end-to-end sampling
 # ---------------------------------------------------------------------------
@@ -404,7 +333,7 @@ def dist_induced_joint_exact(
     )
     out = _dist_slice(tabs, params.k_sizes, slice(None))
     total = float(out.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
     return JointPmf(
         (p_x1x2.names[0], p_x1x2.names[1], p_y_given_w1w2.out_names[0]),
@@ -503,17 +432,9 @@ def dist_codec_to_dict(
     codebooks: DistCodebooks,
     binnings: tuple[DistBinning, DistBinning],
 ) -> dict:
-    def book_block(book: Codebook) -> dict:
-        return {
-            "entries": book.entries.tolist(),
-            "epsilon": book.epsilon,
-            "w_size": book.w_size,
-            "degenerate": book.degenerate,
-        }
-
     return {
         "params": asdict(params),
-        "codebooks": [book_block(codebooks.first), book_block(codebooks.second)],
+        "codebooks": [_codebook_to_dict(codebooks.first), _codebook_to_dict(codebooks.second)],
         "binnings": [
             {"labels": bn.labels.tolist(), "m_size": bn.m_size} for bn in binnings
         ],
@@ -523,22 +444,16 @@ def dist_codec_to_dict(
 def dist_codec_from_dict(d: dict):
     try:
         params = DistCodecParams(**d["params"])
-        books = [
-            Codebook(
-                entries=np.asarray(blk["entries"], dtype=np.int64),
-                epsilon=float(blk["epsilon"]),
-                w_size=int(blk["w_size"]),
-                degenerate=bool(blk["degenerate"]),
-            )
-            for blk in d["codebooks"]
-        ]
+        if len(d["codebooks"]) != 2 or len(d["binnings"]) != 2:
+            raise ValueError("malformed distributed codec spec: need two codebooks and two binnings")
+        first, second = (_codebook_from_dict(blk) for blk in d["codebooks"])
         binnings = tuple(
             DistBinning(labels=np.asarray(blk["labels"], dtype=np.int64), m_size=int(blk["m_size"]))
             for blk in d["binnings"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distributed codec spec: {exc}") from exc
-    return params, DistCodebooks(first=books[0], second=books[1]), binnings
+    return params, DistCodebooks(first=first, second=second), binnings
 
 
 def write_dist_codec(path, params, codebooks, binnings) -> None:

@@ -38,7 +38,6 @@ import numpy as np
 from .budget import check_budget, enumeration_budget
 from .probability import Alphabet, CondPmf, JointPmf, ProductPmf, letter_product
 from .typicality import (
-    Sequence,
     TypicalityParams,
     enumerate_sequences,
     marginal_typical_mask,
@@ -255,37 +254,6 @@ def sample_binning(codebook: Codebook, params: CodecParams, rng: np.random.Gener
     return BinningMap(dedup=dedup, bins=tuple(bins), m_size=mm)
 
 
-@dataclass(frozen=True)
-class EncoderSubPmf:
-    """Sub-PMF over codeword indices {0} ∪ [L] for one source word and μ.
-
-    ``weights[0]`` is the deficit when valid; when the raw weights total more
-    than one the flag drops and downstream consumers send message 0.
-    """
-
-    weights: np.ndarray
-    s: float
-    valid: bool
-
-
-def _complement_to_one(partial: np.ndarray) -> float:
-    """Mass completing ``partial`` so the full vector fsums to exactly one.
-
-    ``fsum([1, -v...])`` is the correctly rounded value of 1 - Σv, and adding
-    it back leaves a residual below half an ulp of 1, so the completed
-    vector's compensated total rounds to 1.0 exactly.  The clamp covers the
-    knife-edge where the true total already exceeds one by under an ulp.
-    """
-    return max(0.0, math.fsum(np.concatenate(([1.0], -np.asarray(partial, dtype=float)))))
-
-
-def _coerce_word(seq, n: int) -> np.ndarray:
-    arr = seq.as_array() if isinstance(seq, Sequence) else np.asarray(seq, dtype=int)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a length-{n} word, got shape {arr.shape}")
-    return arr
-
-
 def _conditional_rows(joint: JointPmf, axis: int) -> np.ndarray:
     """p(other | axis) as a dense (axis, other) table, zeros where undefined."""
     names = joint.names
@@ -311,12 +279,12 @@ def _encoder_weight_batch(
     letter order, and the gather keeps the per-index memory layout, so
     weights, s and valid equal a per-index evaluation bit for bit (the
     reference is ``encoder_weight_batch`` in ``tests/_oracles.py``).
-    The scalar operation, the exact-joint enumeration and the sampler all
-    call it, so their index weights agree to the last bit.  Message 0 does
-    not: the tables take ``max(0, 1 - Σ)`` of the binned row
-    (:func:`_message_table`), the scalar operation the compensated
-    complement :func:`_complement_to_one`, and the two can differ in the
-    last bits.
+    The message tables, encoder validity and the scalar encoder oracle in
+    ``tests/_oracles.py`` all call it, so their index weights agree to the
+    last bit.  Message 0 does not: :func:`_message_table` takes
+    ``max(0, 1 - Σ)`` of the binned row, the oracle the compensated
+    complement ``_complement_to_one``, and the two can differ in the last
+    bits.
     """
     p_x = p_joint_xw.table.sum(axis=1)
     typical_x = marginal_typical_mask(xs, p_x, params.delta)
@@ -336,58 +304,6 @@ def _encoder_weight_batch(
     weights = np.take(scale[:, None] * post * pair_mask, ids, axis=1)
     s = weights.sum(axis=1)
     return weights, s, s <= 1.0
-
-
-def encoder_subpmf(
-    x_seq, mu: int, codebook: Codebook, p_joint_xw: JointPmf, params: CodecParams
-) -> EncoderSubPmf:
-    """Sub-PMF of the index encoder for one source word and one μ.
-
-    Typical source words weight index l by the pruned posterior likelihood of
-    codeword (l, μ); atypical ones put all mass on index 0.  The weights are
-    a valid sub-PMF when their total s is at most one, index 0 absorbing the
-    deficit; otherwise the flag drops and the message convention takes over.
-    """
-    x = _coerce_word(x_seq, params.n)
-    weights, s, valid = _encoder_weight_batch(
-        x[None, :], codebook.entries[mu], p_joint_xw, codebook.epsilon, params
-    )
-    s0, valid0 = float(s[0]), bool(valid[0])
-    out = np.empty(codebook.l_size + 1)
-    out[1:] = weights[0]
-    out[0] = _complement_to_one(out[1:]) if valid0 else 0.0
-    return EncoderSubPmf(weights=out, s=s0, valid=valid0)
-
-
-def induced_message_pmf(
-    x_seq,
-    mu: int,
-    codebook: Codebook,
-    binning: BinningMap,
-    p_joint_xw: JointPmf,
-    params: CodecParams,
-) -> np.ndarray:
-    """PMF over messages {0} ∪ [M] induced by encoder, dedup, and binning.
-
-    An invalid sub-PMF sends message 0 deterministically.  Message 0 takes
-    exactly the complement of the binned mass, so the vector always totals
-    one under compensated summation.
-    """
-    enc = encoder_subpmf(x_seq, mu, codebook, p_joint_xw, params)
-    return _message_pmf_from_labels(enc.weights[1:], enc.valid, binning.messages(mu), binning.m_size)
-
-
-def _message_pmf_from_labels(
-    weights: np.ndarray, valid: bool, labels: np.ndarray, m_size: int
-) -> np.ndarray:
-    """Three-case message law: invalid → 0, else bin sums with 0 = deficit."""
-    out = np.zeros(m_size + 1)
-    if not valid:
-        out[0] = 1.0
-        return out
-    out += np.bincount(labels, weights=weights, minlength=m_size + 1)
-    out[0] = _complement_to_one(out[1:])
-    return out
 
 
 def encoder_validity(
@@ -412,41 +328,6 @@ def encoder_validity(
             xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
         )
     return bool(flags.all()), float(flags.mean())
-
-
-def decode_map(
-    z_seq,
-    m: int,
-    mu: int,
-    codebook: Codebook,
-    binning: BinningMap,
-    p_joint_wz: JointPmf,
-    typ: TypicalityParams,
-) -> np.ndarray:
-    """Codeword selected by the bin/side-information intersection, else w0.
-
-    The candidate set is the distinct codewords of block μ whose bin is m and
-    whose pair with z is typical at the widened slack delta2; the unique
-    candidate wins, any other cardinality (including m = 0) falls back to the
-    constant word of the first codeword symbol.
-    """
-    n = codebook.n
-    z = _coerce_word(z_seq, n)
-    w0 = np.zeros(n, dtype=np.int64)
-    if not (0 <= m <= binning.m_size):
-        raise ValueError(f"message must lie in 0..{binning.m_size}, got {m}")
-    if m == 0:
-        return w0
-    _, firsts = _first_occurrence_dedup(codebook.entries[mu])
-    words = codebook.entries[mu][firsts]
-    candidates = words[binning.bins[mu] == m]
-    if candidates.shape[0] == 0:
-        return w0
-    ok = pairwise_typical_mask(z[None, :], candidates, p_joint_wz.table.T, typ.delta2)[0]
-    matches = candidates[ok]
-    if matches.shape[0] == 1:
-        return matches[0]
-    return w0
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +535,7 @@ def induced_joint_exact(
     _, q = next(_induced_slices(tabs, tabs.zs.shape[0], tabs.row_letters[:, :, :0]))
     out = q.transpose(1, 2, 0)
     total = float(out.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
     x_name, z_name = p_xz.names
     y_name = p_y_given_zw.out_names[0]
@@ -767,7 +648,7 @@ def _streamed_tv(pairs, alphabets: tuple[Alphabet, ...]) -> float:
         total += float(q.sum())
         t -= q
         dev += float(np.abs(t, out=t).sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
     # single-letter alphabets throughout: both laws are the one point mass
     return 0.0 if all(a.size == 1 for a in alphabets) else 0.5 * dev
@@ -840,15 +721,30 @@ def soft_covering_deficit(
 # ---------------------------------------------------------------------------
 
 
+def _codebook_to_dict(book: Codebook) -> dict:
+    """The codebook block both codecs' replay files share."""
+    return {
+        "entries": book.entries.tolist(),
+        "epsilon": book.epsilon,
+        "w_size": book.w_size,
+        "degenerate": book.degenerate,
+    }
+
+
+def _codebook_from_dict(blk: dict) -> Codebook:
+    """Inverse of :func:`_codebook_to_dict`; a missing key raises ``KeyError``."""
+    return Codebook(
+        entries=np.asarray(blk["entries"], dtype=np.int64),
+        epsilon=float(blk["epsilon"]),
+        w_size=int(blk["w_size"]),
+        degenerate=bool(blk["degenerate"]),
+    )
+
+
 def codec_to_dict(params: CodecParams, codebook: Codebook, binning: BinningMap) -> dict:
     return {
         "params": asdict(params),
-        "codebook": {
-            "entries": codebook.entries.tolist(),
-            "epsilon": codebook.epsilon,
-            "w_size": codebook.w_size,
-            "degenerate": codebook.degenerate,
-        },
+        "codebook": _codebook_to_dict(codebook),
         "binning": {
             "dedup": binning.dedup.tolist(),
             "bins": [b.tolist() for b in binning.bins],
@@ -860,13 +756,7 @@ def codec_to_dict(params: CodecParams, codebook: Codebook, binning: BinningMap) 
 def codec_from_dict(d: dict) -> tuple[CodecParams, Codebook, BinningMap]:
     try:
         params = CodecParams(**d["params"])
-        cb = d["codebook"]
-        codebook = Codebook(
-            entries=np.asarray(cb["entries"], dtype=np.int64),
-            epsilon=float(cb["epsilon"]),
-            w_size=int(cb["w_size"]),
-            degenerate=bool(cb["degenerate"]),
-        )
+        codebook = _codebook_from_dict(d["codebook"])
         bn = d["binning"]
         binning = BinningMap(
             dedup=np.asarray(bn["dedup"], dtype=np.int64),

@@ -37,7 +37,8 @@ from .codec_ptp import (
     soft_covering_deficit,
     streamed_tv_deficit,
 )
-from .probability import CondPmf, JointPmf, entropy, mutual_information
+from .probability import CondPmf, JointPmf, entropy
+from .rate_region import dist_joint_table, dist_table_rates, ptp_joint_table, ptp_table_rates
 from .typicality import typical_set
 
 __all__ = [
@@ -119,11 +120,6 @@ class PtpInstance:
             ("X", "W"), np.einsum("xz,xw->xw", self.p_xz.table, self.p_w_given_x.table)
         )
 
-    def p_joint_wz(self) -> JointPmf:
-        return JointPmf.from_table(
-            ("W", "Z"), np.einsum("xz,xw->wz", self.p_xz.table, self.p_w_given_x.table)
-        )
-
     def target_joint(self) -> JointPmf:
         """The (X, Y, Z) law the codec is asked to synthesize."""
         return JointPmf.from_table(
@@ -140,36 +136,26 @@ class PtpInstance:
         """Full (W, X, Y, Z) design law, codeword letter first."""
         return JointPmf.from_table(
             ("W", "X", "Y", "Z"),
-            np.einsum(
-                "xz,xw,zwy->wxyz",
-                self.p_xz.table,
-                self.p_w_given_x.table,
-                self.p_y_given_zw.table,
-            ),
+            ptp_joint_table(self.p_xz.table, self.p_w_given_x.table, self.p_y_given_zw.table),
         )
+
+    def _rates(self):
+        return ptp_table_rates(self.p_xz.table, self.p_w_given_x.table, self.p_y_given_zw.table)
 
     def informations(self) -> dict[str, float]:
         """The mutual informations behind the rate bounds, in bits."""
-        j = self.design_joint()
-        i_w_z = (
-            0.0
-            if self.p_xz.alphabets[1].size == 1
-            else mutual_information(j, "W", "Z")
-        )
+        rates, j = self._rates(), self.design_joint()
         return {
-            "i_x_w": mutual_information(j, "X", "W"),
-            "i_w_z": i_w_z,
-            "i_xyz_w": mutual_information(j, ("X", "Y", "Z"), "W"),
+            "i_x_w": rates.i_x_w,
+            "i_w_z": rates.i_w_z,
+            "i_xyz_w": rates.i_xyz_w,
             "h_x_given_w": entropy(j, ("X", "W")) - entropy(j, ("W",)),
         }
 
     def bounds(self) -> dict[str, float]:
         """Clamped lower bounds on (message rate, message + randomness)."""
-        info = self.informations()
-        return {
-            "r": max(0.0, info["i_x_w"] - info["i_w_z"]),
-            "r_plus_c": max(0.0, info["i_xyz_w"] - info["i_w_z"]),
-        }
+        rates = self._rates()
+        return {"r": rates.r_min, "r_plus_c": rates.r_plus_c_min}
 
 
 @dataclass(frozen=True)
@@ -249,38 +235,28 @@ class DistInstance:
             ),
         )
 
-    def design_joint(self) -> JointPmf:
-        return JointPmf.from_table(
-            ("X1", "X2", "W1", "W2", "Y"),
-            np.einsum(
-                "ab,aw,bv,wvy->abwvy",
-                self.p_x1x2.table,
-                self.p_w1_given_x1.table,
-                self.p_w2_given_x2.table,
-                self.p_y_given_w1w2.table,
-            ),
-        )
+    def _rates(self):
+        # the two-encoder bounds with a one-letter time-sharing variable
+        return dist_table_rates(dist_joint_table(
+            np.ones(1),
+            self.p_x1x2.table,
+            self.p_w1_given_x1.table[None],
+            self.p_w2_given_x2.table[None],
+            self.p_y_given_w1w2.table[None],
+        ))
 
     def informations(self) -> dict[str, float]:
-        j = self.design_joint()
-        return {
-            "i_x1_w1": mutual_information(j, "X1", "W1"),
-            "i_x2_w2": mutual_information(j, "X2", "W2"),
-            "i_x1x2w2y_w1": mutual_information(j, ("X1", "X2", "W2", "Y"), "W1"),
-            "i_x1x2y_w2": mutual_information(j, ("X1", "X2", "Y"), "W2"),
-            "i_w1_w2": mutual_information(j, "W1", "W2"),
-        }
+        keys = ("i_x1_w1", "i_x2_w2", "i_x1x2w2y_w1", "i_x1x2y_w2", "i_w1_w2")
+        return dict(zip(keys, self._rates().informations))
 
     def bounds(self) -> dict[str, float]:
         """Clamped lower bounds on the two-encoder rate tuple."""
-        info = self.informations()
-        i1, i2 = info["i_x1_w1"], info["i_x2_w2"]
-        i3, i4, i5 = info["i_x1x2w2y_w1"], info["i_x1x2y_w2"], info["i_w1_w2"]
+        rates = self._rates()
         return {
-            "r1": max(0.0, i1 - i5),
-            "r2": max(0.0, i2 - i5),
-            "r1_plus_r2": max(0.0, i1 + i2 - i5),
-            "r1_plus_r2_plus_c": max(0.0, i3 + i4 - i5),
+            "r1": rates.r1,
+            "r2": rates.r2,
+            "r1_plus_r2": rates.r1_plus_r2,
+            "r1_plus_r2_plus_c": rates.r1_plus_r2_plus_c,
         }
 
 

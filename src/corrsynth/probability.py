@@ -74,6 +74,8 @@ class JointPmf:
         expected = tuple(a.size for a in self.alphabets)
         if tab.shape != expected:
             raise ValueError(f"table shape {tab.shape} != alphabet sizes {expected}")
+        if not np.isfinite(tab).all():
+            raise ValueError("non-finite probability in table")
         if np.any(tab < 0):
             raise ValueError("negative probability in table")
         total = float(tab.sum())
@@ -97,7 +99,8 @@ class JointPmf:
         else:
             alphabets = tuple(_as_alphabet(a) for a in alphabets)
         total = float(tab.sum())
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
+        # NaN-safe: a non-finite entry makes the total non-finite
+        if not abs(total - 1.0) <= NORMALIZATION_ATOL:
             raise ValueError(f"table sums to {total!r}; outside renormalization tolerance")
         return cls(names, alphabets, tab / total)
 
@@ -153,11 +156,6 @@ class JointPmf:
             defined=defined,
         )
 
-    def prob(self, assignment: dict[str, int]) -> float:
-        """Probability of a single cell, axes addressed by name -> letter index."""
-        key = tuple(assignment[n] for n in self.names)
-        return float(self.table[key])
-
 
 @dataclass(frozen=True)
 class CondPmf:
@@ -180,6 +178,8 @@ class CondPmf:
         mask = np.asarray(self.defined, dtype=bool)
         if mask.shape != tuple(a.size for a in self.given_alphabets):
             raise ValueError("defined mask shape mismatch")
+        if not np.isfinite(tab[mask]).all():
+            raise ValueError("non-finite conditional probability in a defined row")
         o_axes = tuple(range(len(self.given_alphabets), tab.ndim))
         sums = np.nansum(tab, axis=o_axes)
         ok = np.where(mask, np.abs(sums - 1.0) <= NORMALIZATION_ATOL, True)
@@ -213,18 +213,15 @@ class CondPmf:
 # --------------------------------------------------------------------------
 
 
-def _plogp(p: np.ndarray) -> np.ndarray:
-    # 0 log 0 = 0 by continuity
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log2(p[nz])
-    return out
+def table_entropy(t: np.ndarray) -> float:
+    """Shannon entropy in bits of a probability table, 0 log 0 = 0."""
+    t = t[t > 0]
+    return float(-(t * np.log2(t)).sum())
 
 
 def entropy(p: JointPmf, axes=None) -> float:
     """Shannon entropy in bits of the named axes (all axes if None)."""
-    q = p if axes is None else p.marginalize(tuple(axes))
-    return float(-_plogp(q.table).sum())
+    return table_entropy((p if axes is None else p.marginalize(tuple(axes))).table)
 
 
 def mutual_information(p: JointPmf, a, b) -> float:

@@ -36,13 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .probability import (
-    Alphabet,
-    CondPmf,
-    JointPmf,
-    conditional_mutual_information,
-    mutual_information,
-)
+from .probability import Alphabet, CondPmf, JointPmf, table_entropy
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +108,15 @@ def ptp_consistency_residual(p_xyz: JointPmf, aux: AuxChannelPtp) -> float:
     return float(_conditional_gaps(blocks, rhs, weights, aux.p_y_given_zw.table).max())
 
 
+def ptp_joint_table(p_xz, w_given_x, y_given_zw) -> np.ndarray:
+    """The (W, X, Y, Z) table p(x,z) p(w|x) p(y|z,w)."""
+    return np.einsum("xz,xw,zwy->wxyz", p_xz, w_given_x, y_given_zw)
+
+
 def ptp_induced_joint(p_xyz: JointPmf, aux: AuxChannelPtp) -> JointPmf:
     """The joint p(w,x,y,z) = p(x,z) p(w|x) p(y|z,w) with axes (W, X, Y, Z)."""
     p_xz = p_xyz.marginalize(("X", "Z")).table
-    table = np.einsum("xz,xw,zwy->wxyz", p_xz, aux.p_w_given_x.table, aux.p_y_given_zw.table)
+    table = ptp_joint_table(p_xz, aux.p_w_given_x.table, aux.p_y_given_zw.table)
     return JointPmf(
         ("W",) + PTP_AXES,
         (aux.w_alphabet,) + tuple(p_xyz.alphabet(a) for a in PTP_AXES),
@@ -141,12 +140,29 @@ class PtpRatePair:
         return (self.r_min, max(0.0, self.r_plus_c_min - self.r_min))
 
 
-def ptp_rates_for(p_xyz: JointPmf, aux: AuxChannelPtp, tol: float = 1e-9) -> PtpRatePair:
-    """Evaluate both lower bounds on the induced joint; clamp at zero.
+def ptp_table_rates(p_xz: np.ndarray, w_given_x: np.ndarray, y_given_zw: np.ndarray) -> PtpRatePair:
+    """Both bounds on the joint p(x,z) p(w|x) p(y|z,w), clamped at zero.
 
-    Degenerate side information (|Z| = 1) makes I(W;Z) zero identically, not
-    merely numerically; it is pinned to exact 0 in that case.
+    Tables have shapes (|X|, |Z|), (|X|, |W|) and (|Z|, |W|, |Y|); every
+    entropy is taken on the one induced joint.  Degenerate side information
+    (|Z| = 1) makes I(W;Z) zero identically, not merely numerically; it is
+    pinned to exact 0 in that case.  No consistency check: see
+    :func:`ptp_rates_for`.
     """
+    joint = ptp_joint_table(p_xz, w_given_x, y_given_zw)
+    p_wx = joint.sum(axis=(2, 3))
+    h_w = table_entropy(p_wx.sum(axis=1))
+    i_x_w = h_w + table_entropy(p_wx.sum(axis=0)) - table_entropy(p_wx)
+    i_w_z = 0.0
+    if p_xz.shape[1] > 1:
+        p_wz = joint.sum(axis=(1, 2))
+        i_w_z = h_w + table_entropy(p_wz.sum(axis=0)) - table_entropy(p_wz)
+    i_xyz_w = h_w + table_entropy(joint.sum(axis=0)) - table_entropy(joint)
+    return PtpRatePair(max(0.0, i_x_w - i_w_z), max(0.0, i_xyz_w - i_w_z), i_x_w, i_w_z, i_xyz_w)
+
+
+def ptp_rates_for(p_xyz: JointPmf, aux: AuxChannelPtp, tol: float = 1e-9) -> PtpRatePair:
+    """Evaluate both lower bounds (:func:`ptp_table_rates`) for a consistent aux."""
     residual = ptp_consistency_residual(p_xyz, aux)
     if residual > tol:
         raise InconsistentAuxError(residual, tol)
@@ -155,20 +171,8 @@ def ptp_rates_for(p_xyz: JointPmf, aux: AuxChannelPtp, tol: float = 1e-9) -> Ptp
     ) ** 2
     if aux.w_alphabet.size > support_cap:
         raise ValueError(f"|W| = {aux.w_alphabet.size} exceeds the support bound {support_cap}")
-    joint = ptp_induced_joint(p_xyz, aux)
-    i_x_w = mutual_information(joint, "X", "W")
-    i_w_z = 0.0 if p_xyz.alphabet("Z").size == 1 else mutual_information(joint, "W", "Z")
-    i_xyz_w = mutual_information(joint, ("X", "Y", "Z"), "W")
-    r_min = i_x_w - i_w_z
-    r_plus_c_min = i_xyz_w - i_w_z
-    if r_min < 0 or r_plus_c_min < 0:
-        logger.debug("unclamped bounds: r=%.6g, r+c=%.6g", r_min, r_plus_c_min)
-    return PtpRatePair(
-        r_min=max(0.0, r_min),
-        r_plus_c_min=max(0.0, r_plus_c_min),
-        i_x_w=i_x_w,
-        i_w_z=i_w_z,
-        i_xyz_w=i_xyz_w,
+    return ptp_table_rates(
+        p_xyz.marginalize(("X", "Z")).table, aux.p_w_given_x.table, aux.p_y_given_zw.table
     )
 
 
@@ -356,9 +360,10 @@ def _i_xyz_w_partials(c, q):
     """Partials of I(XYZ;W) = H(W) + H(XYZ) - H(WXYZ) in c and in q.
 
     The joint is p(w,x,y,z) = c[z,x,w] q[z,w,y], with c[z,x,w] = p(x,z) p(w|x)
-    and H(XYZ) the target's, a constant.  The partial in a joint cell is
-    log2(p(w,x,y,z) / p(w)), taken as 0 on an empty cell.  Returns d/dc of
-    shape (|Z|, |X|, |W|) and d/dq of shape (|Z|, |W|, |Y|).
+    and H(XYZ) held constant: on the consistent set it is the target's.  The
+    partial in a joint cell is log2(p(w,x,y,z) / p(w)), taken as 0 on an
+    empty cell.  Returns d/dc of shape (|Z|, |X|, |W|) and d/dq of shape
+    (|Z|, |W|, |Y|).
     """
     joint = c[:, :, :, None] * q[:, None, :, :]  # (z, x, w, y)
     log_ratio = _log2_ratio(joint, joint.sum(axis=(0, 1, 3))[:, None])
@@ -377,11 +382,11 @@ def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
     if np.linalg.matrix_rank(blocks).sum() == blocks.shape[0] * blocks.shape[2]:
         return q, resid
-    c = target_xyz.sum(axis=1).T[:, :, None] * w_given_x
+    p_xz = target_xyz.sum(axis=1)
+    c = p_xz.T[:, :, None] * w_given_x
 
     def info(qq):
-        # I(W;Z) does not depend on q, so r+c orders q as I(XYZ;W) does
-        return _rates_from_tables(target_xyz, w_given_x, qq)[1]
+        return ptp_table_rates(p_xz, w_given_x, qq).i_xyz_w
 
     best = info(q)
     step = 0.25
@@ -451,39 +456,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _rates_from_tables(target_xyz, w_given_x, q):
-    """(r_min_raw, rc_min_raw) for explicit tables, no clamping."""
-    p_xz = target_xyz.sum(axis=1)
-    joint = np.einsum("xz,xw,zwy->wxyz", p_xz, w_given_x, q)
-    pw = joint.sum(axis=(1, 2, 3))
-    px = target_xyz.sum(axis=(1, 2))
-    pwx = joint.sum(axis=(2, 3))
-    pwz = joint.sum(axis=(1, 2))
-    pz = target_xyz.sum(axis=(0, 1))
-
-    def ent(t):
-        t = t[t > 0]
-        return float(-(t * np.log2(t)).sum())
-
-    i_x_w = ent(pw) + ent(px) - ent(pwx)
-    i_w_z = 0.0 if len(pz) == 1 else ent(pw) + ent(pz) - ent(pwz)
-    i_xyz_w = ent(pw) + ent(target_xyz) - ent(joint)
-    return i_x_w - i_w_z, i_xyz_w - i_w_z
-
-
-def _weigh(lam, rates):
-    """The scalarized value (1-λ) max(0, r) + λ max(0, r+c) of raw rates."""
-    return (1.0 - lam) * max(0.0, rates[0]) + lam * max(0.0, rates[1])
+def _weigh(lam, rates: PtpRatePair) -> float:
+    """The scalarized value (1-λ) r_min + λ r_plus_c_min of clamped rates."""
+    return (1.0 - lam) * rates.r_min + lam * rates.r_plus_c_min
 
 
 def _scalarized(target_xyz, w_given_x, lam, tol):
-    """(value, inner solve, raw rates or None) of one p(w|x)."""
+    """(value, inner solve, clamped (r, r+c) or None) of one p(w|x)."""
     solve = _consistent_y_channel(target_xyz, w_given_x, tol)
     if solve.q is None:
         # infeasible: large penalty, sloped by how badly equalities fail
         return 10.0 + 100.0 * (solve.residual + solve.violation), solve, None
-    rates = _rates_from_tables(target_xyz, w_given_x, solve.q)
-    return _weigh(lam, rates), solve, rates
+    rates = ptp_table_rates(target_xyz.sum(axis=1), w_given_x, solve.q)
+    return _weigh(lam, rates), solve, (rates.r_min, rates.r_plus_c_min)
 
 
 def _bilinear_in_c(rows, cols, dims):
@@ -610,7 +595,7 @@ def _descend_from(target_xyz, lam, logits, iters, tol) -> _Descent:
     q, resid = solve.q, solve.residual
     if q is not None and lam > 0:
         q, resid = _polish_y_channel(target_xyz, w_given_x, q, resid, tol)
-        value = _weigh(lam, _rates_from_tables(target_xyz, w_given_x, q))
+        value = _weigh(lam, ptp_table_rates(target_xyz.sum(axis=1), w_given_x, q))
     return _Descent(value, w_given_x, q, resid, solves, steps)
 
 
@@ -670,6 +655,7 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     residual.
     """
     target = p_xyz.marginalize(PTP_AXES).table
+    p_xz = target.sum(axis=1)
     nx, ny, nz = target.shape
     w_size = min(cfg.w_cap, (nx * ny * nz) ** 2)
     # strictly interior weights keep every argmin Pareto-consistent (a pure
@@ -703,9 +689,9 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
         winners.append(best)
     # warm-start sweep: each λ may adopt another λ's winner if it scores
     # better, then takes a short polishing descent from the adopted channel;
-    # each pool entry carries its raw rate pair so candidates can be ranked
-    # per λ, and the λ it came from
-    pool: list[tuple[np.ndarray, tuple[float, float], int]] = []
+    # each pool entry carries its rate pair so candidates can be ranked per
+    # λ, and the λ it came from
+    pool: list[tuple[np.ndarray, PtpRatePair, int]] = []
     seen = set()
     for li, w in enumerate(winners):
         if w is None:
@@ -714,7 +700,7 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
         key = tuple(np.round(run.w_given_x, 6).reshape(-1))
         if key not in seen:
             seen.add(key)
-            pool.append((run.w_given_x, _rates_from_tables(target, run.w_given_x, run.q), li))
+            pool.append((run.w_given_x, ptp_table_rates(p_xz, run.w_given_x, run.q), li))
     raw_points: list[FrontierPoint] = []
     failures: list[float] = []
     for li, lam in enumerate(effective):
@@ -791,7 +777,7 @@ class AuxChannelDist:
         object.__setattr__(self, "p_q", np.asarray(self.p_q, float))
         if self.p_q.shape != (self.q_alphabet.size,):
             raise ValueError("p_q shape must match the Q alphabet")
-        if abs(self.p_q.sum() - 1.0) > 1e-9 or (self.p_q < 0).any():
+        if not abs(self.p_q.sum() - 1.0) <= 1e-9 or (self.p_q < 0).any():
             raise ValueError("p_q must be a distribution")
         for ch in (self.p_w1_given_qx1, self.p_w2_given_qx2, self.p_y_given_qw1w2):
             if not ch.defined.all():
@@ -824,12 +810,17 @@ def aux_dist_from_tables(
     )
 
 
+def dist_joint_table(p_q, p_x1x2, w1_given_qx1, w2_given_qx2, y_given_qw1w2) -> np.ndarray:
+    """The (Q, W1, W2, X1, X2, Y) table p(q) p(x1,x2) p(w1|q,x1) p(w2|q,x2) p(y|q,w1,w2)."""
+    return np.einsum(
+        "q,ab,qaw,qbv,qwvy->qwvaby", p_q, p_x1x2, w1_given_qx1, w2_given_qx2, y_given_qw1w2
+    )
+
+
 def dist_induced_joint(p_x1x2y: JointPmf, aux: AuxChannelDist) -> JointPmf:
-    p_x1x2 = p_x1x2y.marginalize(("X1", "X2")).table
-    table = np.einsum(
-        "q,ab,qaw,qbv,qwvy->qwvaby",
+    table = dist_joint_table(
         aux.p_q,
-        p_x1x2,
+        p_x1x2y.marginalize(("X1", "X2")).table,
         aux.p_w1_given_qx1.table,
         aux.p_w2_given_qx2.table,
         aux.p_y_given_qw1w2.table,
@@ -866,6 +857,28 @@ class DistRateTriple:
     informations: tuple[float, float, float, float, float]
 
 
+def dist_table_rates(joint: np.ndarray) -> DistRateTriple:
+    """The four bounds of a (Q, W1, W2, X1, X2, Y) joint table, clamped at zero.
+
+    The informations, each conditioned on Q (axis 0), are I(X1;W1|Q),
+    I(X2;W2|Q), I(X1X2W2Y;W1|Q), I(X1X2Y;W2|Q) and I(W1;W2|Q).
+    """
+
+    def h(*axes):  # H(Q, axes)
+        return table_entropy(joint.sum(axis=tuple(a for a in range(1, 6) if a not in axes)))
+
+    h_q = h()
+
+    def info(a, b):  # I(A;B|Q) = H(AQ) + H(BQ) - H(ABQ) - H(Q)
+        return h(*a) + h(*b) - h(*a, *b) - h_q
+
+    i1, i2 = info((3,), (1,)), info((4,), (2,))
+    i3, i4 = info((2, 3, 4, 5), (1,)), info((3, 4, 5), (2,))
+    i5 = info((1,), (2,))
+    bounds = (i1 - i5, i2 - i5, i1 + i2 - i5, i3 + i4 - i5)
+    return DistRateTriple(*(max(0.0, b) for b in bounds), informations=(i1, i2, i3, i4, i5))
+
+
 def dist_rates_for(
     p_x1x2y: JointPmf,
     aux: AuxChannelDist,
@@ -887,22 +900,7 @@ def dist_rates_for(
             raise ValueError("|W2| exceeds |X2|; pass enforce_cardinality=False to allow")
     if aux.q_alphabet.size > DEFAULT_Q_CAP:
         logger.debug("time-sharing alphabet size %d exceeds default cap", aux.q_alphabet.size)
-    joint = dist_induced_joint(p_x1x2y, aux)
-    i1 = conditional_mutual_information(joint, "X1", "W1", "Q")
-    i2 = conditional_mutual_information(joint, "X2", "W2", "Q")
-    i3 = conditional_mutual_information(joint, ("X1", "X2", "W2", "Y"), "W1", "Q")
-    i4 = conditional_mutual_information(joint, ("X1", "X2", "Y"), "W2", "Q")
-    i5 = conditional_mutual_information(joint, "W1", "W2", "Q")
-    bounds = (i1 - i5, i2 - i5, i1 + i2 - i5, i3 + i4 - i5)
-    if min(bounds) < 0:
-        logger.debug("unclamped distributed bounds: %s", bounds)
-    return DistRateTriple(
-        r1=max(0.0, bounds[0]),
-        r2=max(0.0, bounds[1]),
-        r1_plus_r2=max(0.0, bounds[2]),
-        r1_plus_r2_plus_c=max(0.0, bounds[3]),
-        informations=(i1, i2, i3, i4, i5),
-    )
+    return dist_table_rates(dist_induced_joint(p_x1x2y, aux).table)
 
 
 def dist_membership(

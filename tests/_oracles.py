@@ -23,15 +23,42 @@ transposes, the reference for the in-place build.
 ``central_difference_gradient`` differentiates the frontier search's
 scalarized value in the p(w|x) logits numerically, two full evaluations per
 logit: the reference for the closed-form gradient.
+
+The scalar codec chain evaluates one source word, one message or one
+randomness block at a time, the way the construction reads: the
+single-encoder sub-PMF (``encoder_subpmf``), its message law
+(``induced_message_pmf``) and decoder (``decode_map``), and their two-encoder
+counterparts (``dist_encoder_pmf``, ``split_mu``, ``dist_decode_map``).  They
+are the references for the codecs' message and decoder tables.  Message 0 is
+the compensated complement ``_complement_to_one`` here and ``max(0, 1 - Σ)``
+in the tables, and the two can differ in the last bits.
 """
 
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from corrsynth import rate_region
-from corrsynth.codec_ptp import _conditional_rows
-from corrsynth.typicality import marginal_typical_mask, pairwise_typical_mask
+from corrsynth.codec_dist import DistBinning, DistCodebooks, DistCodecParams, _leg_params
+from corrsynth.codec_ptp import (
+    BinningMap,
+    Codebook,
+    CodecParams,
+    _conditional_rows,
+    _encoder_weight_batch,
+    _first_occurrence_dedup,
+)
+from corrsynth.probability import JointPmf
+from corrsynth.typicality import (
+    Sequence,
+    TypicalityParams,
+    marginal_typical_mask,
+    pairwise_typical_mask,
+)
 
 
 def binary_grid_frontier(p_xy, steps=64):
@@ -223,3 +250,197 @@ def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):
         flat[k] = orig
         gflat[k] = (up - dn) / (2 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# scalar codec chain
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EncoderSubPmf:
+    """Sub-PMF over codeword indices {0} ∪ [L] for one source word and μ.
+
+    ``weights[0]`` is the deficit when valid; when the raw weights total more
+    than one the flag drops and downstream consumers send message 0.
+    """
+
+    weights: np.ndarray
+    s: float
+    valid: bool
+
+
+def _complement_to_one(partial: np.ndarray) -> float:
+    """Mass completing ``partial`` so the full vector fsums to exactly one.
+
+    ``fsum([1, -v...])`` is the correctly rounded value of 1 - Σv, and adding
+    it back leaves a residual below half an ulp of 1, so the completed
+    vector's compensated total rounds to 1.0 exactly.  The clamp covers the
+    knife-edge where the true total already exceeds one by under an ulp.
+    """
+    return max(0.0, math.fsum(np.concatenate(([1.0], -np.asarray(partial, dtype=float)))))
+
+
+def _coerce_word(seq, n: int) -> np.ndarray:
+    arr = seq.as_array() if isinstance(seq, Sequence) else np.asarray(seq, dtype=int)
+    if arr.shape != (n,):
+        raise ValueError(f"expected a length-{n} word, got shape {arr.shape}")
+    return arr
+
+
+def encoder_subpmf(
+    x_seq, mu: int, codebook: Codebook, p_joint_xw: JointPmf, params: CodecParams
+) -> EncoderSubPmf:
+    """Sub-PMF of the index encoder for one source word and one μ.
+
+    Typical source words weight index l by the pruned posterior likelihood of
+    codeword (l, μ); atypical ones put all mass on index 0.  The weights are
+    a valid sub-PMF when their total s is at most one, index 0 absorbing the
+    deficit; otherwise the flag drops and the message convention takes over.
+    """
+    x = _coerce_word(x_seq, params.n)
+    weights, s, valid = _encoder_weight_batch(
+        x[None, :], codebook.entries[mu], p_joint_xw, codebook.epsilon, params
+    )
+    s0, valid0 = float(s[0]), bool(valid[0])
+    out = np.empty(codebook.l_size + 1)
+    out[1:] = weights[0]
+    out[0] = _complement_to_one(out[1:]) if valid0 else 0.0
+    return EncoderSubPmf(weights=out, s=s0, valid=valid0)
+
+
+def induced_message_pmf(
+    x_seq,
+    mu: int,
+    codebook: Codebook,
+    binning: BinningMap,
+    p_joint_xw: JointPmf,
+    params: CodecParams,
+) -> np.ndarray:
+    """PMF over messages {0} ∪ [M] induced by encoder, dedup, and binning.
+
+    An invalid sub-PMF sends message 0 deterministically.  Message 0 takes
+    exactly the complement of the binned mass, so the vector always totals
+    one under compensated summation.
+    """
+    enc = encoder_subpmf(x_seq, mu, codebook, p_joint_xw, params)
+    return _message_pmf_from_labels(enc.weights[1:], enc.valid, binning.messages(mu), binning.m_size)
+
+
+def _message_pmf_from_labels(
+    weights: np.ndarray, valid: bool, labels: np.ndarray, m_size: int
+) -> np.ndarray:
+    """Three-case message law: invalid → 0, else bin sums with 0 = deficit."""
+    out = np.zeros(m_size + 1)
+    if not valid:
+        out[0] = 1.0
+        return out
+    out += np.bincount(labels, weights=weights, minlength=m_size + 1)
+    out[0] = _complement_to_one(out[1:])
+    return out
+
+
+def decode_map(
+    z_seq,
+    m: int,
+    mu: int,
+    codebook: Codebook,
+    binning: BinningMap,
+    p_joint_wz: JointPmf,
+    typ: TypicalityParams,
+) -> np.ndarray:
+    """Codeword selected by the bin/side-information intersection, else w0.
+
+    The candidate set is the distinct codewords of block μ whose bin is m and
+    whose pair with z is typical at the widened slack delta2; the unique
+    candidate wins, any other cardinality (including m = 0) falls back to the
+    constant word of the first codeword symbol.
+    """
+    n = codebook.n
+    z = _coerce_word(z_seq, n)
+    w0 = np.zeros(n, dtype=np.int64)
+    if not (0 <= m <= binning.m_size):
+        raise ValueError(f"message must lie in 0..{binning.m_size}, got {m}")
+    if m == 0:
+        return w0
+    _, firsts = _first_occurrence_dedup(codebook.entries[mu])
+    words = codebook.entries[mu][firsts]
+    candidates = words[binning.bins[mu] == m]
+    if candidates.shape[0] == 0:
+        return w0
+    ok = pairwise_typical_mask(z[None, :], candidates, p_joint_wz.table.T, typ.delta2)[0]
+    matches = candidates[ok]
+    if matches.shape[0] == 1:
+        return matches[0]
+    return w0
+
+
+def dist_encoder_pmf(
+    j: int,
+    x_seq,
+    mu: int,
+    codebooks: DistCodebooks,
+    binning: DistBinning,
+    p_joint_xw: JointPmf,
+    params: DistCodecParams,
+) -> np.ndarray:
+    """Message PMF of encoder j for one source word and randomness block.
+
+    Same three-case rule as the single-encoder chain: oversubscribed or
+    atypical inputs send message 0, otherwise bins collect the index weights
+    and message 0 absorbs the deficit; the vector always totals one.
+    """
+    book = codebooks.book(j)
+    x = np.asarray(x_seq, dtype=int)
+    if x.shape != (params.n,):
+        raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
+    weights, s, valid = _encoder_weight_batch(
+        x[None, :], book.entries[mu], p_joint_xw, book.epsilon, _leg_params(params, j)
+    )
+    return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)
+
+
+def split_mu(mu: int, params: DistCodecParams) -> tuple[int, int]:
+    """Positional decomposition μ → (μ₁, μ₂) with μ₁ in the high bits."""
+    k1, k2 = params.k_sizes
+    if not (0 <= mu < k1 * k2):
+        raise ValueError(f"randomness index must lie in 0..{k1 * k2 - 1}, got {mu}")
+    return mu // k2, mu % k2
+
+
+def dist_decode_map(
+    m1: int,
+    m2: int,
+    mu: int,
+    codebooks: DistCodebooks,
+    binnings: tuple[DistBinning, DistBinning],
+    p_w1w2: JointPmf,
+    params: DistCodecParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique jointly-typical codeword pair in the bin pair, else fallback.
+
+    Candidates are indexed by (l₁, l₂) — duplicate codewords count multiply
+    — with bins matched per encoder and the pair tested against the joint
+    codeword law at the plain slack δ.  Every failure mode (either message
+    0, empty intersection, or multiplicity) yields the fallback pair of
+    constant first-symbol words.
+    """
+    mu1, mu2 = split_mu(mu, params)
+    bn1, bn2 = binnings
+    n = params.n
+    fallback = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    if not (0 <= m1 <= bn1.m_size and 0 <= m2 <= bn2.m_size):
+        raise ValueError("messages must lie in 0..M_j")
+    if m1 == 0 or m2 == 0:
+        return fallback
+    sel1 = np.flatnonzero(bn1.labels[mu1] == m1)
+    sel2 = np.flatnonzero(bn2.labels[mu2] == m2)
+    if sel1.size == 0 or sel2.size == 0:
+        return fallback
+    words1 = codebooks.first.entries[mu1][sel1]
+    words2 = codebooks.second.entries[mu2][sel2]
+    ok = pairwise_typical_mask(words1, words2, p_w1w2.table, params.delta)
+    if int(ok.sum()) != 1:
+        return fallback
+    i, k = np.argwhere(ok)[0]
+    return words1[i].copy(), words2[k].copy()

@@ -112,6 +112,48 @@ def test_region_dist_writes_the_bound_row(tmp_path):
     assert values["i_w1_w2"] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "name, table",
+    [
+        ("p_q", 1.0),
+        ("w1_given_qx1", np.eye(2).tolist()),
+        ("w2_given_qx2", [[np.eye(2).tolist()]]),
+        ("y_given_qw1w2", np.full((2, 2, 2), 0.5).tolist()),
+    ],
+)
+def test_region_dist_rejects_aux_tables_of_the_wrong_rank(tmp_path, capsys, name, table):
+    aux = {
+        "p_q": [1.0],
+        "w1_given_qx1": [np.eye(2).tolist()],
+        "w2_given_qx2": [np.eye(2).tolist()],
+        "y_given_qw1w2": np.full((1, 2, 2, 2), 0.5).tolist(),
+    }
+    aux[name] = table
+    spec = write_json(tmp_path / "dist.json", {"p_x1x2y": np.full((2, 2, 2), 0.125).tolist(), "aux": aux})
+    out = tmp_path / "bounds.csv"
+    assert cli_dispatch(["region-dist", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_non_finite_probabilities_exit_one(tmp_path, capsys):
+    instance = instance_to_dict(reference_instance())
+    instance["p_xz"][0][0] = float("nan")
+    params = {"n": 2, "rt": 0.9, "r": 0.4, "c": 0.3, "delta": 0.34, "eta": 0.1, "seed": 3}
+    runs = [
+        ("simulate-ptp", {"instance": instance, "params": params, "trials": 1}),
+        ("region-ptp", {"p_xyz": [[[float("nan")], [0.5]], [[0.25], [0.25]]]}),
+    ]
+    for command, payload in runs:
+        spec = write_json(tmp_path / f"{command}.json", payload)
+        out = tmp_path / f"{command}.csv"
+        assert cli_dispatch([command, "--spec", spec, "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "nan" in err, command
+        assert not out.exists()
+
+
 def test_fm_projects_the_packaged_system(tmp_path):
     sys_path = tmp_path / "system.json"
     write_system(sys_path, ptp_pre_elimination_system())

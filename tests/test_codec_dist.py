@@ -15,22 +15,18 @@ from corrsynth.codec_dist import (
     build_dist_codec,
     dist_codec_from_dict,
     dist_codec_to_dict,
-    dist_decode_map,
-    dist_encoder_pmf,
     dist_induced_joint_exact,
     dist_streamed_tv_deficit,
     dist_tv_deficit,
     read_dist_codec,
     sample_dist_binning,
     sample_dist_induced,
-    split_mu,
     write_dist_codec,
 )
 from corrsynth.codec_ptp import (
     Codebook,
     CodecParams,
     build_ptp_codec,
-    encoder_subpmf,
     induced_joint_exact,
     product_pmf,
 )
@@ -40,7 +36,7 @@ import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
 
-from _oracles import output_word_law
+from _oracles import dist_decode_map, dist_encoder_pmf, encoder_subpmf, output_word_law, split_mu
 
 rng = np.random.default_rng(20260816)
 
@@ -592,6 +588,16 @@ def test_streamed_deficit_checks_the_total_mass(monkeypatch):
         dist_streamed_tv_deficit(target, *args)
 
 
+def test_a_nan_induced_law_fails_the_total_mass_check(monkeypatch):
+    target, args = streamed_case("dist-demo", 2, seed=2)
+    message_table = codec_dist._message_table
+    monkeypatch.setattr(codec_dist, "_message_table", lambda *a: np.nan * message_table(*a))
+    with pytest.raises(ArithmeticError, match="induced law sums to nan"):
+        dist_streamed_tv_deficit(target, *args)
+    with pytest.raises(ArithmeticError, match="induced law sums to nan"):
+        dist_induced_joint_exact(*args)
+
+
 def test_dist_codec_json_round_trip(tmp_path):
     generator = np.random.default_rng(49)
     p_x1x2, *_rest, params = correlated_binary_instance(generator, 2, seed=12)
@@ -611,3 +617,16 @@ def test_dist_codec_json_round_trip(tmp_path):
     assert params3 == params and np.array_equal(books3.second.entries, books.second.entries)
     with pytest.raises(ValueError, match="malformed"):
         dist_codec_from_dict({"params": {}})
+
+
+@pytest.mark.parametrize("key", ["codebooks", "binnings"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_dist_codec_spec_needs_exactly_two_codebooks_and_binnings(key, count):
+    generator = np.random.default_rng(49)
+    p_x1x2, *_rest, params = correlated_binary_instance(generator, 2, seed=12)
+    p_w1 = JointPmf.from_table(("W1",), p_x1x2.table.sum(axis=1))
+    p_w2 = JointPmf.from_table(("W2",), p_x1x2.table.sum(axis=0))
+    spec = dist_codec_to_dict(params, *build_dist_codec(p_w1, p_w2, params))
+    spec[key] = (spec[key] * 2)[:count]
+    with pytest.raises(ValueError, match="malformed"):
+        dist_codec_from_dict(spec)

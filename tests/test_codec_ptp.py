@@ -16,11 +16,8 @@ from corrsynth.codec_ptp import (
     build_ptp_codec,
     codec_from_dict,
     codec_to_dict,
-    decode_map,
     derived_rng,
-    encoder_subpmf,
     induced_joint_exact,
-    induced_message_pmf,
     null_codebook,
     product_pmf,
     sample_binning,
@@ -45,7 +42,7 @@ from corrsynth.probability import CondPmf, JointPmf, total_variation
 from corrsynth.typicality import TypicalityParams, enumerate_sequences, typical_set
 
 import _oracles
-from _oracles import output_word_law
+from _oracles import decode_map, encoder_subpmf, induced_message_pmf, output_word_law
 
 rng = np.random.default_rng(20260815)
 
@@ -830,6 +827,16 @@ def test_streamed_deficit_checks_the_total_mass(monkeypatch):
     monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: 2.0 * message_table(*a))
     with pytest.raises(ArithmeticError, match="induced law sums to"):
         streamed_tv_deficit(inst.target_joint(), *args)
+
+
+def test_a_nan_induced_law_fails_the_total_mass_check(monkeypatch):
+    inst, args = instance_codec("synthesis-demo", 3)
+    message_table = codec_ptp._message_table
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: np.nan * message_table(*a))
+    with pytest.raises(ArithmeticError, match="induced law sums to nan"):
+        streamed_tv_deficit(inst.target_joint(), *args)
+    with pytest.raises(ArithmeticError, match="induced law sums to nan"):
+        induced_joint_exact(*args)
 
 
 # --------------------------------------------------------------------------

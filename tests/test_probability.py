@@ -5,6 +5,7 @@ import pytest
 
 from corrsynth.probability import (
     Alphabet,
+    CondPmf,
     JointPmf,
     UndefinedConditionalError,
     conditional_mutual_information,
@@ -272,3 +273,20 @@ def test_json_round_trip_value_exact(seed):
 def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         pmf_from_dict({"axes": [{"name": "X"}], "table": [1.0]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_probabilities_are_rejected(bad):
+    table = np.array([[0.5, 0.25], [0.25, 0.0]])
+    table[1, 1] = bad
+    bits = Alphabet(("0", "1"))
+    with pytest.raises(ValueError):
+        JointPmf(("X", "Y"), (bits, bits), table)
+    with pytest.raises(ValueError):
+        JointPmf.from_table(("X", "Y"), table)
+    rows = np.array([[0.5, 0.5], [bad, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        CondPmf.from_rows(("X",), (bits,), ("Y",), (bits,), rows)
+    # a row conditioned on a null event is never read, so it may hold anything
+    cond = CondPmf(("X",), (bits,), ("Y",), (bits,), rows, np.array([True, False]))
+    assert cond.defined.tolist() == [True, False]

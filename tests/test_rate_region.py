@@ -15,6 +15,7 @@ from _oracles import (
     z_block,
 )
 from corrsynth import rate_region
+from corrsynth.harness import dist_demo_instance, named_instance
 from corrsynth.polyhedra import dist_theorem_system, lp_membership, ptp_theorem_system
 from corrsynth.probability import JointPmf, verify_markov_chain
 from corrsynth.rate_region import (
@@ -431,6 +432,77 @@ def test_frontier_points_are_certified_at_the_configured_tolerance(seed, tol):
     for point in res.raw:
         assert point.residual <= cfg.tol
         assert ptp_consistency_residual(target, point.aux) <= cfg.tol
+
+
+README_TARGET = np.array([[[0.375], [0.125]], [[0.125], [0.375]]])
+
+
+@pytest.mark.parametrize(
+    "cells, cfg",
+    [
+        # the README's region-ptp target (|Z| = 1) on a short search
+        (README_TARGET, SearchConfig(w_cap=2, restarts=0, lambda_grid=5, iters=10)),
+        # the benchmark's validity-region target and search
+        (
+            np.random.default_rng((0xC0DE, 0)).gamma(1.0, size=(2, 2, 2)),
+            SearchConfig(w_cap=2, restarts=1, lambda_grid=1, iters=20),
+        ),
+    ],
+    ids=["readme", "benchmark"],
+)
+def test_frontier_value_is_the_scalarization_of_the_certified_rates(cells, cfg):
+    target = JointPmf.from_table(("X", "Y", "Z"), cells / cells.sum())
+    res = ptp_frontier(target, cfg)
+    lams = np.linspace(0.0, 1.0, cfg.lambda_grid)
+    weights = dict(zip(lams, np.clip(lams, 5e-4, 1.0 - 5e-4)))
+    assert res.raw
+    for point in res.raw:
+        lam = weights[point.lam]
+        rates = ptp_rates_for(target, point.aux, tol=cfg.tol)
+        assert point.value == (1.0 - lam) * rates.r_min + lam * rates.r_plus_c_min
+
+
+def test_instance_informations_equal_the_rate_evaluators_bit_for_bit():
+    for name in ("reference", "synthesis-demo"):
+        inst = named_instance(name)
+        target = inst.target_joint()
+        # the same tables reach both: the target's (X, Z) law is p_xz exactly
+        assert np.array_equal(target.marginalize(("X", "Z")).table, inst.p_xz.table)
+        aux = aux_ptp_from_tables(
+            inst.p_w_given_x.out_alphabets[0].symbols,
+            target.alphabet("X"),
+            target.alphabet("Z"),
+            target.alphabet("Y"),
+            inst.p_w_given_x.table,
+            inst.p_y_given_zw.table,
+        )
+        rates = ptp_rates_for(target, aux)
+        info = inst.informations()
+        assert (info["i_x_w"], info["i_w_z"], info["i_xyz_w"]) == (rates.i_x_w, rates.i_w_z, rates.i_xyz_w)
+        assert inst.bounds() == {"r": rates.r_min, "r_plus_c": rates.r_plus_c_min}
+    pair = dist_demo_instance()
+    target = pair.target_joint()
+    assert np.array_equal(target.marginalize(("X1", "X2")).table, pair.p_x1x2.table)
+    aux = aux_dist_from_tables(
+        ("q",),
+        [1.0],
+        target.alphabet("X1"),
+        target.alphabet("X2"),
+        target.alphabet("Y"),
+        pair.p_w1_given_x1.out_alphabets[0].symbols,
+        pair.p_w2_given_x2.out_alphabets[0].symbols,
+        pair.p_w1_given_x1.table[None],
+        pair.p_w2_given_x2.table[None],
+        pair.p_y_given_w1w2.table[None],
+    )
+    rates = dist_rates_for(target, aux, enforce_cardinality=False)
+    assert tuple(pair.informations().values()) == rates.informations
+    assert pair.bounds() == {
+        "r1": rates.r1,
+        "r2": rates.r2,
+        "r1_plus_r2": rates.r1_plus_r2,
+        "r1_plus_r2_plus_c": rates.r1_plus_r2_plus_c,
+    }
 
 
 def test_frontier_polishes_an_underdetermined_output_channel(monkeypatch):
