@@ -213,10 +213,20 @@ class CondPmf:
 # --------------------------------------------------------------------------
 
 
-def table_entropy(t: np.ndarray) -> float:
-    """Shannon entropy in bits of a probability table, 0 log 0 = 0."""
-    t = t[t > 0]
-    return float(-(t * np.log2(t)).sum())
+def table_entropy(t: np.ndarray, ndim: int | None = None):
+    """Shannon entropy in bits of a probability table, 0 log 0 = 0.
+
+    The table is its last ``ndim`` axes (all of them by default), and any
+    axes before them index a stack of tables: the result is then an array of
+    their shape, else a float.  Each table's terms, empty cells included as
+    0, are summed along one flattened axis, so a table's entropy does not
+    depend on the stack it sits in.
+    """
+    t = np.asarray(t, dtype=float)
+    cells = t.reshape(t.shape[: t.ndim - (t.ndim if ndim is None else ndim)] + (-1,))
+    logs = np.log2(cells, out=np.zeros_like(cells), where=cells > 0)
+    h = -(cells * logs).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def entropy(p: JointPmf, axes=None) -> float:

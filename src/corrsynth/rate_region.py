@@ -13,19 +13,25 @@ bounds apply, conditioned on a time-sharing variable Q.
 The frontier tracer scalarizes the two point-to-point bounds over a weight
 grid and, for each weight, runs multi-start softmax-parametrized descent on
 p_{W|X}.  Once p_{W|X} is fixed the consistency constraint is linear in
-p_{Y|ZW}, so each objective evaluation finds p_{Y|ZW}, one z at a time, as
-a nonnegative solution of a small linear system.  An exact active-set
-nonnegative least-squares solve (Lawson & Hanson 1974) decides it: such a
-solution exists exactly when the residual vanishes, and one is accepted
-when its residual, as :func:`ptp_consistency_residual` measures it, is
-within the search tolerance that the winners are certified at.  The same
-routine projects the polish steps back onto the consistent set.
+p_{Y|ZW}, so each objective evaluation finds p_{Y|ZW} as a nonnegative
+solution of one small linear system per z.  An exact active-set nonnegative
+least-squares solve (Lawson & Hanson 1974) decides it: such a solution
+exists exactly when the residual vanishes, and one is accepted when its
+residual, as :func:`ptp_consistency_residual` measures it, is within the
+search tolerance that the winners are certified at.  The same routine
+projects the polish steps back onto the consistent set.
 
 The descent's gradient is exact.  Each block's solution is x_S = A_S^+ b on
 its support S, so it moves with p_{W|X} by the derivative of the
 pseudoinverse (Golub & Pereyra 1973), and the gradient of the bounds, or of
 the infeasibility penalty, follows by the chain rule from what the current
 point's inner solve already built: a descent step needs no extra solve.
+
+Every descent of a search runs in one lockstep stack: each round builds the
+blocks of every open line search's next chunk of trial steps, for every
+weight and start at once, and solves, scores and differentiates them as
+stacks.  Each stage works on each stacked problem alone, so a descent takes
+the same steps, bit for bit, as it would run by itself.
 """
 
 from __future__ import annotations
@@ -109,8 +115,8 @@ def ptp_consistency_residual(p_xyz: JointPmf, aux: AuxChannelPtp) -> float:
 
 
 def ptp_joint_table(p_xz, w_given_x, y_given_zw) -> np.ndarray:
-    """The (W, X, Y, Z) table p(x,z) p(w|x) p(y|z,w)."""
-    return np.einsum("xz,xw,zwy->wxyz", p_xz, w_given_x, y_given_zw)
+    """The (..., W, X, Y, Z) table p(x,z) p(w|x) p(y|z,w); channels may be stacks."""
+    return np.einsum("xz,...xw,...zwy->...wxyz", p_xz, w_given_x, y_given_zw)
 
 
 def ptp_induced_joint(p_xyz: JointPmf, aux: AuxChannelPtp) -> JointPmf:
@@ -148,17 +154,25 @@ def ptp_table_rates(p_xz: np.ndarray, w_given_x: np.ndarray, y_given_zw: np.ndar
     (|Z| = 1) makes I(W;Z) zero identically, not merely numerically; it is
     pinned to exact 0 in that case.  No consistency check: see
     :func:`ptp_rates_for`.
+
+    The two channels may carry the same leading axes, a stack of channel
+    pairs; the fields are then arrays of that shape.  A pair's rates inside
+    a stack equal, bit for bit, its rates evaluated alone.
     """
     joint = ptp_joint_table(p_xz, w_given_x, y_given_zw)
-    p_wx = joint.sum(axis=(2, 3))
-    h_w = table_entropy(p_wx.sum(axis=1))
-    i_x_w = h_w + table_entropy(p_wx.sum(axis=0)) - table_entropy(p_wx)
-    i_w_z = 0.0
+    p_wx = joint.sum(axis=(-2, -1))
+    h_w = table_entropy(p_wx.sum(axis=-1), 1)
+    i_x_w = h_w + table_entropy(p_wx.sum(axis=-2), 1) - table_entropy(p_wx, 2)
+    i_w_z = np.zeros_like(h_w)
     if p_xz.shape[1] > 1:
-        p_wz = joint.sum(axis=(1, 2))
-        i_w_z = h_w + table_entropy(p_wz.sum(axis=0)) - table_entropy(p_wz)
-    i_xyz_w = h_w + table_entropy(joint.sum(axis=0)) - table_entropy(joint)
-    return PtpRatePair(max(0.0, i_x_w - i_w_z), max(0.0, i_xyz_w - i_w_z), i_x_w, i_w_z, i_xyz_w)
+        p_wz = joint.sum(axis=(-3, -2))
+        i_w_z = h_w + table_entropy(p_wz.sum(axis=-2), 1) - table_entropy(p_wz, 2)
+    i_xyz_w = h_w + table_entropy(joint.sum(axis=-4), 3) - table_entropy(joint, 4)
+    r, rc = (np.where(b > 0.0, b, 0.0) for b in (i_x_w - i_w_z, i_xyz_w - i_w_z))
+    fields = (r, rc, i_x_w, i_w_z, i_xyz_w)
+    if joint.ndim == 4:
+        fields = (float(f) for f in fields)
+    return PtpRatePair(*fields)
 
 
 def ptp_rates_for(p_xyz: JointPmf, aux: AuxChannelPtp, tol: float = 1e-9) -> PtpRatePair:
@@ -194,19 +208,21 @@ def _z_blocks(target_xyz: np.ndarray, w_given_x: np.ndarray):
 
     The unknown of block z is q(.|z,.) flattened as (w, y); consistency row
     (x, y) reads sum_w p(x,z) p(w|x) q(y|z,w) = p(x,y,z).  Returns the
-    matrices (|Z|, |X||Y| + |W|, |W||Y|), the right-hand sides
-    (|Z|, |X||Y| + |W|) and per-row weights (|Z|, |X||Y|): 1/p(x,z), or 0
+    matrices (..., |Z|, |X||Y| + |W|, |W||Y|), with the leading axes of
+    ``w_given_x``, and the right-hand sides (|Z|, |X||Y| + |W|) and per-row
+    weights (|Z|, |X||Y|), which do not depend on p(w|x): 1/p(x,z), or 0
     where p(x,z) = 0, which turn consistency-row residuals into conditional
     ones.
     """
     nx, ny, nz = target_xyz.shape
-    nw = w_given_x.shape[1]
+    nw = w_given_x.shape[-1]
+    lead = w_given_x.shape[:-2]
     nxy = nx * ny
     p_xz = target_xyz.sum(axis=1)
-    a = p_xz.T[:, :, None] * w_given_x  # (z, x, w)
-    blocks = np.empty((nz, nxy + nw, nw * ny))
-    blocks[:, :nxy] = (a[:, :, None, :, None] * np.eye(ny)[:, None, :]).reshape(nz, nxy, nw * ny)
-    blocks[:, nxy:] = np.repeat(np.eye(nw), ny, axis=1)
+    a = p_xz.T[:, :, None] * w_given_x[..., None, :, :]  # (..., z, x, w)
+    blocks = np.empty(lead + (nz, nxy + nw, nw * ny))
+    blocks[..., :nxy, :] = (a[..., None, :, None] * np.eye(ny)[:, None, :]).reshape(lead + (nz, nxy, nw * ny))
+    blocks[..., nxy:, :] = np.repeat(np.eye(nw), ny, axis=1)
     rhs = np.ones((nz, nxy + nw))
     rhs[:, :nxy] = target_xyz.transpose(2, 0, 1).reshape(nz, nxy)
     weights = np.divide(1.0, p_xz, out=np.zeros_like(p_xz), where=p_xz > 0).T.repeat(ny, axis=1)
@@ -217,45 +233,83 @@ def _conditional_gaps(blocks, rhs, weights, q) -> np.ndarray:
     """Per z: max over y, and x with p(x,z)>0, of |sum_w p(w|x)q(y|z,w) - p(y|x,z)|.
 
     Arguments are (slices of) the output of :func:`_z_blocks` and q with
-    shape (|Z|, |W|, |Y|).  A NaN in q yields NaN, which fails every test.
+    shape (..., |Z|, |W|, |Y|).  A NaN in q yields NaN, which fails every test.
     """
-    nxy = weights.shape[1]
-    joint = np.einsum("zrc,zc->zr", blocks[:, :nxy], q.reshape(len(q), -1)) - rhs[:, :nxy]
-    return np.abs(joint * weights).max(axis=1)
+    nxy = weights.shape[-1]
+    joint = (blocks[..., :nxy, :] @ q.reshape(q.shape[:-2] + (-1, 1)))[..., 0] - rhs[..., :nxy]
+    return np.abs(joint * weights).max(axis=-1)
+
+
+def _matvec(a, x):
+    """a @ x over stacks of matrices and vectors."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of a stack of matrices, by SVD.
+
+    Singular values at most eps * max(m, n) times the largest count as zero,
+    the cutoff ``np.linalg.lstsq(..., rcond=None)`` uses, so ``_pinv(a) @ b``
+    is the minimum-norm least-squares solution.  LAPACK factors each matrix
+    on its own, so a matrix's pseudoinverse does not depend on its stack.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2)
+
+
+def _nnls_stack(a: np.ndarray, b: np.ndarray):
+    """Lawson-Hanson active-set solutions of min ||a x - b|| subject to x >= 0.
+
+    ``a`` is a (k, m, n) stack and ``b`` a (k, m) stack; returns x (k, n) and
+    the residual 2-norms (k,).  Each problem keeps its own passive set: each
+    outer step frees the bound variable with the largest positive dual; each
+    inner step walks back towards the new least-squares point until a
+    variable hits zero, and drops it.  No passive set repeats, so a problem
+    ends in finitely many steps (Lawson & Hanson 1974, ch. 23); the outer cap
+    only guards against rounding cycles, and since callers test the residual,
+    stopping early can only reject.  The problems move in lockstep, each
+    masked out of an outer or inner step once its own test stops it, so a
+    problem's solution does not depend on its stack.
+    """
+    k, m, n = a.shape
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * np.abs(a).sum(axis=1).max(axis=1)
+    x = np.zeros((k, n))
+    passive = np.zeros((k, n), dtype=bool)
+    dual = _matvec(a.swapaxes(1, 2), b)
+    live = np.ones(k, dtype=bool)
+    for _ in range(3 * n):
+        free = np.where(passive, -np.inf, dual)
+        live &= ~(passive.all(axis=1) | (free.max(axis=1) <= tol))
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        passive[rows, np.argmax(free[rows], axis=1)] = True
+        while rows.size:
+            on = passive[rows]
+            s = np.where(on, _matvec(_pinv(a[rows] * on[:, None, :]), b[rows]), 0.0)
+            settled = ~(on & ~(s > 0)).any(axis=1)
+            done = rows[settled]
+            x[done] = s[settled]
+            dual[done] = _matvec(a[done].swapaxes(1, 2), b[done] - _matvec(a[done], x[done]))
+            rows, s, on = rows[~settled], s[~settled], on[~settled]
+            xs = x[rows]
+            blocking = on & (s <= 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(blocking, xs / (xs - s), np.inf)
+            first = np.argmin(ratios, axis=1)
+            xs += ratios[np.arange(rows.size), first][:, None] * (s - xs)
+            on &= xs > tol[rows, None]
+            on[np.arange(rows.size), first] = False
+            x[rows], passive[rows] = xs, on
+    return x, np.linalg.norm(_matvec(a, x) - b, axis=-1)
 
 
 def _nnls(a: np.ndarray, b: np.ndarray):
-    """Lawson-Hanson active-set solution of min ||a x - b|| subject to x >= 0.
-
-    Returns (x, residual 2-norm).  Each outer step frees the bound variable
-    with the largest positive dual; each inner step walks back towards the
-    new least-squares point until a variable hits zero, and drops it.  No
-    passive set repeats, so it ends in finitely many steps (Lawson & Hanson
-    1974, ch. 23); the outer cap only guards against rounding cycles, and
-    since callers test the residual, stopping early can only reject.
-    """
-    n = a.shape[1]
-    tol = 10.0 * np.finfo(float).eps * max(a.shape) * np.abs(a).sum(axis=0).max()
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    dual = a.T @ b
-    for _ in range(3 * n):
-        if passive.all() or dual[~passive].max() <= tol:
-            break
-        passive[np.argmax(np.where(passive, -np.inf, dual))] = True
-        while True:
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if (s[passive] > 0).all():
-                break
-            blocking = np.flatnonzero(passive & (s <= 0))
-            ratios = x[blocking] / (x[blocking] - s[blocking])
-            x += ratios.min() * (s - x)
-            passive &= x > tol
-            passive[blocking[np.argmin(ratios)]] = False
-        x = s
-        dual = a.T @ (b - a @ x)
-    return x, float(np.linalg.norm(a @ x - b))
+    """One problem of :func:`_nnls_stack`: (x, residual 2-norm)."""
+    x, norm = _nnls_stack(a[None], b[None])
+    return x[0], float(norm[0])
 
 
 def _stochastic_rows(q: np.ndarray) -> np.ndarray:
@@ -265,61 +319,104 @@ def _stochastic_rows(q: np.ndarray) -> np.ndarray:
 
 
 class InnerSolve(NamedTuple):
-    """What one inner solve decided, and what the descent's gradient reuses."""
+    """What inner solves decided, and what the descent's gradient reuses.
 
-    #: consistent p(y|z,w) of shape (|Z|, |W|, |Y|), or None when rejected
+    :func:`_solve_stack` fills every field with a leading stack axis;
+    :func:`_consistent_y_channel` returns one row of it, with plain numbers.
+    """
+
+    #: consistent p(y|z,w) of shape (|Z|, |W|, |Y|); a single solve's is None
+    #: when rejected, a stack's row is then undefined
     q: np.ndarray | None
     residual: float
     violation: float
     blocks: np.ndarray
+    #: (|Z|, |X||Y| + |W|) right-hand sides, shared by every row of a stack
     rhs: np.ndarray
     #: (|Z|, |W||Y|) columns each accepted block's solution lives on: all
     #: of them on the least-squares path, the passive set on the NNLS path
     support: np.ndarray
     #: the block that rejected the channel, or -1 when every block passed
     failing: int
+    #: per block, the pseudoinverse and the least-squares solution
+    pinv: np.ndarray
+    sol: np.ndarray
+
+    def take(self, rows) -> InnerSolve:
+        """The stack's rows ``rows``."""
+        return InnerSolve(*(f if name == "rhs" else f[rows] for name, f in zip(self._fields, self)))
+
+    def put(self, rows, other: InnerSolve, picks) -> None:
+        """Overwrite the stack's rows ``rows`` with rows ``picks`` of ``other``."""
+        for name, mine, theirs in zip(self._fields, self, other):
+            if name != "rhs":
+                mine[rows] = theirs[picks]
+
+    def row(self, i: int) -> InnerSolve:
+        """Row ``i`` as a single solve."""
+        failing = int(self.failing[i])
+        return InnerSolve(
+            self.q[i] if failing < 0 else None, float(self.residual[i]), float(self.violation[i]),
+            self.blocks[i], self.rhs, self.support[i], failing, self.pinv[i], self.sol[i],
+        )
+
+    def stacked(self, q_shape) -> InnerSolve:
+        """A single solve as a stack of one; a rejected q becomes NaN of ``q_shape``."""
+        q = np.full(q_shape, np.nan) if self.q is None else self.q
+        return InnerSolve(*(f if name == "rhs" else np.asarray(f)[None]
+                            for name, f in zip(self._fields, self._replace(q=q))))
 
 
-def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
-    """Consistent p(y|z,w) for a fixed p(w|x), or None when none exists.
+def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
+    """Consistent p(y|z,w) for each p(w|x) of a (B, |X|, |W|) stack.
 
     For each z the constraints sum_w p(x,z) p(w|x) q(y|z,w) = p(x,y,z) and
     sum_y q(y|z,w) = 1 are linear in q(.|z,.), so a consistent q is a
     nonnegative solution of one small linear system per z.  The block's
-    least-squares solution is that solution when it is already nonnegative;
-    otherwise the exact nonnegative least-squares solve :func:`_nnls`
-    decides.  A block is feasible exactly when that solution, rows
-    renormalized, has conditional residual (what
+    minimum-norm least-squares solution is that solution when it is already
+    nonnegative; otherwise the exact nonnegative least-squares solve
+    :func:`_nnls_stack` decides.  A block is feasible exactly when that
+    solution, rows renormalized, has conditional residual (what
     :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
-    feasible set leaves a residual and is rejected at once.
+    feasible set leaves a residual and is rejected.
 
-    Accepted: q, its conditional residual, and violation 0.  Rejected: q is
-    None, with the least-squares residual (max norm) of the failing block and
-    max(0, -min) of its least-squares solution, the slope inputs of the
-    infeasibility penalty.
+    Per row, the blocks are tested in z order and the first one that fails
+    rejects the channel.  Accepted: q, its conditional residual, and
+    violation 0.  Rejected: the least-squares residual (max norm) of the
+    failing block, and max(0, -min) of its least-squares solution when the
+    block was consistent, the slope inputs of the infeasibility penalty.
     """
     _, ny, nz = target_xyz.shape
-    nw = w_given_x.shape[1]
+    nb, _, nw = w_given_x.shape
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
-    q = np.empty((nz, nw, ny))
-    support = np.ones((nz, nw * ny), dtype=bool)
-    worst = 0.0
-    for z, (a, b) in enumerate(zip(blocks, rhs)):
-        sol = np.linalg.lstsq(a, b, rcond=None)[0]
-        resid = float(np.abs(a @ sol - b).max())
-        if resid > 1e-9:
-            return InnerSolve(None, resid, 0.0, blocks, rhs, support, z)
-        exact = sol
-        if sol.min() < 0.0:
-            exact = _nnls(a, b)[0]
-            support[z] = exact > 0.0
-        q[z] = _stochastic_rows(exact.reshape(nw, ny))
-        at_z = slice(z, z + 1)
-        gap = float(_conditional_gaps(blocks[at_z], rhs[at_z], weights[at_z], q[at_z])[0])
-        if not gap <= tol:
-            return InnerSolve(None, resid, max(0.0, -float(sol.min())), blocks, rhs, support, z)
-        worst = max(worst, gap)
-    return InnerSolve(q, worst, 0.0, blocks, rhs, support, -1)
+    pinv = _pinv(blocks)
+    sol = _matvec(pinv, rhs)
+    resid = np.abs(_matvec(blocks, sol) - rhs).max(axis=-1)
+    consistent = resid <= 1e-9
+    exact = sol.copy()
+    negative = consistent & (sol.min(axis=-1) < 0.0)
+    if negative.any():
+        bz = np.nonzero(negative)
+        exact[bz] = _nnls_stack(blocks[bz], rhs[bz[1]])[0]
+    support = exact > 0.0
+    support[~negative] = True
+    q = _stochastic_rows(exact.reshape(nb, nz, nw, ny))
+    gaps = _conditional_gaps(blocks, rhs, weights, q)
+    fails = ~consistent | ~(gaps <= tol)
+    failing = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
+    rows = np.flatnonzero(failing >= 0)
+    at = failing[rows]
+    residual = gaps.max(axis=1)
+    residual[rows] = resid[rows, at]
+    violation = np.zeros(nb)
+    most_negative = -sol[rows, at].min(axis=-1)
+    violation[rows] = np.where(consistent[rows, at] & (most_negative > 0.0), most_negative, 0.0)
+    return InnerSolve(q, residual, violation, blocks, rhs, support, failing, pinv, sol)
+
+
+def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
+    """One p(w|x) through :func:`_solve_stack`; q is None when rejected."""
+    return _solve_stack(target_xyz, w_given_x[None], tol).row(0)
 
 
 def _project_consistent(blocks, rhs, weights, point, tol):
@@ -329,21 +426,24 @@ def _project_consistent(blocks, rhs, weights, point, tol):
     point + d >= 0 and A (point + d) = b, each equality written as two
     inequalities G d >= h.  Lawson & Hanson (1974, ch. 23) solve it as one
     NNLS: with r the residual of [G^T; h^T] u ~ e_last, d = -r[:-1] / r[-1],
-    and r = 0 means the set is empty.  Returns (q, conditional residual), or
-    None when q fails the test of :func:`_consistent_y_channel`.
+    and r = 0 means the set is empty.  The blocks' problems form one stack.  Returns (q, conditional residual), or
+    None when q fails the test of :func:`_solve_stack`.
     """
-    out = np.empty_like(point)
-    for z, (a, b) in enumerate(zip(blocks, rhs)):
-        t = point[z].reshape(-1)
-        miss = b - a @ t
-        e = np.vstack([np.hstack([np.eye(t.size), a.T, -a.T]), np.concatenate([-t, miss, -miss])])
-        f = np.zeros(t.size + 1)
-        f[-1] = 1.0
-        r = e @ _nnls(e, f)[0] - f
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = -r[:-1] / r[-1]
-        # d meets the bounds up to rounding; clip that away before the test
-        out[z] = _stochastic_rows(np.maximum(t + d, 0.0).reshape(point[z].shape))
+    nz, n = len(blocks), point[0].size
+    t = point.reshape(nz, n)
+    miss = rhs - _matvec(blocks, t)
+    a_t = blocks.swapaxes(1, 2)
+    e = np.concatenate([
+        np.concatenate([np.broadcast_to(np.eye(n), (nz, n, n)), a_t, -a_t], axis=2),
+        np.concatenate([-t, miss, -miss], axis=1)[:, None, :],
+    ], axis=1)
+    f = np.zeros((nz, n + 1))
+    f[:, -1] = 1.0
+    r = _matvec(e, _nnls_stack(e, f)[0]) - f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = -r[:, :-1] / r[:, -1:]
+    # d meets the bounds up to rounding; clip that away before the test
+    out = _stochastic_rows(np.maximum(t + d, 0.0).reshape(point.shape))
     gap = float(_conditional_gaps(blocks, rhs, weights, out).max())
     if not gap <= tol:
         return None
@@ -362,12 +462,13 @@ def _i_xyz_w_partials(c, q):
     The joint is p(w,x,y,z) = c[z,x,w] q[z,w,y], with c[z,x,w] = p(x,z) p(w|x)
     and H(XYZ) held constant: on the consistent set it is the target's.  The
     partial in a joint cell is log2(p(w,x,y,z) / p(w)), taken as 0 on an
-    empty cell.  Returns d/dc of shape (|Z|, |X|, |W|) and d/dq of shape
-    (|Z|, |W|, |Y|).
+    empty cell.  Returns d/dc of shape (..., |Z|, |X|, |W|) and d/dq of shape
+    (..., |Z|, |W|, |Y|); leading axes are a stack.
     """
-    joint = c[:, :, :, None] * q[:, None, :, :]  # (z, x, w, y)
-    log_ratio = _log2_ratio(joint, joint.sum(axis=(0, 1, 3))[:, None])
-    return np.einsum("zxwy,zwy->zxw", log_ratio, q), np.einsum("zxwy,zxw->zwy", log_ratio, c)
+    joint = c[..., None] * q[..., None, :, :]  # (..., z, x, w, y)
+    p_w = joint.sum(axis=(-4, -3, -1))
+    log_ratio = _log2_ratio(joint, p_w[..., None, None, :, None])
+    return (log_ratio * q[..., None, :, :]).sum(axis=-1), (log_ratio * c[..., None]).sum(axis=-3)
 
 
 def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
@@ -456,19 +557,34 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _weigh(lam, rates: PtpRatePair) -> float:
+def _weigh(lam, rates: PtpRatePair):
     """The scalarized value (1-λ) r_min + λ r_plus_c_min of clamped rates."""
     return (1.0 - lam) * rates.r_min + lam * rates.r_plus_c_min
 
 
+def _scalarized_stack(target_xyz, w_given_x, lam, tol):
+    """Values, inner solves and clamped (r, r+c) of a (B, |X|, |W|) stack.
+
+    ``lam`` holds one weight per row.  A rejected row's value is the
+    infeasibility penalty and its rates are NaN.
+    """
+    solve = _solve_stack(target_xyz, w_given_x, tol)
+    # infeasible: large penalty, sloped by how badly equalities fail
+    value = 10.0 + 100.0 * (solve.residual + solve.violation)
+    rates = np.full((len(value), 2), np.nan)
+    ok = solve.failing < 0
+    if ok.any():
+        pair = ptp_table_rates(target_xyz.sum(axis=1), w_given_x[ok], solve.q[ok])
+        value[ok] = _weigh(lam[ok], pair)
+        rates[ok, 0], rates[ok, 1] = pair.r_min, pair.r_plus_c_min
+    return value, solve, rates
+
+
 def _scalarized(target_xyz, w_given_x, lam, tol):
     """(value, inner solve, clamped (r, r+c) or None) of one p(w|x)."""
-    solve = _consistent_y_channel(target_xyz, w_given_x, tol)
-    if solve.q is None:
-        # infeasible: large penalty, sloped by how badly equalities fail
-        return 10.0 + 100.0 * (solve.residual + solve.violation), solve, None
-    rates = ptp_table_rates(target_xyz.sum(axis=1), w_given_x, solve.q)
-    return _weigh(lam, rates), solve, (rates.r_min, rates.r_plus_c_min)
+    value, solve, rates = _scalarized_stack(target_xyz, w_given_x[None], np.array([lam]), tol)
+    solve = solve.row(0)
+    return float(value[0]), solve, None if solve.q is None else (float(rates[0, 0]), float(rates[0, 1]))
 
 
 def _bilinear_in_c(rows, cols, dims):
@@ -479,29 +595,27 @@ def _bilinear_in_c(rows, cols, dims):
     """
     nx, nw, ny = dims
     lead = rows.shape[:-1]
-    return np.einsum(
-        "...xy,...wy->...xw", rows[..., : nx * ny].reshape(lead + (nx, ny)), cols.reshape(lead + (nw, ny))
-    )
+    return rows[..., : nx * ny].reshape(lead + (nx, ny)) @ cols.reshape(lead + (nw, ny)).swapaxes(-1, -2)
 
 
-def _solution_slope(blocks, support, x, g, dims):
+def _solution_slope(blocks, support, pinv, x, g, dims):
     """g . dx per unit of c, where x = A_S^+ b solves a consistent block.
 
     On the support S, dx = -A_S^+ dA x + (I - A_S^+ A_S) dA^T A_S^+T x
     (Golub & Pereyra 1973), so g . dx = sum(dA * (outer(s, v) - outer(u, x)))
-    with u = A_S^+T g, s = A_S^+T x and v = (I - A_S^+ A_S) g.  Columns off
-    S are masked to zero, which zeroes the pseudoinverse's rows there.
+    with u = A_S^+T g, s = A_S^+T x and v = (I - A_S^+ A_S) g.  ``pinv`` is
+    the pseudoinverse of the blocks with the columns off S masked to zero,
+    which zeroes its rows there.
     """
-    masked = blocks * support[..., None, :]
-    pinv = np.linalg.pinv(masked)
-    u = np.einsum("...nm,...n->...m", pinv, g)
-    s = np.einsum("...nm,...n->...m", pinv, x)
-    v = support * (g - (pinv @ (masked @ g[..., None]))[..., 0])
+    pinv_t = pinv.swapaxes(-1, -2)
+    u = _matvec(pinv_t, g)
+    s = _matvec(pinv_t, x)
+    v = support * (g - _matvec(pinv, _matvec(blocks * support[..., None, :], g)))
     return _bilinear_in_c(s, v, dims) - _bilinear_in_c(u, x, dims)
 
 
-def _logit_gradient(target_xyz, w_given_x, lam, solve, rates):
-    """Exact gradient of the scalarized value in the p(w|x) logits.
+def _gradient_stack(target_xyz, w_given_x, lam, solve, rates):
+    """Exact gradient of the scalarized value in the p(w|x) logits, per row.
 
     Every term is differentiated in c[z,x,w] = p(x,z) p(w|x), the
     coefficients of the inner solve's consistency rows, and pulled back
@@ -515,42 +629,62 @@ def _logit_gradient(target_xyz, w_given_x, lam, solve, rates):
     r = (A A^+ - I) b moves as dr = (I - A A^+) dA sol - A^+T dA^T r.
     Empty cells contribute 0 (0 log 0 = 0), so the gradient stays finite
     when p(w|x) or q has exact zeros.
+
+    Arguments are stacks: (B, |X|, |W|) channels, (B,) weights, the
+    :class:`InnerSolve` stack and the (B, 2) rates of
+    :func:`_scalarized_stack`.  Each row's gradient depends on that row alone.
     """
     nx, ny, nz = target_xyz.shape
-    nw = w_given_x.shape[1]
+    nw = w_given_x.shape[-1]
     dims = (nx, nw, ny)
-    p_xz = target_xyz.sum(axis=1)
-    c = p_xz.T[:, :, None] * w_given_x  # (z, x, w)
+    p_zx = target_xyz.sum(axis=1).T[:, :, None]
+    c = p_zx * w_given_x[:, None]  # (b, z, x, w)
     d_c = np.zeros_like(c)
-    if solve.q is None:
-        z = solve.failing
-        a, b = solve.blocks[z], solve.rhs[z]
-        pinv = np.linalg.pinv(a)
-        sol = pinv @ b
-        if solve.violation > 0.0:
+    rows = np.flatnonzero(solve.failing >= 0)
+    for neg in (True, False):
+        at = rows[(solve.violation[rows] > 0.0) == neg]
+        if not at.size:
+            continue
+        z = solve.failing[at]
+        a, pinv, sol = solve.blocks[at, z], solve.pinv[at, z], solve.sol[at, z]
+        if neg:
             g = np.zeros_like(sol)
-            g[np.argmin(sol)] = -100.0
-            d_c[z] = _solution_slope(a, np.ones(sol.shape, dtype=bool), sol, g, dims)
+            g[np.arange(at.size), np.argmin(sol, axis=-1)] = -100.0
+            d_c[at, z] = _solution_slope(a, np.ones(sol.shape, dtype=bool), pinv, sol, g, dims)
         else:
-            r = a @ sol - b
-            worst = np.argmax(np.abs(r))
+            r = _matvec(a, sol) - solve.rhs[z]
+            worst = np.argmax(np.abs(r), axis=-1)
             e = np.zeros_like(r)
-            e[worst] = 100.0 * np.sign(r[worst])
-            ae = pinv @ e
-            d_c[z] = _bilinear_in_c(e - a @ ae, sol, dims) - _bilinear_in_c(r, ae, dims)
-    else:
-        pw = c.sum(axis=(0, 1))
-        w_z = _log2_ratio(c.sum(axis=1), pw)[:, None, :]  # log2 p(w,z)/p(w)
-        if rates[0] > 0:
-            d_c += (1.0 - lam) * (_log2_ratio(c.sum(axis=0), pw) - w_z)
-        if rates[1] > 0:
-            d_cq, d_q = _i_xyz_w_partials(c, solve.q)
-            through_q = _solution_slope(
-                solve.blocks, solve.support, solve.q.reshape(nz, -1), d_q.reshape(nz, -1), dims
-            )
-            d_c += lam * (d_cq - w_z + through_q)
-    d_w = np.einsum("xz,zxw->xw", p_xz, d_c)
-    return w_given_x * (d_w - (w_given_x * d_w).sum(axis=1, keepdims=True))
+            e[np.arange(at.size), worst] = 100.0 * np.sign(r[np.arange(at.size), worst])
+            ae = _matvec(pinv, e)
+            d_c[at, z] = _bilinear_in_c(e - _matvec(a, ae), sol, dims) - _bilinear_in_c(r, ae, dims)
+    ok = solve.failing < 0
+    pw = c.sum(axis=(1, 2))[:, None, None, :]
+    w_z = _log2_ratio(c.sum(axis=2)[:, :, None, :], pw)  # log2 p(w,z)/p(w)
+    at = np.flatnonzero(ok & (rates[:, 0] > 0))
+    d_c[at] += (1.0 - lam[at, None, None, None]) * (_log2_ratio(c[at].sum(axis=1)[:, None], pw[at]) - w_z[at])
+    at = np.flatnonzero(ok & (rates[:, 1] > 0))
+    if at.size:
+        d_cq, d_q = _i_xyz_w_partials(c[at], solve.q[at])
+        support = solve.support[at]
+        pinv = solve.pinv[at]
+        masked = ~support.all(axis=-1)
+        if masked.any():
+            pinv[masked] = _pinv(solve.blocks[at][masked] * support[masked][:, None, :])
+        through_q = _solution_slope(
+            solve.blocks[at], support, pinv, solve.q[at].reshape(at.size, nz, -1), d_q.reshape(at.size, nz, -1), dims
+        )
+        d_c[at] += lam[at, None, None, None] * (d_cq - w_z[at] + through_q)
+    d_w = (p_zx * d_c).sum(axis=1)
+    return w_given_x * (d_w - (w_given_x * d_w).sum(axis=-1, keepdims=True))
+
+
+def _logit_gradient(target_xyz, w_given_x, lam, solve, rates):
+    """:func:`_gradient_stack` for one p(w|x), its inner solve and rates (or None)."""
+    _, ny, nz = target_xyz.shape
+    stacked = solve.stacked((nz, w_given_x.shape[1], ny))
+    rates = np.array([(np.nan, np.nan) if rates is None else rates])
+    return _gradient_stack(target_xyz, w_given_x[None], np.array([lam]), stacked, rates)[0]
 
 
 class _Descent(NamedTuple):
@@ -558,45 +692,97 @@ class _Descent(NamedTuple):
     w_given_x: np.ndarray
     q: np.ndarray | None
     residual: float
-    #: inner solves and accepted descent steps this run took
+    #: candidates evaluated and accepted descent steps this run took
     solves: int
     steps: int
 
 
-def _descend_from(target_xyz, lam, logits, iters, tol) -> _Descent:
-    """Gradient descent with backtracking on the p_{W|X} logits.
+#: halvings one round tries per backtracking search, in order: a search that
+#: accepts none of a chunk's steps tries the next chunk in the next round,
+#: and gives up after all 25
+_HALVING_CHUNKS = (1, 2, 4, 8, 10)
 
-    The gradient is exact (:func:`_logit_gradient`) and reuses the current
-    point's inner solve, so a step costs one inner solve per line-search
-    trial and nothing more.  The last point's output channel is polished.
+
+def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
+    """Gradient descents with backtracking on a (D, |X|, |W|) stack of logits.
+
+    Descent d minimizes the scalarized value at weight ``lam[d]`` for at
+    most ``iters[d]`` steps.  A step starts at 1/max(1, ||g||inf) and halves
+    until the value falls by more than 1e-12, at most 24 times; the descent
+    stops when its gradient vanishes or no halving is accepted.  The
+    gradient is exact (:func:`_gradient_stack`) and reuses the current
+    point's inner solve.  The descents step in lockstep: each round takes
+    one gradient stack of the descents that just moved, then evaluates one
+    stack of candidates, the next chunk of halvings (:data:`_HALVING_CHUNKS`)
+    of every open search, and each search accepts its first candidate in
+    halving order.  ``step * 2**-k`` is exact, so a descent takes the steps
+    it would take alone, whatever else is in the stack.  The last point's
+    output channel is polished.
+
+    ``solves`` counts the candidates evaluated, start point included, so
+    the halvings after an accepted one in its chunk count too.
     """
+    nd = len(lam)
+    logits = np.array(logits, dtype=float)
     w_given_x = _softmax(logits)
-    value, solve, rates = _scalarized(target_xyz, w_given_x, lam, tol)
-    solves, steps = 1, 0
-    for _ in range(iters):
-        grad = _logit_gradient(target_xyz, w_given_x, lam, solve, rates)
-        norm = float(np.abs(grad).max())
-        if norm < 1e-9:
+    value, solve, rates = _scalarized_stack(target_xyz, w_given_x, lam, tol)
+    solves = np.ones(nd, dtype=np.int64)
+    steps = np.zeros(nd, dtype=np.int64)
+    grad = np.zeros_like(logits)
+    step = np.zeros(nd)
+    chunk = np.zeros(nd, dtype=np.int64)  # of the open search
+    live = steps < iters
+    moved = live.copy()
+    sizes = np.array(_HALVING_CHUNKS)
+    first_halving = np.cumsum(sizes) - sizes
+    while True:
+        at = np.flatnonzero(moved)
+        if at.size:
+            g = _gradient_stack(target_xyz, w_given_x[at], lam[at], solve.take(at), rates[at])
+            norm = np.abs(g).max(axis=(1, 2))
+            live[at[norm < 1e-9]] = False
+            keep = ~(norm < 1e-9)
+            at, g, norm = at[keep], g[keep], norm[keep]
+            grad[at] = g
+            step[at] = 1.0 / np.where(norm > 1.0, norm, 1.0)
+            chunk[at] = 0
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        step = 1.0 / max(1.0, norm)
-        for _ in range(25):
-            trial = logits - step * grad
-            trial_w = _softmax(trial)
-            trial_value, trial_solve, trial_rates = _scalarized(target_xyz, trial_w, lam, tol)
-            solves += 1
-            if trial_value < value - 1e-12:
-                logits, w_given_x = trial, trial_w
-                value, solve, rates = trial_value, trial_solve, trial_rates
-                steps += 1
-                break
-            step *= 0.5
-        else:
-            break
-    q, resid = solve.q, solve.residual
-    if q is not None and lam > 0:
-        q, resid = _polish_y_channel(target_xyz, w_given_x, q, resid, tol)
-        value = _weigh(lam, ptp_table_rates(target_xyz.sum(axis=1), w_given_x, q))
-    return _Descent(value, w_given_x, q, resid, solves, steps)
+        count = sizes[chunk[rows]]
+        owner = np.repeat(rows, count)
+        k = first_halving[chunk[owner]] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        trial = logits[owner] - np.ldexp(step[owner], -k)[:, None, None] * grad[owner]
+        trial_w = _softmax(trial)
+        trial_value, trial_solve, trial_rates = _scalarized_stack(target_xyz, trial_w, lam[owner], tol)
+        solves[rows] += count
+        hits = np.flatnonzero(trial_value < value[owner] - 1e-12)
+        took, first = np.unique(owner[hits], return_index=True)
+        picks = hits[first]
+        logits[took], w_given_x[took], value[took] = trial[picks], trial_w[picks], trial_value[picks]
+        solve.put(took, trial_solve, picks)
+        rates[took] = trial_rates[picks]
+        steps[took] += 1
+        moved[:] = False
+        moved[took] = live[took] = steps[took] < iters[took]
+        missed = np.setdiff1d(rows, took, assume_unique=True)
+        chunk[missed] += 1
+        live[missed[chunk[missed] == len(sizes)]] = False
+    runs = []
+    p_xz = target_xyz.sum(axis=1)
+    for d in range(nd):
+        one = solve.row(d)
+        val, q, resid = float(value[d]), one.q, one.residual
+        if q is not None and lam[d] > 0:
+            q, resid = _polish_y_channel(target_xyz, w_given_x[d], q, resid, tol)
+            val = _weigh(lam[d], ptp_table_rates(p_xz, w_given_x[d], q))
+        runs.append(_Descent(float(val), w_given_x[d], q, resid, int(solves[d]), int(steps[d])))
+    return runs
+
+
+def _descend_from(target_xyz, lam, logits, iters, tol) -> _Descent:
+    """One descent of :func:`_lockstep`, from one (|X|, |W|) logit table."""
+    return _lockstep(target_xyz, np.array([lam]), logits[None], np.array([iters]), tol)[0]
 
 
 def _corner_logit_inits(nx, w_size):
@@ -639,6 +825,28 @@ def _coarse_grid_inits(nx, w_size, cap=24):
     return inits
 
 
+def _phase_one_starts(nx, w_size, n_lams, cfg):
+    """Every λ's first-phase descents as (λ index, logits, iterations, start).
+
+    Corner and random starts descend in full; the coarse scan exists for
+    basin coverage and only needs enough steps to sort the basins out.  Per
+    λ the order is corners, coarse scan, random restarts: the order in which
+    ties between equal values are broken.  Every (λ, restart) pair owns a
+    derived RNG stream.
+    """
+    short_iters = max(10, cfg.iters // 3)
+    corners = _corner_logit_inits(nx, w_size)
+    coarse = _coarse_grid_inits(nx, w_size)
+    starts = []
+    for li in range(n_lams):
+        starts.extend((li, logits, cfg.iters, ("corner", i)) for i, logits in enumerate(corners))
+        starts.extend((li, logits, short_iters, ("coarse", i)) for i, logits in enumerate(coarse))
+        for s in range(cfg.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(li, s)))
+            starts.append((li, rng.normal(0.0, 2.0, size=(nx, w_size)), cfg.iters, ("random", s)))
+    return starts
+
+
 def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> FrontierResult:
     """Trace (R, C) corner points of the point-to-point region.
 
@@ -646,12 +854,16 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     the aux pair by multi-start descent; the best aux per λ is re-evaluated
     through :func:`ptp_rates_for` and its corner recorded.  Points are Pareto
     pruned (ties broken lexicographically by R then C).  Deterministic given
-    the seed: every (λ, restart) pair owns a derived RNG stream, and results
-    merge by sorted order, so parallel evaluation cannot reorder them.
+    the seed: every (λ, restart) pair owns a derived RNG stream, and every
+    descent of every λ runs in one lockstep stack (:func:`_lockstep`), then
+    the warm-start sweep in a second one.  A descent's result does not depend
+    on the stack it runs in, and each λ keeps the first of its best runs in
+    start order.
 
-    Each λ logs one DEBUG record: its inner solves, accepted descent steps,
-    the winning start (corner, coarse, random or warm, with its index; a
-    warm start's index is the λ whose winner it adopted) and the winner's
+    Each λ logs one DEBUG record: its inner solves (the candidates its
+    descents evaluated, see :func:`_lockstep`), accepted descent steps, the
+    winning start (corner, coarse, random or warm, with its index; a warm
+    start's index is the λ whose winner it adopted) and the winner's
     residual.
     """
     target = p_xyz.marginalize(PTP_AXES).table
@@ -662,38 +874,25 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     # single-coordinate objective would leave the other coordinate loose)
     lams = np.linspace(0.0, 1.0, cfg.lambda_grid)
     effective = np.clip(lams, 5e-4, 1.0 - 5e-4)
-    short_iters = max(10, cfg.iters // 3)
-    winners: list[tuple[_Descent, tuple[str, int]] | None] = []
+    best: list[tuple[_Descent, tuple[str, int]] | None] = [None] * len(lams)
     effort = np.zeros((len(lams), 2), dtype=np.int64)  # inner solves, steps
 
-    def descend(li, logits, iters, start, best):
-        run = _descend_from(target, float(effective[li]), logits, iters, cfg.tol)
-        effort[li] += (run.solves, run.steps)
-        if run.q is not None and (best is None or run.value < best[0].value):
-            return run, start
-        return best
+    def descend(starts):
+        li, logits, iters, labels = zip(*starts)
+        runs = _lockstep(target, effective[list(li)], np.stack(logits), np.array(iters), cfg.tol)
+        for i, run, start in zip(li, runs, labels):
+            effort[i] += (run.solves, run.steps)
+            if run.q is not None and (best[i] is None or run.value < best[i][0].value):
+                best[i] = (run, start)
 
-    for li in range(len(lams)):
-        # corner and random starts descend in full; the coarse scan exists for
-        # basin coverage and only needs enough steps to sort the basins out
-        corners = _corner_logit_inits(nx, w_size)
-        starts = [(logits, cfg.iters, ("corner", i)) for i, logits in enumerate(corners)]
-        coarse = _coarse_grid_inits(nx, w_size)
-        starts.extend((logits, short_iters, ("coarse", i)) for i, logits in enumerate(coarse))
-        for s in range(cfg.restarts):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(li, s)))
-            starts.append((rng.normal(0.0, 2.0, size=(nx, w_size)), cfg.iters, ("random", s)))
-        best = None
-        for logits, iters, start in starts:
-            best = descend(li, logits, iters, start, best)
-        winners.append(best)
+    descend(_phase_one_starts(nx, w_size, len(lams), cfg))
     # warm-start sweep: each λ may adopt another λ's winner if it scores
     # better, then takes a short polishing descent from the adopted channel;
     # each pool entry carries its rate pair so candidates can be ranked per
     # λ, and the λ it came from
     pool: list[tuple[np.ndarray, PtpRatePair, int]] = []
     seen = set()
-    for li, w in enumerate(winners):
+    for li, w in enumerate(best):
         if w is None:
             continue
         run = w[0]
@@ -701,21 +900,24 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
         if key not in seen:
             seen.add(key)
             pool.append((run.w_given_x, ptp_table_rates(p_xz, run.w_given_x, run.q), li))
-    raw_points: list[FrontierPoint] = []
-    failures: list[float] = []
+    warm = []
     for li, lam in enumerate(effective):
-        best = winners[li]
         for wt, _, source in sorted(pool, key=lambda e: _weigh(lam, e[1]))[:6]:
             with np.errstate(all="ignore"):
                 logits = np.log(np.clip(wt, 1e-12, None))
-            best = descend(li, logits, short_iters, ("warm", source), best)
+            warm.append((li, logits, max(10, cfg.iters // 3), ("warm", source)))
+    if warm:
+        descend(warm)
+    raw_points: list[FrontierPoint] = []
+    failures: list[float] = []
+    for li in range(len(lams)):
         solves, steps = effort[li]
-        if best is None:
+        if best[li] is None:
             logger.debug("lambda %.6g: %d inner solves, %d descent steps, no consistent aux",
                          lams[li], solves, steps)
             failures.append(float(lams[li]))
             continue
-        (value, wt, q, resid, _, _), (kind, index) = best
+        (value, wt, q, resid, _, _), (kind, index) = best[li]
         logger.debug("lambda %.6g: %d inner solves, %d descent steps, winner %s start %d, residual %.3e",
                      lams[li], solves, steps, kind, index, resid)
         aux = aux_ptp_from_tables(

@@ -22,7 +22,10 @@ transposes, the reference for the in-place build.
 
 ``central_difference_gradient`` differentiates the frontier search's
 scalarized value in the p(w|x) logits numerically, two full evaluations per
-logit: the reference for the closed-form gradient.
+logit: the reference for the closed-form gradient.  ``sequential_descent``
+runs one frontier descent one line-search trial at a time, through the
+single-channel views of the search: the reference for the lockstep engine,
+which must take the same steps and reach the same point bit for bit.
 
 The scalar codec chain evaluates one source word, one message or one
 randomness block at a time, the way the construction reads: the
@@ -250,6 +253,42 @@ def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):
         flat[k] = orig
         gflat[k] = (up - dn) / (2 * h)
     return grad
+
+
+def sequential_descent(target_xyz, lam, logits, iters, tol):
+    """One frontier descent, one candidate at a time, as a ``_Descent``.
+
+    Each step starts at 1/max(1, ||g||inf) and halves until the value falls
+    by more than 1e-12, 25 trials at most; the last point's output channel
+    is polished.  ``solves`` counts the trials made.
+    """
+    w_given_x = rate_region._softmax(logits)
+    value, solve, rates = rate_region._scalarized(target_xyz, w_given_x, lam, tol)
+    solves, steps = 1, 0
+    for _ in range(iters):
+        grad = rate_region._logit_gradient(target_xyz, w_given_x, lam, solve, rates)
+        norm = float(np.abs(grad).max())
+        if norm < 1e-9:
+            break
+        step = 1.0 / max(1.0, norm)
+        for _ in range(25):
+            trial = logits - step * grad
+            trial_w = rate_region._softmax(trial)
+            trial_value, trial_solve, trial_rates = rate_region._scalarized(target_xyz, trial_w, lam, tol)
+            solves += 1
+            if trial_value < value - 1e-12:
+                logits, w_given_x = trial, trial_w
+                value, solve, rates = trial_value, trial_solve, trial_rates
+                steps += 1
+                break
+            step *= 0.5
+        else:
+            break
+    q, resid = solve.q, solve.residual
+    if q is not None and lam > 0:
+        q, resid = rate_region._polish_y_channel(target_xyz, w_given_x, q, resid, tol)
+        value = rate_region._weigh(lam, rate_region.ptp_table_rates(target_xyz.sum(axis=1), w_given_x, q))
+    return rate_region._Descent(value, w_given_x, q, resid, solves, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Tests for the command line front end: subcommands, artifacts, exit codes."""
 
+import ast
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrsynth
 from corrsynth.cli import cli_dispatch, main
 from corrsynth.harness import (
     instance_to_dict,
@@ -385,3 +389,24 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert main(["not-a-command"]) == 1
+
+
+def test_cli_import_loads_only_the_standard_library_numpy_and_the_package():
+    # modules the interpreter loaded before the import (site hooks) are not
+    # the package's doing, so only the ones the import adds are checked
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import corrsynth.cli\n"
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    src = str(Path(corrsynth.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.strip())
+    assert "corrsynth" in loaded and "numpy" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "corrsynth")] == []

@@ -12,6 +12,7 @@ from _oracles import (
     nonnegative_lstsq_residual,
     pareto_polyline,
     scalarized_minimum,
+    sequential_descent,
     z_block,
 )
 from corrsynth import rate_region
@@ -589,6 +590,111 @@ def test_frontier_logs_one_debug_record_per_lambda(caplog):
         # at least one inner solve per start: 3 corners, 25 coarse, 1 random
         assert int(match[2]) >= 29 and int(match[3]) >= 1
         assert float(match[6]) == pytest.approx(point.residual, rel=1e-3, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# lockstep descents
+# ---------------------------------------------------------------------------
+
+
+def phase_one_stack(cells, cfg):
+    """(target, weights, logits, iterations) of every first-phase descent of a search."""
+    target = cells / cells.sum()
+    nx, ny, nz = target.shape
+    lams = np.clip(np.linspace(0.0, 1.0, cfg.lambda_grid), 5e-4, 1.0 - 5e-4)
+    starts = rate_region._phase_one_starts(nx, min(cfg.w_cap, (nx * ny * nz) ** 2), cfg.lambda_grid, cfg)
+    li, logits, iters, _ = zip(*starts)
+    return target, lams[list(li)], np.stack(logits), np.array(iters)
+
+
+def same_descent(a, b):
+    both_none = a.q is None and b.q is None
+    return (
+        a.steps == b.steps
+        and np.array_equal(a.value, b.value)
+        and np.array_equal(a.w_given_x, b.w_given_x)
+        and (both_none or (a.q is not None and b.q is not None and np.array_equal(a.q, b.q)))
+        and np.array_equal(a.residual, b.residual)
+    )
+
+
+LOCKSTEP_CASES = {
+    # the benchmark's validity-region target and search
+    "benchmark": (
+        np.random.default_rng((0xC0DE, 0)).gamma(1.0, size=(2, 2, 2)),
+        SearchConfig(w_cap=2, restarts=1, lambda_grid=1, iters=20),
+    ),
+    # the README target at w_cap = 4: |W| > |X| leaves q underdetermined, so
+    # every feasible descent ends in the polish pass
+    "readme-w4": (README_TARGET, SearchConfig(w_cap=4, restarts=1, lambda_grid=1, iters=20)),
+    # half the target's cells are 0 (the zero-probability gradient test's)
+    "zero-cells": (
+        np.einsum("x,z,yz->xyz", [0.3, 0.7], [0.5, 0.5], np.eye(2)),
+        SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=10),
+    ),
+    "x3": (
+        np.random.default_rng(3).gamma(1.0, size=(3, 2, 2)),
+        SearchConfig(w_cap=3, restarts=1, lambda_grid=1, iters=15),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+def test_lockstep_descents_equal_the_sequential_oracle(case):
+    target, lams, logits, iters = phase_one_stack(*LOCKSTEP_CASES[case])
+    runs = rate_region._lockstep(target, lams, logits, iters, 1e-9)
+    underdetermined = 0
+    for lam, start, n, run in zip(lams, logits, iters, runs):
+        alone = sequential_descent(target, lam, start, n, 1e-9)
+        assert same_descent(run, alone)
+        # the lockstep engine also pays for the halvings after an accepted one
+        assert run.solves >= alone.solves
+        blocks = rate_region._z_blocks(target, run.w_given_x)[0]
+        underdetermined += np.linalg.matrix_rank(blocks).sum() < blocks.shape[0] * blocks.shape[2]
+    assert any(run.steps > 0 for run in runs)
+    assert (underdetermined == len(runs)) == (case == "readme-w4")
+
+
+def test_a_descent_does_not_depend_on_its_stack():
+    # gate 4's first phase: 33 weights x (3 corners, 25 coarse, 2 random)
+    cfg = SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0)
+    target, lams, logits, iters = phase_one_stack(np.array([[0.375, 0.125], [0.125, 0.375]])[:, :, None], cfg)
+    assert len(lams) == 33 * 30
+    runs = rate_region._lockstep(target, lams, logits, iters, cfg.tol)
+    for i in (0, 1, 2, 3, 17, 29, 30, 448, 495, 988, 989):
+        alone = rate_region._descend_from(target, lams[i], logits[i], iters[i], cfg.tol)
+        assert same_descent(runs[i], alone) and runs[i].solves == alone.solves
+
+
+def test_stacked_nnls_rows_equal_single_solves_and_the_oracle():
+    for kind in ("feasible", "full-rank", "rank-deficient"):
+        pairs = []
+        for seed in range(12):
+            blocks, rhs, _ = rate_region._z_blocks(*inner_solve_case(kind, seed))
+            pairs.extend(zip(blocks, rhs))
+        a, b = (np.stack(t) for t in zip(*pairs))
+        x, norms = rate_region._nnls_stack(a, b)
+        for i in range(len(a)):
+            one, norm = rate_region._nnls(a[i], b[i])
+            assert np.array_equal(x[i], one) and norms[i] == norm
+            assert x[i].min() >= 0.0
+            assert abs(norm - nonnegative_lstsq_residual(a[i], b[i])) <= 1e-10
+
+
+def test_stacked_rates_equal_rates_evaluated_alone():
+    gen = np.random.default_rng(11)
+    for nx, ny, nz, nw in ((2, 2, 2, 2), (3, 2, 1, 4), (2, 3, 2, 3)):
+        p_xz = random_simplex(gen, (nx * nz,)).reshape(nx, nz)
+        w_tables = random_simplex(gen, (5, nx, nw))
+        y_tables = random_simplex(gen, (5, nz, nw, ny))
+        w_tables[0, 0] = np.eye(nw)[0]  # exact zeros
+        y_tables[1, 0, 0] = np.eye(ny)[0]
+        stacked = rate_region.ptp_table_rates(p_xz, w_tables, y_tables)
+        for i in range(5):
+            alone = rate_region.ptp_table_rates(p_xz, w_tables[i], y_tables[i])
+            for field in ("r_min", "r_plus_c_min", "i_x_w", "i_w_z", "i_xyz_w"):
+                assert type(getattr(alone, field)) is float
+                assert getattr(stacked, field)[i] == getattr(alone, field)
 
 
 def test_pareto_prune_drops_dominated_and_duplicate_points():
