@@ -13,19 +13,21 @@ bounds apply, conditioned on a time-sharing variable Q.
 The frontier tracer scalarizes the two point-to-point bounds over a weight
 grid and, for each weight, runs multi-start softmax-parametrized descent on
 p_{W|X}.  Once p_{W|X} is fixed the consistency constraint is linear in
-p_{Y|ZW}, so each objective evaluation finds p_{Y|ZW} as a nonnegative
-solution of one small linear system per z.  An exact active-set nonnegative
-least-squares solve (Lawson & Hanson 1974) decides it: such a solution
-exists exactly when the residual vanishes, and one is accepted when its
-residual, as :func:`ptp_consistency_residual` measures it, is within the
-search tolerance that the winners are certified at.  The same routine
-projects the polish steps back onto the consistent set.
+p_{Y|ZW}: the consistent channels are the nonnegative solutions of one small
+linear system per z.  An exact active-set nonnegative least-squares solve
+(Lawson & Hanson 1974) decides whether one exists, and a channel is accepted
+when its residual, as :func:`ptp_consistency_residual` measures it, is
+within the search tolerance that the winners are certified at.  Where a
+block's solution is not unique, I(XYZ;W), which depends on p_{Y|ZW} only
+through -H(Y|W,Z), is least at the block's maximum-entropy solution, an
+I-projection (Csiszar 1975).  Every candidate is scored there, so the
+descent minimizes the value it reports.
 
-The descent's gradient is exact.  Each block's solution is x_S = A_S^+ b on
-its support S, so it moves with p_{W|X} by the derivative of the
-pseudoinverse (Golub & Pereyra 1973), and the gradient of the bounds, or of
-the infeasibility penalty, follows by the chain rule from what the current
-point's inner solve already built: a descent step needs no extra solve.
+The descent's gradient is exact: the chain rule, from what the current
+point's inner solve already built, with no extra solve.  A unique solution
+x_S = A_S^+ b (S its support) moves with p_{W|X} by the derivative of the
+pseudoinverse (Golub & Pereyra 1973); a maximum-entropy solution moves the
+bounds by the envelope theorem, through its dual multipliers.
 
 Every descent of a search runs in one lockstep stack: each round builds the
 blocks of every open line search's next chunk of trial steps, for every
@@ -245,18 +247,20 @@ def _matvec(a, x):
     return (a @ x[..., None])[..., 0]
 
 
-def _pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a stack of matrices, by SVD.
+def _pinv(a: np.ndarray):
+    """Moore-Penrose pseudoinverses and ranks of a stack of matrices, by SVD.
 
     Singular values at most eps * max(m, n) times the largest count as zero,
-    the cutoff ``np.linalg.lstsq(..., rcond=None)`` uses, so ``_pinv(a) @ b``
-    is the minimum-norm least-squares solution.  LAPACK factors each matrix
-    on its own, so a matrix's pseudoinverse does not depend on its stack.
+    the cutoff ``np.linalg.lstsq(..., rcond=None)`` and
+    ``np.linalg.matrix_rank`` use, so ``_pinv(a)[0] @ b`` is the
+    minimum-norm least-squares solution and the rank is the count of the
+    others.  LAPACK factors each matrix on its own, so a matrix's
+    pseudoinverse does not depend on its stack.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2)
+    return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2), (s > cutoff).sum(axis=-1)
 
 
 def _nnls_stack(a: np.ndarray, b: np.ndarray):
@@ -288,7 +292,7 @@ def _nnls_stack(a: np.ndarray, b: np.ndarray):
         passive[rows, np.argmax(free[rows], axis=1)] = True
         while rows.size:
             on = passive[rows]
-            s = np.where(on, _matvec(_pinv(a[rows] * on[:, None, :]), b[rows]), 0.0)
+            s = np.where(on, _matvec(_pinv(a[rows] * on[:, None, :])[0], b[rows]), 0.0)
             settled = ~(on & ~(s > 0)).any(axis=1)
             done = rows[settled]
             x[done] = s[settled]
@@ -306,23 +310,75 @@ def _nnls_stack(a: np.ndarray, b: np.ndarray):
     return x, np.linalg.norm(_matvec(a, x) - b, axis=-1)
 
 
-def _nnls(a: np.ndarray, b: np.ndarray):
-    """One problem of :func:`_nnls_stack`: (x, residual 2-norm)."""
-    x, norm = _nnls_stack(a[None], b[None])
-    return x[0], float(norm[0])
-
-
 def _stochastic_rows(q: np.ndarray) -> np.ndarray:
     """Rows rescaled to sum to one; an all-zero row becomes NaN and fails every test."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return q / q.sum(axis=-1, keepdims=True)
 
 
+#: the max-entropy solve's iterations, at most, and its stopping test: no
+#: consistency equation misses by more than a few roundings
+_NEWTON_CAP = 40
+_NEWTON_STOP = 1e-15
+
+
+def _max_entropy_stack(c: np.ndarray, b: np.ndarray):
+    """q(y|w) maximizing sum_w p(w) H(q(.|w)) s.t. sum_w c[x,w] q(y|w) = b[x,y].
+
+    For a z-block, c[x,w] = p(x,z) p(w|x), b[x,y] = p(x,y,z) and p(w) =
+    sum_x c[x,w].  The solution is q(y|w) ∝ exp(sum_x v[x,y] c[x,w] / p(w)),
+    with v the minimizer of the convex dual sum_w p(w) log sum_y exp(...) -
+    sum v b, whose gradient is the consistency miss.  Damped Newton finds v
+    from v = 0, each step scaled by 1 / (1 + its Newton decrement) (Nesterov
+    2004, sec. 4.1.5).  Cells with b[x,y] = 0 < c[x,w] are held at q = 0 and
+    rows with b[x,y] = 0 at v = 0; so is the first free v[x,.] of each x,
+    since a shift of v[x,.] constant in y does not move q.  A column with
+    p(w) = 0 gets the uniform row.
+
+    ``c`` is a (k, |X|, |W|) and ``b`` a (k, |X|, |Y|) stack.  Returns q
+    (k, |W|, |Y|), v (k, |X|, |Y|) in nats and the iterations, each of which
+    sets q from v, tests it and steps unless the test stops the problem.  A
+    problem still open after :data:`_NEWTON_CAP` is returned as it is, for
+    the caller's test.  Each problem stops on its own test, so its solution
+    does not depend on its stack.
+    """
+    k, nx, nw = c.shape
+    ny = b.shape[-1]
+    p_w = c.sum(axis=1, keepdims=True)
+    r = np.divide(c, p_w, out=np.zeros_like(c), where=p_w > 0)
+    forced = ((c[..., None] > 0) & (b[:, :, None, :] == 0)).any(axis=1)
+    free = b > 0
+    free[np.arange(k)[:, None], np.arange(nx), free.argmax(axis=2)] = False
+    free = free.reshape(k, -1)
+    v = np.zeros((k, nx, ny))
+    q = np.empty((k, nw, ny))
+    iterations = np.zeros(k, dtype=np.int64)
+    live = np.arange(k)
+    for i in range(_NEWTON_CAP):
+        theta = np.where(forced[live], -np.inf, r[live].swapaxes(1, 2) @ v[live])
+        e = np.exp(theta - theta.max(axis=-1, keepdims=True))
+        q[live] = e / e.sum(axis=-1, keepdims=True)
+        iterations[live] += 1
+        grad = (c[live] @ q[live] - b[live]).reshape(live.size, -1) * free[live]
+        keep = np.abs(grad).max(axis=1) > _NEWTON_STOP
+        live, grad = live[keep], grad[keep]
+        if i == _NEWTON_CAP - 1 or not live.size:
+            break
+        cl, rl, ql, mask = c[live], r[live], q[live], free[live]
+        # Hessian: sum_w c[x,w] r[x',w] (q(y|w) [y = y'] - q(y|w) q(y'|w))
+        hess = (np.einsum("kaw,kbw,kwy->kayb", cl, rl, ql)[..., None] * np.eye(ny)[:, None, :]
+                - np.einsum("kaw,kbw,kwy,kwz->kaybz", cl, rl, ql, ql)).reshape(live.size, nx * ny, -1)
+        step = -_matvec(_pinv(hess * mask[:, :, None] * mask[:, None, :])[0], grad)
+        decrement = np.sqrt(np.maximum(-(grad * step).sum(axis=1), 0.0))
+        v[live] += (step / (1.0 + decrement[:, None])).reshape(-1, nx, ny)
+    return q, v, iterations
+
+
 class InnerSolve(NamedTuple):
     """What inner solves decided, and what the descent's gradient reuses.
 
     :func:`_solve_stack` fills every field with a leading stack axis;
-    :func:`_consistent_y_channel` returns one row of it, with plain numbers.
+    :meth:`row` takes one row of it, with plain numbers.
     """
 
     #: consistent p(y|z,w) of shape (|Z|, |W|, |Y|); a single solve's is None
@@ -333,14 +389,18 @@ class InnerSolve(NamedTuple):
     blocks: np.ndarray
     #: (|Z|, |X||Y| + |W|) right-hand sides, shared by every row of a stack
     rhs: np.ndarray
-    #: (|Z|, |W||Y|) columns each accepted block's solution lives on: all
-    #: of them on the least-squares path, the passive set on the NNLS path
+    #: (|Z|, |W||Y|) columns a full-rank block's solution lives on: all of
+    #: them on the least-squares path, the passive set on the NNLS path
     support: np.ndarray
     #: the block that rejected the channel, or -1 when every block passed
     failing: int
     #: per block, the pseudoinverse and the least-squares solution
     pinv: np.ndarray
     sol: np.ndarray
+    #: per block, the iterations of its max-entropy solve and that solve's
+    #: (|X||Y|,) multipliers in nats, 0 where none ran
+    newton: np.ndarray
+    dual: np.ndarray
 
     def take(self, rows) -> InnerSolve:
         """The stack's rows ``rows``."""
@@ -354,17 +414,10 @@ class InnerSolve(NamedTuple):
 
     def row(self, i: int) -> InnerSolve:
         """Row ``i`` as a single solve."""
-        failing = int(self.failing[i])
-        return InnerSolve(
-            self.q[i] if failing < 0 else None, float(self.residual[i]), float(self.violation[i]),
-            self.blocks[i], self.rhs, self.support[i], failing, self.pinv[i], self.sol[i],
-        )
-
-    def stacked(self, q_shape) -> InnerSolve:
-        """A single solve as a stack of one; a rejected q becomes NaN of ``q_shape``."""
-        q = np.full(q_shape, np.nan) if self.q is None else self.q
-        return InnerSolve(*(f if name == "rhs" else np.asarray(f)[None]
-                            for name, f in zip(self._fields, self._replace(q=q))))
+        one = self.take(i)
+        failing = int(one.failing)
+        return one._replace(q=one.q if failing < 0 else None, residual=float(one.residual),
+                            violation=float(one.violation), failing=failing)
 
 
 def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
@@ -380,16 +433,21 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
     feasible set leaves a residual and is rejected.
 
+    That solution is unique when the block has full column rank.  In a row
+    every block passes, each other block takes the max-entropy point of its
+    consistent set instead (:func:`_max_entropy_stack`), the q with the
+    least I(XYZ;W), which must pass the same test.
+
     Per row, the blocks are tested in z order and the first one that fails
     rejects the channel.  Accepted: q, its conditional residual, and
     violation 0.  Rejected: the least-squares residual (max norm) of the
     failing block, and max(0, -min) of its least-squares solution when the
     block was consistent, the slope inputs of the infeasibility penalty.
     """
-    _, ny, nz = target_xyz.shape
+    nx, ny, nz = target_xyz.shape
     nb, _, nw = w_given_x.shape
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
-    pinv = _pinv(blocks)
+    pinv, rank = _pinv(blocks)
     sol = _matvec(pinv, rhs)
     resid = np.abs(_matvec(blocks, sol) - rhs).max(axis=-1)
     consistent = resid <= 1e-9
@@ -403,6 +461,15 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     q = _stochastic_rows(exact.reshape(nb, nz, nw, ny))
     gaps = _conditional_gaps(blocks, rhs, weights, q)
     fails = ~consistent | ~(gaps <= tol)
+    newton = np.zeros((nb, nz), dtype=np.int64)
+    dual = np.zeros((nb, nz, nx * ny))
+    bz = np.nonzero((rank < nw * ny) & ~fails.any(axis=1)[:, None])
+    if bz[0].size:
+        c = target_xyz.sum(axis=1).T[bz[1], :, None] * w_given_x[bz[0]]
+        q[bz], v, newton[bz] = _max_entropy_stack(c, target_xyz.transpose(2, 0, 1)[bz[1]])
+        dual[bz] = v.reshape(len(v), -1)
+        gaps[bz] = _conditional_gaps(blocks[bz], rhs[bz[1]], weights[bz[1]], q[bz])
+        fails[bz] = ~(gaps[bz] <= tol)
     failing = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
     rows = np.flatnonzero(failing >= 0)
     at = failing[rows]
@@ -411,43 +478,7 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     violation = np.zeros(nb)
     most_negative = -sol[rows, at].min(axis=-1)
     violation[rows] = np.where(consistent[rows, at] & (most_negative > 0.0), most_negative, 0.0)
-    return InnerSolve(q, residual, violation, blocks, rhs, support, failing, pinv, sol)
-
-
-def _consistent_y_channel(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
-    """One p(w|x) through :func:`_solve_stack`; q is None when rejected."""
-    return _solve_stack(target_xyz, w_given_x[None], tol).row(0)
-
-
-def _project_consistent(blocks, rhs, weights, point, tol):
-    """Euclidean projection of ``point`` onto the consistent q-set.
-
-    Per z this is least-distance programming: minimize ||d|| subject to
-    point + d >= 0 and A (point + d) = b, each equality written as two
-    inequalities G d >= h.  Lawson & Hanson (1974, ch. 23) solve it as one
-    NNLS: with r the residual of [G^T; h^T] u ~ e_last, d = -r[:-1] / r[-1],
-    and r = 0 means the set is empty.  The blocks' problems form one stack.  Returns (q, conditional residual), or
-    None when q fails the test of :func:`_solve_stack`.
-    """
-    nz, n = len(blocks), point[0].size
-    t = point.reshape(nz, n)
-    miss = rhs - _matvec(blocks, t)
-    a_t = blocks.swapaxes(1, 2)
-    e = np.concatenate([
-        np.concatenate([np.broadcast_to(np.eye(n), (nz, n, n)), a_t, -a_t], axis=2),
-        np.concatenate([-t, miss, -miss], axis=1)[:, None, :],
-    ], axis=1)
-    f = np.zeros((nz, n + 1))
-    f[:, -1] = 1.0
-    r = _matvec(e, _nnls_stack(e, f)[0]) - f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = -r[:, :-1] / r[:, -1:]
-    # d meets the bounds up to rounding; clip that away before the test
-    out = _stochastic_rows(np.maximum(t + d, 0.0).reshape(point.shape))
-    gap = float(_conditional_gaps(blocks, rhs, weights, out).max())
-    if not gap <= tol:
-        return None
-    return out, gap
+    return InnerSolve(q, residual, violation, blocks, rhs, support, failing, pinv, sol, newton, dual)
 
 
 def _log2_ratio(num, den):
@@ -469,43 +500,6 @@ def _i_xyz_w_partials(c, q):
     p_w = joint.sum(axis=(-4, -3, -1))
     log_ratio = _log2_ratio(joint, p_w[..., None, None, :, None])
     return (log_ratio * q[..., None, :, :]).sum(axis=-1), (log_ratio * c[..., None]).sum(axis=-3)
-
-
-def _polish_y_channel(target_xyz, w_given_x, q, resid, tol, iters=30):
-    """Descend I(XYZ;W) over the consistent q-polytope (projected gradient).
-
-    Only a consistency system with a positive-dimensional solution set has
-    anything to polish; a unique q is returned unchanged.  Each gradient
-    step is projected back exactly by :func:`_project_consistent`, and a
-    step is kept only when it lowers I(XYZ;W).  Returns q and its
-    conditional residual (``resid`` belongs to the q passed in).
-    """
-    blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
-    if np.linalg.matrix_rank(blocks).sum() == blocks.shape[0] * blocks.shape[2]:
-        return q, resid
-    p_xz = target_xyz.sum(axis=1)
-    c = p_xz.T[:, :, None] * w_given_x
-
-    def info(qq):
-        return ptp_table_rates(p_xz, w_given_x, qq).i_xyz_w
-
-    best = info(q)
-    step = 0.25
-    for _ in range(iters):
-        grad = _i_xyz_w_partials(c, q)[1]
-        projected = _project_consistent(blocks, rhs, weights, q - step * grad, tol)
-        if projected is None:
-            step *= 0.5
-            continue
-        val = info(projected[0])
-        if val < best - 1e-12:
-            best, (q, resid) = val, projected
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return q, resid
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +574,6 @@ def _scalarized_stack(target_xyz, w_given_x, lam, tol):
     return value, solve, rates
 
 
-def _scalarized(target_xyz, w_given_x, lam, tol):
-    """(value, inner solve, clamped (r, r+c) or None) of one p(w|x)."""
-    value, solve, rates = _scalarized_stack(target_xyz, w_given_x[None], np.array([lam]), tol)
-    solve = solve.row(0)
-    return float(value[0]), solve, None if solve.q is None else (float(rates[0, 0]), float(rates[0, 1]))
-
-
 def _bilinear_in_c(rows, cols, dims):
     """Slope of sum(dA * outer(rows, cols)) per unit of c[z,x,w].
 
@@ -621,8 +608,11 @@ def _gradient_stack(target_xyz, w_given_x, lam, solve, rates):
     coefficients of the inner solve's consistency rows, and pulled back
     through p(w|x) and the softmax at the end.  At a feasible point the
     value is (1-λ) max(0, I(X;W) - I(W;Z)) + λ max(0, I(XYZ;W) - I(W;Z));
-    I(XYZ;W) also moves with q = p(y|z,w), which each block's solution
-    carries into c by :func:`_solution_slope`.  At an infeasible point the
+    I(XYZ;W) also moves with q = p(y|z,w).  A full-rank block's solution
+    carries that into c by :func:`_solution_slope`.  A max-entropy block's q
+    minimizes I(XYZ;W) on its consistent set, so by the envelope theorem its
+    slope through q is -sum_y v[x,y] q(y|z,w) / ln 2, with v the solve's
+    multipliers (:func:`_max_entropy_stack`).  At an infeasible point the
     penalty 10 + 100 (resid + neg) slopes with the failing block's
     least-squares solution: its most negative entry when the block is
     consistent, otherwise its largest residual, whose projection
@@ -666,25 +656,19 @@ def _gradient_stack(target_xyz, w_given_x, lam, solve, rates):
     at = np.flatnonzero(ok & (rates[:, 1] > 0))
     if at.size:
         d_cq, d_q = _i_xyz_w_partials(c[at], solve.q[at])
-        support = solve.support[at]
-        pinv = solve.pinv[at]
-        masked = ~support.all(axis=-1)
-        if masked.any():
-            pinv[masked] = _pinv(solve.blocks[at][masked] * support[masked][:, None, :])
-        through_q = _solution_slope(
-            solve.blocks[at], support, pinv, solve.q[at].reshape(at.size, nz, -1), d_q.reshape(at.size, nz, -1), dims
-        )
+        q = solve.q[at].reshape(at.size, nz, -1)
+        through_q = -_bilinear_in_c(solve.dual[at], q, dims) / np.log(2.0)
+        full = np.nonzero(solve.newton[at] == 0)
+        if full[0].size:
+            bz = at[full[0]], full[1]
+            blocks, support, pinv = solve.blocks[bz], solve.support[bz], solve.pinv[bz]
+            masked = ~support.all(axis=-1)
+            if masked.any():
+                pinv[masked] = _pinv(blocks[masked] * support[masked][:, None, :])[0]
+            through_q[full] = _solution_slope(blocks, support, pinv, q[full], d_q.reshape(at.size, nz, -1)[full], dims)
         d_c[at] += lam[at, None, None, None] * (d_cq - w_z[at] + through_q)
     d_w = (p_zx * d_c).sum(axis=1)
     return w_given_x * (d_w - (w_given_x * d_w).sum(axis=-1, keepdims=True))
-
-
-def _logit_gradient(target_xyz, w_given_x, lam, solve, rates):
-    """:func:`_gradient_stack` for one p(w|x), its inner solve and rates (or None)."""
-    _, ny, nz = target_xyz.shape
-    stacked = solve.stacked((nz, w_given_x.shape[1], ny))
-    rates = np.array([(np.nan, np.nan) if rates is None else rates])
-    return _gradient_stack(target_xyz, w_given_x[None], np.array([lam]), stacked, rates)[0]
 
 
 class _Descent(NamedTuple):
@@ -695,6 +679,10 @@ class _Descent(NamedTuple):
     #: candidates evaluated and accepted descent steps this run took
     solves: int
     steps: int
+    #: over those: max-entropy solves, most iterations of one, rejections
+    entropic: int = 0
+    newton: int = 0
+    newton_missed: int = 0
 
 
 #: halvings one round tries per backtracking search, in order: a search that
@@ -716,16 +704,27 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
     stack of candidates, the next chunk of halvings (:data:`_HALVING_CHUNKS`)
     of every open search, and each search accepts its first candidate in
     halving order.  ``step * 2**-k`` is exact, so a descent takes the steps
-    it would take alone, whatever else is in the stack.  The last point's
-    output channel is polished.
+    it would take alone, whatever else is in the stack.  A descent's value
+    is the scalarized value of the channel pair it returns.
 
     ``solves`` counts the candidates evaluated, start point included, so
-    the halvings after an accepted one in its chunk count too.
+    the halvings after an accepted one in its chunk count too; so do the
+    max-entropy counts.
     """
     nd = len(lam)
     logits = np.array(logits, dtype=float)
     w_given_x = _softmax(logits)
     value, solve, rates = _scalarized_stack(target_xyz, w_given_x, lam, tol)
+    entropic = np.zeros((nd, 3), dtype=np.int64)
+
+    def tally(owner, trials):
+        # a rejected row whose max-entropy solve ran was rejected by it
+        if trials.newton.any():
+            np.add.at(entropic[:, 0], owner, (trials.newton > 0).sum(axis=1))
+            np.maximum.at(entropic[:, 1], owner, trials.newton.max(axis=1))
+            np.add.at(entropic[:, 2], owner, (trials.failing >= 0) & (trials.newton > 0).any(axis=1))
+
+    tally(np.arange(nd), solve)
     solves = np.ones(nd, dtype=np.int64)
     steps = np.zeros(nd, dtype=np.int64)
     grad = np.zeros_like(logits)
@@ -756,6 +755,7 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
         trial_w = _softmax(trial)
         trial_value, trial_solve, trial_rates = _scalarized_stack(target_xyz, trial_w, lam[owner], tol)
         solves[rows] += count
+        tally(owner, trial_solve)
         hits = np.flatnonzero(trial_value < value[owner] - 1e-12)
         took, first = np.unique(owner[hits], return_index=True)
         picks = hits[first]
@@ -769,20 +769,11 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
         chunk[missed] += 1
         live[missed[chunk[missed] == len(sizes)]] = False
     runs = []
-    p_xz = target_xyz.sum(axis=1)
     for d in range(nd):
         one = solve.row(d)
-        val, q, resid = float(value[d]), one.q, one.residual
-        if q is not None and lam[d] > 0:
-            q, resid = _polish_y_channel(target_xyz, w_given_x[d], q, resid, tol)
-            val = _weigh(lam[d], ptp_table_rates(p_xz, w_given_x[d], q))
-        runs.append(_Descent(float(val), w_given_x[d], q, resid, int(solves[d]), int(steps[d])))
+        runs.append(_Descent(float(value[d]), w_given_x[d], one.q, one.residual, int(solves[d]), int(steps[d]),
+                             *(int(n) for n in entropic[d])))
     return runs
-
-
-def _descend_from(target_xyz, lam, logits, iters, tol) -> _Descent:
-    """One descent of :func:`_lockstep`, from one (|X|, |W|) logit table."""
-    return _lockstep(target_xyz, np.array([lam]), logits[None], np.array([iters]), tol)[0]
 
 
 def _corner_logit_inits(nx, w_size):
@@ -860,11 +851,16 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     on the stack it runs in, and each λ keeps the first of its best runs in
     start order.
 
+    Each candidate is scored at the consistent output channel with the least
+    I(XYZ;W) (:func:`_solve_stack`), so each point's value is the
+    scalarization of its aux pair's rates.
+
     Each λ logs one DEBUG record: its inner solves (the candidates its
     descents evaluated, see :func:`_lockstep`), accepted descent steps, the
-    winning start (corner, coarse, random or warm, with its index; a warm
-    start's index is the λ whose winner it adopted) and the winner's
-    residual.
+    max-entropy solves among them, the most Newton iterations one took and
+    the candidates one rejected, the winning start (corner, coarse, random
+    or warm, with its index; a warm start's index is the λ whose winner it
+    adopted) and the winner's residual.
     """
     target = p_xyz.marginalize(PTP_AXES).table
     p_xz = target.sum(axis=1)
@@ -875,19 +871,21 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
     lams = np.linspace(0.0, 1.0, cfg.lambda_grid)
     effective = np.clip(lams, 5e-4, 1.0 - 5e-4)
     best: list[tuple[_Descent, tuple[str, int]] | None] = [None] * len(lams)
-    effort = np.zeros((len(lams), 2), dtype=np.int64)  # inner solves, steps
+    # inner solves, steps, max-entropy solves, most Newton iterations, misses
+    effort = np.zeros((len(lams), 5), dtype=np.int64)
 
     def descend(starts):
         li, logits, iters, labels = zip(*starts)
         runs = _lockstep(target, effective[list(li)], np.stack(logits), np.array(iters), cfg.tol)
         for i, run, start in zip(li, runs, labels):
-            effort[i] += (run.solves, run.steps)
+            effort[i] += (run.solves, run.steps, run.entropic, 0, run.newton_missed)
+            effort[i, 3] = max(effort[i, 3], run.newton)
             if run.q is not None and (best[i] is None or run.value < best[i][0].value):
                 best[i] = (run, start)
 
     descend(_phase_one_starts(nx, w_size, len(lams), cfg))
     # warm-start sweep: each λ may adopt another λ's winner if it scores
-    # better, then takes a short polishing descent from the adopted channel;
+    # better, then takes a short descent from the adopted channel;
     # each pool entry carries its rate pair so candidates can be ranked per
     # λ, and the λ it came from
     pool: list[tuple[np.ndarray, PtpRatePair, int]] = []
@@ -910,16 +908,16 @@ def ptp_frontier(p_xyz: JointPmf, cfg: SearchConfig = SearchConfig()) -> Frontie
         descend(warm)
     raw_points: list[FrontierPoint] = []
     failures: list[float] = []
+    counts = ("lambda %.6g: %d inner solves, %d descent steps, "
+              "%d max-entropy solves (at most %d Newton iterations, %d missed), ")
     for li in range(len(lams)):
-        solves, steps = effort[li]
         if best[li] is None:
-            logger.debug("lambda %.6g: %d inner solves, %d descent steps, no consistent aux",
-                         lams[li], solves, steps)
+            logger.debug(counts + "no consistent aux", lams[li], *effort[li])
             failures.append(float(lams[li]))
             continue
-        (value, wt, q, resid, _, _), (kind, index) = best[li]
-        logger.debug("lambda %.6g: %d inner solves, %d descent steps, winner %s start %d, residual %.3e",
-                     lams[li], solves, steps, kind, index, resid)
+        run, (kind, index) = best[li]
+        value, wt, q, resid = run[:4]
+        logger.debug(counts + "winner %s start %d, residual %.3e", lams[li], *effort[li], kind, index, resid)
         aux = aux_ptp_from_tables(
             tuple(f"w{i}" for i in range(w_size)),
             p_xyz.alphabet("X"),

@@ -20,6 +20,15 @@ evaluation and the vectorised numbering, which must match them bit for bit.
 ``product_table`` builds the n-fold product table by outer products and
 transposes, the reference for the in-place build.
 
+``max_entropy_kkt`` measures how far a z-block's output channel is from
+the Karush-Kuhn-Tucker conditions of the max-entropy inner problem, from the
+block matrix alone: the reference for the Newton solve.
+
+The single-channel views (``nnls``, ``consistent_y_channel``,
+``scalarized``, ``logit_gradient`` and ``descend_from``) run one problem,
+one p(w|x) or one descent through the frontier search's stacked stages, as
+stacks of one.
+
 ``central_difference_gradient`` differentiates the frontier search's
 scalarized value in the p(w|x) logits numerically, two full evaluations per
 logit: the reference for the closed-form gradient.  ``sequential_descent``
@@ -238,6 +247,66 @@ def product_table(base, n):
     return out
 
 
+def max_entropy_kkt(a, b, p_w, q):
+    """KKT measures of q as the max-entropy point of {q >= 0 : a q = b}.
+
+    ``a`` is one z-block (consistency rows, then row sums) and ``b`` its
+    right-hand side; the objective is sum_w p_w[w] H(q(.|w)), q of shape
+    (|W|, |Y|).  A column is a forced zero when a row with b = 0 puts
+    positive weight on it, since a >= 0.  Returns the largest equality miss
+    |a q - b|, the least entry of q off the forced zeros, and the residual
+    of the least-squares fit of the objective's gradient there,
+    -p_w (ln q + 1), by the rows of ``a`` restricted to those columns: 0
+    exactly when the gradient lies in their row space, the stationarity
+    condition of an interior optimum.
+    """
+    x = q.reshape(-1)
+    forced = ((a > 0) & (b[:, None] == 0)).any(axis=0)
+    free = ~forced
+    with np.errstate(divide="ignore"):
+        grad = -(np.repeat(p_w, q.shape[1])[free] * (np.log(x[free]) + 1.0))
+    a_free = a[:, free]
+    mult = np.linalg.lstsq(a_free.T, grad, rcond=None)[0]
+    return (float(np.abs(a @ x - b).max()), float(x[free].min()),
+            float(np.linalg.norm(a_free.T @ mult - grad)))
+
+
+def nnls(a, b):
+    """One problem of ``rate_region._nnls_stack``: (x, residual 2-norm)."""
+    x, norm = rate_region._nnls_stack(a[None], b[None])
+    return x[0], float(norm[0])
+
+
+def consistent_y_channel(target_xyz, w_given_x, tol):
+    """One p(w|x) through ``rate_region._solve_stack``; q is None when rejected."""
+    return rate_region._solve_stack(target_xyz, w_given_x[None], tol).row(0)
+
+
+def scalarized(target_xyz, w_given_x, lam, tol):
+    """(value, inner solve, clamped (r, r+c) or None) of one p(w|x)."""
+    value, solve, rates = rate_region._scalarized_stack(target_xyz, w_given_x[None], np.array([lam]), tol)
+    solve = solve.row(0)
+    return float(value[0]), solve, None if solve.q is None else (float(rates[0, 0]), float(rates[0, 1]))
+
+
+def logit_gradient(target_xyz, w_given_x, lam, solve, rates):
+    """``rate_region._gradient_stack`` for one p(w|x), its inner solve and rates (or None).
+
+    The solve goes back to a stack of one; a rejected q becomes NaN.
+    """
+    _, ny, nz = target_xyz.shape
+    q = np.full((nz, w_given_x.shape[1], ny), np.nan) if solve.q is None else solve.q
+    stacked = rate_region.InnerSolve(*(f if name == "rhs" else np.asarray(f)[None]
+                                       for name, f in zip(solve._fields, solve._replace(q=q))))
+    rates = np.array([(np.nan, np.nan) if rates is None else rates])
+    return rate_region._gradient_stack(target_xyz, w_given_x[None], np.array([lam]), stacked, rates)[0]
+
+
+def descend_from(target_xyz, lam, logits, iters, tol):
+    """One descent of ``rate_region._lockstep``, from one (|X|, |W|) logit table."""
+    return rate_region._lockstep(target_xyz, np.array([lam]), logits[None], np.array([iters]), tol)[0]
+
+
 def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):
     """d(scalarized value)/d(logits) by central differences of step ``h``."""
     logits = np.array(logits, float)
@@ -247,9 +316,9 @@ def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + h
-        up = rate_region._scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
+        up = scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
         flat[k] = orig - h
-        dn = rate_region._scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
+        dn = scalarized(target_xyz, rate_region._softmax(logits), lam, tol)[0]
         flat[k] = orig
         gflat[k] = (up - dn) / (2 * h)
     return grad
@@ -259,14 +328,13 @@ def sequential_descent(target_xyz, lam, logits, iters, tol):
     """One frontier descent, one candidate at a time, as a ``_Descent``.
 
     Each step starts at 1/max(1, ||g||inf) and halves until the value falls
-    by more than 1e-12, 25 trials at most; the last point's output channel
-    is polished.  ``solves`` counts the trials made.
+    by more than 1e-12, 25 trials at most.  ``solves`` counts the trials made.
     """
     w_given_x = rate_region._softmax(logits)
-    value, solve, rates = rate_region._scalarized(target_xyz, w_given_x, lam, tol)
+    value, solve, rates = scalarized(target_xyz, w_given_x, lam, tol)
     solves, steps = 1, 0
     for _ in range(iters):
-        grad = rate_region._logit_gradient(target_xyz, w_given_x, lam, solve, rates)
+        grad = logit_gradient(target_xyz, w_given_x, lam, solve, rates)
         norm = float(np.abs(grad).max())
         if norm < 1e-9:
             break
@@ -274,7 +342,7 @@ def sequential_descent(target_xyz, lam, logits, iters, tol):
         for _ in range(25):
             trial = logits - step * grad
             trial_w = rate_region._softmax(trial)
-            trial_value, trial_solve, trial_rates = rate_region._scalarized(target_xyz, trial_w, lam, tol)
+            trial_value, trial_solve, trial_rates = scalarized(target_xyz, trial_w, lam, tol)
             solves += 1
             if trial_value < value - 1e-12:
                 logits, w_given_x = trial, trial_w
@@ -284,11 +352,7 @@ def sequential_descent(target_xyz, lam, logits, iters, tol):
             step *= 0.5
         else:
             break
-    q, resid = solve.q, solve.residual
-    if q is not None and lam > 0:
-        q, resid = rate_region._polish_y_channel(target_xyz, w_given_x, q, resid, tol)
-        value = rate_region._weigh(lam, rate_region.ptp_table_rates(target_xyz.sum(axis=1), w_given_x, q))
-    return rate_region._Descent(value, w_given_x, q, resid, solves, steps)
+    return rate_region._Descent(value, w_given_x, solve.q, solve.residual, solves, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,14 @@ from _oracles import (
     binary_grid_frontier,
     central_difference_gradient,
     chebyshev_to_polyline,
+    consistent_y_channel,
+    descend_from,
+    logit_gradient,
+    max_entropy_kkt,
+    nnls,
     nonnegative_lstsq_residual,
     pareto_polyline,
+    scalarized,
     scalarized_minimum,
     sequential_descent,
     z_block,
@@ -295,7 +301,7 @@ def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
         blocks, rhs, _ = rate_region._z_blocks(target, w_table)
         feasible = True
         for a, b in zip(blocks, rhs):
-            x, residual = rate_region._nnls(a, b)
+            x, residual = nnls(a, b)
             optimum = nonnegative_lstsq_residual(a, b)
             assert x.min() >= 0.0
             assert abs(residual - optimum) <= 1e-10
@@ -304,7 +310,7 @@ def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
             sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
             negative_min_norm += sol.min() < -1e-6
             assert (rank == a.shape[1]) == (kind != "rank-deficient")
-        q, residual, violation = rate_region._consistent_y_channel(target, w_table, 1e-9)[:3]
+        q, residual, violation = consistent_y_channel(target, w_table, 1e-9)[:3]
         assert (q is not None) == feasible
         if q is None:
             assert violation > 0.0
@@ -318,6 +324,32 @@ def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
     else:
         # the regime the test is about must actually occur
         assert negative_min_norm >= 3
+
+
+def test_max_entropy_q_meets_its_kkt_conditions_and_beats_the_nnls_vertex():
+    cases = [inner_solve_case("rank-deficient", seed) for seed in range(6)]
+    for seed, (nx, ny, nz, nw) in enumerate([(2, 3, 2, 3), (2, 2, 1, 4), (3, 2, 2, 4)] * 2):
+        gen = np.random.default_rng(seed)
+        p_xz = random_simplex(gen, (nx * nz,)).reshape(nx, nz)
+        w_table = gen.dirichlet(np.ones(nw), size=nx)
+        y_table = gen.dirichlet(np.full(ny, 0.5), size=(nz, nw))
+        cases.append((np.einsum("xz,xw,zwy->xyz", p_xz, w_table, y_table), w_table))
+    # the zero-cell target: X independent of (Y, Z), Y a copy of Z
+    zero_cells = np.einsum("x,z,yz->xyz", [0.3, 0.7], [0.5, 0.5], np.eye(2))
+    cases.extend((zero_cells, random_simplex(np.random.default_rng(seed), (2, 3))) for seed in range(3))
+    for target, w_table in cases:
+        solve = consistent_y_channel(target, w_table, 1e-9)
+        assert solve.q is not None and (solve.newton > 0).all()
+        p_xz = target.sum(axis=1)
+        p_wz = p_xz.T @ w_table
+        vertex = np.empty_like(solve.q)
+        for z in range(target.shape[2]):
+            miss, least, stationarity = max_entropy_kkt(solve.blocks[z], solve.rhs[z], p_wz[z], solve.q[z])
+            assert miss <= 1e-9 and least > 0.0 and stationarity <= 1e-8
+            x = nnls(solve.blocks[z], solve.rhs[z])[0].reshape(solve.q[z].shape)
+            vertex[z] = x / x.sum(axis=1, keepdims=True)
+        rates = rate_region.ptp_table_rates(p_xz, w_table, solve.q)
+        assert rates.i_xyz_w <= rate_region.ptp_table_rates(p_xz, w_table, vertex).i_xyz_w + 1e-12
 
 
 def gradient_case(kind, seed):
@@ -347,16 +379,21 @@ def gradient_case(kind, seed):
 
 
 def gradient_regime(w_table, solve, rates):
-    """Which branch of the scalarized value the inner solve put the point on."""
+    """Which branch of the scalarized value the inner solve put the point on.
+
+    A rank-deficient block's q is its max-entropy point; the branch names
+    say whether its minimum-norm solution was already nonnegative.
+    """
     if solve.q is None:
         return "neg" if solve.violation > 0.0 else "resid"
-    if not solve.support.all():
-        return "nnls"
     if min(rates) <= 1e-12:
         return "clamp"
-    nw = w_table.shape[1]
-    full = all(np.linalg.matrix_rank(a) == a.shape[1] for a in solve.blocks)
-    return "full-rank" if full else f"ls-{nw}"
+    deficient = [np.linalg.matrix_rank(a) < a.shape[1] for a in solve.blocks]
+    if not any(deficient):
+        return "full-rank"
+    if any(d and sol.min() < 0.0 for d, sol in zip(deficient, solve.sol)):
+        return "nnls"
+    return f"ls-{w_table.shape[1]}"
 
 
 @pytest.mark.parametrize(
@@ -368,13 +405,42 @@ def test_logit_gradient_matches_central_differences(kind):
     for seed in range(8):
         target, logits, lam = gradient_case(kind, seed)
         w_table = rate_region._softmax(logits)
-        _, solve, rates = rate_region._scalarized(target, w_table, lam, 1e-9)
+        _, solve, rates = scalarized(target, w_table, lam, 1e-9)
         hits += gradient_regime(w_table, solve, rates) == regime
-        analytic = rate_region._logit_gradient(target, w_table, lam, solve, rates)
+        analytic = logit_gradient(target, w_table, lam, solve, rates)
         numeric = central_difference_gradient(target, lam, logits)
-        assert np.abs(analytic - numeric).max() <= 1e-5 * np.abs(numeric).max()
+        if regime == "clamp":
+            # r + c sits at its clamp too: q(y|z,w) = p(y|z) is consistent
+            # and makes I(Y;W|X,Z) = 0, so the max-entropy q reaches it.  The
+            # value is flat, and both gradients are rounding
+            assert max(rates) <= 1e-15
+            assert np.abs(analytic).max() <= 1e-15 and np.abs(numeric).max() <= 1e-10
+        else:
+            assert np.abs(analytic - numeric).max() <= 1e-5 * np.abs(numeric).max()
     # the branch the case is about must actually occur
     assert hits >= 3
+
+
+def test_scalarized_value_moves_by_order_h_where_q_is_not_unique():
+    # |X| = 2, |Y| = 3, |Z| = 2, |W| = 3 at λ = 0.3: on this seed a vertex of
+    # the consistent set, picked by the NNLS passive set, jumped by 0.016 bit
+    # when one logit moved by 1e-5, 1e-7 or 1e-9.  The max-entropy q moves
+    # continuously, so the value moves by at most C h, C = 1 bit per logit.
+    gen = np.random.default_rng(8)
+    p_xz = gen.random((2, 2)) + 0.05
+    p_xz /= p_xz.sum()
+    w_table = gen.dirichlet(np.ones(3), size=2)
+    y_table = gen.dirichlet(np.full(3, 0.5), size=(2, 3))
+    target = np.einsum("xz,xw,zwy->xyz", p_xz, w_table, y_table)
+    logits = np.log(w_table)
+    base, solve, _ = scalarized(target, w_table, 0.3, 1e-9)
+    assert solve.q is not None and (solve.newton > 0).all()
+    for h in (1e-5, 1e-7, 1e-9):
+        for k in range(logits.size):
+            moved = logits.copy()
+            moved.flat[k] += h
+            value = scalarized(target, rate_region._softmax(moved), 0.3, 1e-9)[0]
+            assert abs(value - base) <= 1.0 * h
 
 
 def test_logit_gradient_is_finite_at_exact_zero_probabilities():
@@ -385,12 +451,12 @@ def test_logit_gradient_is_finite_at_exact_zero_probabilities():
         w_table = rate_region._softmax(logits)
         assert (w_table == 0.0).any()
         for lam in (5e-4, 0.5, 1.0 - 5e-4):
-            _, solve, rates = rate_region._scalarized(table, w_table, lam, 1e-9)
+            _, solve, rates = scalarized(table, w_table, lam, 1e-9)
             assert solve.q is not None and (solve.q == 0.0).any()
-            grad = rate_region._logit_gradient(table, w_table, lam, solve, rates)
+            grad = logit_gradient(table, w_table, lam, solve, rates)
             assert np.isfinite(grad).all()
             assert np.abs(grad - central_difference_gradient(table, lam, logits)).max() <= 1e-9
-            run = rate_region._descend_from(table, lam, logits, 10, 1e-9)
+            run = descend_from(table, lam, logits, 10, 1e-9)
             assert np.isfinite(run.w_given_x).all() and np.isfinite(run.value)
 
 
@@ -507,20 +573,20 @@ def test_instance_informations_equal_the_rate_evaluators_bit_for_bit():
 
 
 def test_frontier_polishes_an_underdetermined_output_channel(monkeypatch):
-    # |W| = 4 > |X| = 2 leaves the consistent p(y|z,w) non-unique, so the
-    # final evaluation of every descent runs the polish pass
-    polished = []
+    # |W| = 4 > |X| = 2 leaves the consistent p(y|z,w) non-unique, so every
+    # accepted candidate is scored at its max-entropy output channel
+    solved = []
 
-    def counting_polish(*args, **kwargs):
-        polished.append(1)
-        return polish(*args, **kwargs)
+    def counting_solve(*args, **kwargs):
+        solved.append(1)
+        return solve(*args, **kwargs)
 
-    polish = rate_region._polish_y_channel
-    monkeypatch.setattr(rate_region, "_polish_y_channel", counting_polish)
+    solve = rate_region._max_entropy_stack
+    monkeypatch.setattr(rate_region, "_max_entropy_stack", counting_solve)
     target = JointPmf.from_table(("X", "Y", "Z"), np.array([[[0.375], [0.125]], [[0.125], [0.375]]]))
     cfg = SearchConfig(w_cap=4, restarts=1, lambda_grid=2, iters=20, seed=0)
     first = ptp_frontier(target, cfg)
-    assert polished
+    assert solved
     assert first.failures == ()
     # values reached by the earlier alternating-projection solve, plus the
     # 0.01-bit slack of the acceptance gate
@@ -581,6 +647,7 @@ def test_frontier_logs_one_debug_record_per_lambda(caplog):
     res = ptp_frontier(target, SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=10, seed=0))
     pattern = re.compile(
         r"lambda (\S+): (\d+) inner solves, (\d+) descent steps, "
+        r"(\d+) max-entropy solves \(at most (\d+) Newton iterations, (\d+) missed\), "
         r"winner (corner|coarse|random|warm) start (\d+), residual (\S+)"
     )
     records = [pattern.fullmatch(r.getMessage()) for r in caplog.records if r.getMessage().startswith("lambda")]
@@ -589,7 +656,9 @@ def test_frontier_logs_one_debug_record_per_lambda(caplog):
         assert float(match[1]) == pytest.approx(point.lam, abs=1e-6)
         # at least one inner solve per start: 3 corners, 25 coarse, 1 random
         assert int(match[2]) >= 29 and int(match[3]) >= 1
-        assert float(match[6]) == pytest.approx(point.residual, rel=1e-3, abs=1e-300)
+        # a max-entropy solve takes at least one iteration, at most the cap
+        assert (int(match[4]) > 0) == (0 < int(match[5]) <= rate_region._NEWTON_CAP)
+        assert float(match[9]) == pytest.approx(point.residual, rel=1e-3, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +694,7 @@ LOCKSTEP_CASES = {
         SearchConfig(w_cap=2, restarts=1, lambda_grid=1, iters=20),
     ),
     # the README target at w_cap = 4: |W| > |X| leaves q underdetermined, so
-    # every feasible descent ends in the polish pass
+    # every accepted candidate is scored at its max-entropy q
     "readme-w4": (README_TARGET, SearchConfig(w_cap=4, restarts=1, lambda_grid=1, iters=20)),
     # half the target's cells are 0 (the zero-probability gradient test's)
     "zero-cells": (
@@ -647,6 +716,9 @@ def test_lockstep_descents_equal_the_sequential_oracle(case):
     for lam, start, n, run in zip(lams, logits, iters, runs):
         alone = sequential_descent(target, lam, start, n, 1e-9)
         assert same_descent(run, alone)
+        # the value a descent minimized is the value of what it returns
+        if run.q is not None:
+            assert run.value == rate_region._weigh(lam, rate_region.ptp_table_rates(target.sum(axis=1), run.w_given_x, run.q))
         # the lockstep engine also pays for the halvings after an accepted one
         assert run.solves >= alone.solves
         blocks = rate_region._z_blocks(target, run.w_given_x)[0]
@@ -656,14 +728,25 @@ def test_lockstep_descents_equal_the_sequential_oracle(case):
 
 
 def test_a_descent_does_not_depend_on_its_stack():
-    # gate 4's first phase: 33 weights x (3 corners, 25 coarse, 2 random)
-    cfg = SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0)
-    target, lams, logits, iters = phase_one_stack(np.array([[0.375, 0.125], [0.125, 0.375]])[:, :, None], cfg)
-    assert len(lams) == 33 * 30
-    runs = rate_region._lockstep(target, lams, logits, iters, cfg.tol)
-    for i in (0, 1, 2, 3, 17, 29, 30, 448, 495, 988, 989):
-        alone = rate_region._descend_from(target, lams[i], logits[i], iters[i], cfg.tol)
-        assert same_descent(runs[i], alone) and runs[i].solves == alone.solves
+    cases = [
+        # gate 4's first phase: 33 weights x (3 corners, 25 coarse, 2 random)
+        (SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0), 33 * 30,
+         (0, 1, 2, 3, 17, 29, 30, 448, 495, 988, 989)),
+        # the README spec's: 17 weights x 30 starts, where every accepted
+        # candidate takes a max-entropy solve
+        (SearchConfig(w_cap=4, lambda_grid=17, restarts=2, iters=60, seed=0), 17 * 30,
+         (0, 1, 2, 3, 17, 29, 30, 241, 268, 508, 509)),
+    ]
+    for cfg, size, picks in cases:
+        target, lams, logits, iters = phase_one_stack(README_TARGET, cfg)
+        assert len(lams) == size
+        runs = rate_region._lockstep(target, lams, logits, iters, cfg.tol)
+        for i in picks:
+            alone = descend_from(target, lams[i], logits[i], iters[i], cfg.tol)
+            assert same_descent(runs[i], alone) and runs[i].solves == alone.solves
+            assert (runs[i].entropic, runs[i].newton, runs[i].newton_missed) == (
+                alone.entropic, alone.newton, alone.newton_missed)
+        assert (cfg.w_cap == 4) == any(runs[i].entropic > 0 for i in picks)
 
 
 def test_stacked_nnls_rows_equal_single_solves_and_the_oracle():
@@ -675,7 +758,7 @@ def test_stacked_nnls_rows_equal_single_solves_and_the_oracle():
         a, b = (np.stack(t) for t in zip(*pairs))
         x, norms = rate_region._nnls_stack(a, b)
         for i in range(len(a)):
-            one, norm = rate_region._nnls(a[i], b[i])
+            one, norm = nnls(a[i], b[i])
             assert np.array_equal(x[i], one) and norms[i] == norm
             assert x[i].min() >= 0.0
             assert abs(norm - nonnegative_lstsq_residual(a[i], b[i])) <= 1e-10
