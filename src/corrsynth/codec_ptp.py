@@ -261,6 +261,39 @@ def _conditional_rows(joint: JointPmf, axis: int) -> np.ndarray:
     return np.where(cond.defined[:, None], cond.table, 0.0)
 
 
+def _distinct_weight_table(
+    xs: np.ndarray,
+    entries_mu: np.ndarray,
+    p_joint_xw: JointPmf,
+    epsilon: float,
+    params: CodecParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder weights of a batch of source words against a block's distinct codewords.
+
+    Returns (table (A, Θ), ids (L,)): index l of the block weighs
+    ``table[:, ids[l]]``, since a weight depends on its index only through
+    the codeword.  A weight is scale(x) · posterior(x | w) · [pair typical],
+    with the posterior multiplied letter by letter, in the order a per-index
+    running product takes; atypical source words get all-zero rows.
+    """
+    p_x = p_joint_xw.table.sum(axis=1)
+    typical_x = marginal_typical_mask(xs, p_x, params.delta)
+    ids, firsts = _first_occurrence_dedup(entries_mu)
+    words = entries_mu[firsts]  # (Θ, n)
+    pair_mask = pairwise_typical_mask(xs, words, p_joint_xw.table, params.delta)
+    by_x = _conditional_rows(p_joint_xw, axis=1).T  # (x, w): p(x | w)
+    post = np.take(by_x[xs[:, 0]], words[:, 0], axis=1)  # (A, Θ)
+    for i in range(1, xs.shape[1]):
+        post *= by_x[xs[:, i]][:, words[:, i]]
+    p_xn = np.prod(p_x[xs], axis=1)
+    if np.any(typical_x & (p_xn <= 0.0)):
+        raise AssertionError("typical source word with zero product probability")
+    scale = np.zeros_like(p_xn)
+    live = typical_x & (p_xn > 0.0)
+    scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * entries_mu.shape[0] * p_xn[live])
+    return scale[:, None] * post * pair_mask, ids
+
+
 def _encoder_weight_batch(
     xs: np.ndarray,
     entries_mu: np.ndarray,
@@ -272,38 +305,45 @@ def _encoder_weight_batch(
 
     Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
     all-zero weights, which downstream logic reads as a point mass on index 0.
-    A weight depends on its index only through the codeword, so the
-    posterior, the pair mask and the scale are computed once per distinct
-    codeword of the block, on an (A, Θ) table, and gathered back per index.
+    The weights are :func:`_distinct_weight_table` gathered back per index.
     Each weight is the product a per-index evaluation forms, in the same
     letter order, and the gather keeps the per-index memory layout, so
     weights, s and valid equal a per-index evaluation bit for bit (the
     reference is ``encoder_weight_batch`` in ``tests/_oracles.py``).
-    The message tables, encoder validity and the scalar encoder oracle in
-    ``tests/_oracles.py`` all call it, so their index weights agree to the
-    last bit.  Message 0 does not: :func:`_message_table` takes
-    ``max(0, 1 - Σ)`` of the binned row, the oracle the compensated
-    complement ``_complement_to_one``, and the two can differ in the last
-    bits.
+    The message tables and the scalar encoder oracle in ``tests/_oracles.py``
+    call it, so their index weights agree to the last bit; encoder validity
+    decides ``s <= 1`` from the table itself (:func:`_valid_rows`), with the
+    same outcome.  Message 0 does not agree to the last bit:
+    :func:`_message_table` takes ``max(0, 1 - Σ)`` of the binned row, the
+    oracle the compensated complement ``_complement_to_one``, and the two
+    can differ in the last bits.
     """
-    p_x = p_joint_xw.table.sum(axis=1)
-    typical_x = marginal_typical_mask(xs, p_x, params.delta)
-    ids, firsts = _first_occurrence_dedup(entries_mu)
-    words = entries_mu[firsts]  # (Θ, n)
-    pair_mask = pairwise_typical_mask(xs, words, p_joint_xw.table, params.delta)
-    cond_xw = _conditional_rows(p_joint_xw, axis=1)  # (w, x)
-    post = cond_xw[words[None, :, :], xs[:, None, :]].prod(axis=2)  # (A, Θ)
-    p_xn = np.prod(p_x[xs], axis=1)
-    if np.any(typical_x & (p_xn <= 0.0)):
-        raise AssertionError("typical source word with zero product probability")
-    scale = np.zeros_like(p_xn)
-    live = typical_x & (p_xn > 0.0)
-    scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * entries_mu.shape[0] * p_xn[live])
+    table, ids = _distinct_weight_table(xs, entries_mu, p_joint_xw, epsilon, params)
     # t[:, ids] would come back in another memory order, and the row sums
     # would then add in another order; np.take keeps the per-index layout.
-    weights = np.take(scale[:, None] * post * pair_mask, ids, axis=1)
+    weights = np.take(table, ids, axis=1)
     s = weights.sum(axis=1)
     return weights, s, s <= 1.0
+
+
+def _valid_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``s <= 1`` per row, s the row sum of :func:`_encoder_weight_batch`'s weights.
+
+    The weights are nonnegative, so any order of summing them is within
+    gamma_L s of their exact sum (Higham 2002, sec. 4.2): the weighted sum
+    ``table @ counts``, one term per distinct codeword times its index
+    count, and the gathered (A, L) row sum alike.  So the two lie within
+    2 L eps of each other, relative, and the weighted sum decides every row
+    outside twice that band around 1.  Rows inside it take the gathered
+    row sum, summed as :func:`_encoder_weight_batch` sums it.
+    """
+    counts = np.bincount(ids, minlength=table.shape[1]).astype(float)
+    fast = table @ counts
+    valid = fast <= 1.0
+    near = np.flatnonzero(np.abs(fast - 1.0) <= 4.0 * ids.shape[0] * np.finfo(float).eps * fast)
+    if near.size:
+        valid[near] = np.take(table[near], ids, axis=1).sum(axis=1) <= 1.0
+    return valid
 
 
 def encoder_validity(
@@ -324,9 +364,9 @@ def encoder_validity(
         return True, 1.0
     flags = np.empty((codebook.k_size, xs.shape[0]), dtype=bool)
     for mu in range(codebook.k_size):
-        _, _, flags[mu] = _encoder_weight_batch(
+        flags[mu] = _valid_rows(*_distinct_weight_table(
             xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
-        )
+        ))
     return bool(flags.all()), float(flags.mean())
 
 
@@ -778,22 +818,32 @@ def read_codec(path) -> tuple[CodecParams, Codebook, BinningMap]:
         return codec_from_dict(json.load(fh))
 
 
+def build_ptp_codebook(
+    p_w: JointPmf,
+    params: CodecParams,
+    allow_degenerate: bool = False,
+    budget: int | None = None,
+) -> Codebook:
+    """The codebook of :func:`build_ptp_codec`, drawn from its own stream alone.
+
+    With ``allow_degenerate`` an empty typical set yields the null codebook
+    instead of raising, so short-blocklength baselines stay well-defined.
+    """
+    try:
+        return sample_codebook(p_w, params, derived_rng(params.seed, CODEBOOK_STREAM), budget)
+    except EmptyTypicalSetError:
+        if not allow_degenerate:
+            raise
+        return null_codebook(p_w.alphabets[0].size, params)
+
+
 def build_ptp_codec(
     p_w: JointPmf,
     params: CodecParams,
     allow_degenerate: bool = False,
     budget: int | None = None,
 ) -> tuple[Codebook, BinningMap]:
-    """Codebook plus binning from the run seed's derived streams.
-
-    With ``allow_degenerate`` an empty typical set yields the null codebook
-    instead of raising, so short-blocklength baselines stay well-defined.
-    """
-    try:
-        codebook = sample_codebook(p_w, params, derived_rng(params.seed, CODEBOOK_STREAM), budget)
-    except EmptyTypicalSetError:
-        if not allow_degenerate:
-            raise
-        codebook = null_codebook(p_w.alphabets[0].size, params)
+    """Codebook (:func:`build_ptp_codebook`) plus binning from the run seed's derived streams."""
+    codebook = build_ptp_codebook(p_w, params, allow_degenerate, budget)
     binning = sample_binning(codebook, params, derived_rng(params.seed, BINNING_STREAM))
     return codebook, binning

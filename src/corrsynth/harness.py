@@ -32,6 +32,7 @@ from .codec_dist import (
 )
 from .codec_ptp import (
     CodecParams,
+    build_ptp_codebook,
     build_ptp_codec,
     encoder_validity,
     soft_covering_deficit,
@@ -706,7 +707,7 @@ def soft_covering_trials(
     target = instance.design_joint()
     out = np.empty(trials)
     for t in range(trials):
-        codebook, _ = build_ptp_codec(
+        codebook = build_ptp_codebook(
             instance.p_w(), replace(params, seed=trial_seed(params.seed, t)), budget=budget
         )
         out[t] = soft_covering_deficit(target, codebook, params, budget)
@@ -860,7 +861,7 @@ def validity_rate(
         all_valid = np.empty(trials, dtype=bool)
         pointwise = np.empty(trials)
         for t in range(trials):
-            codebook, _ = build_ptp_codec(
+            codebook = build_ptp_codebook(
                 p_w,
                 replace(params, seed=trial_seed(params.seed, t)),
                 allow_degenerate=True,

@@ -17,7 +17,12 @@ p_{Y|ZW}: the consistent channels are the nonnegative solutions of one small
 linear system per z.  An exact active-set nonnegative least-squares solve
 (Lawson & Hanson 1974) decides whether one exists, and a channel is accepted
 when its residual, as :func:`ptp_consistency_residual` measures it, is
-within the search tolerance that the winners are certified at.  Where a
+within the search tolerance that the winners are certified at.  A system of
+full column rank needs no such solve when its unique least-squares solution
+x is too negative: any accepted q is >= 0 and lies within
+sqrt(m) (tol + r) / s of x in every entry (m rows, least singular value s,
+least-squares residual r), so min(x) below minus twice that, with rounding
+allowances, rejects the block outright (:func:`_out_of_reach`).  Where a
 block's solution is not unique, I(XYZ;W), which depends on p_{Y|ZW} only
 through -H(Y|W,Z), is least at the block's maximum-entropy solution, an
 I-projection (Csiszar 1975).  Every candidate is scored there, so the
@@ -248,19 +253,20 @@ def _matvec(a, x):
 
 
 def _pinv(a: np.ndarray):
-    """Moore-Penrose pseudoinverses and ranks of a stack of matrices, by SVD.
+    """Moore-Penrose pseudoinverses, ranks and singular values of a stack, by SVD.
 
     Singular values at most eps * max(m, n) times the largest count as zero,
     the cutoff ``np.linalg.lstsq(..., rcond=None)`` and
     ``np.linalg.matrix_rank`` use, so ``_pinv(a)[0] @ b`` is the
     minimum-norm least-squares solution and the rank is the count of the
-    others.  LAPACK factors each matrix on its own, so a matrix's
+    others.  The singular values come last, min(m, n) per matrix in
+    descending order.  LAPACK factors each matrix on its own, so a matrix's
     pseudoinverse does not depend on its stack.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2), (s > cutoff).sum(axis=-1)
+    return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2), (s > cutoff).sum(axis=-1), s
 
 
 def _nnls_stack(a: np.ndarray, b: np.ndarray):
@@ -420,6 +426,37 @@ class InnerSolve(NamedTuple):
                             violation=float(one.violation), failing=failing)
 
 
+def _out_of_reach(blocks, sol, resid, sing, tol: float) -> np.ndarray:
+    """Blocks whose least-squares solution is too negative for any channel to pass.
+
+    Let a block A (m x n) have full column rank, least-squares solution x,
+    residual r = max|Ax - b| and least singular value s.  A q the
+    feasibility test accepts is >= 0 and misses each equation by at most
+    tol: a consistency row is p(x,z) <= 1 times a conditional gap, and the
+    row sums of a renormalized q are 1 up to rounding.  Since
+    ||A v||_2 >= s ||v||_2 for every v, no entry of q - x exceeds
+    sqrt(m) (tol + r) / s, so min(x) >= -sqrt(m) (tol + r) / s.  A block
+    below that cannot pass, and no nonnegative solve need decide it.
+
+    The test is made safe against rounding.  tol + r gains
+    (n + 1) n eps (1 + max|x|), which covers the rounding of the gap test,
+    of the row sums and of r (Higham 2002, sec. 3.1 and 4.2; a row of A has
+    absolute sum at most n).  s loses m n eps times the largest singular
+    value, which covers the backward error of the SVD (Weyl's inequality);
+    a block whose s does not survive that is never out of reach.  The bound
+    is then doubled, the safety factor.  Arguments are stacks over blocks:
+    the blocks, x, r and the singular values of :func:`_pinv`; the caller
+    checks the rank.
+    """
+    m, n = blocks.shape[-2:]
+    eps = np.finfo(float).eps
+    floor = sing[..., -1] - m * n * eps * sing[..., 0]
+    slack = tol + resid + (n + 1) * n * eps * (1.0 + np.abs(sol).max(axis=-1))
+    with np.errstate(divide="ignore"):
+        reach = 2.0 * np.sqrt(m) * slack / np.where(floor > 0.0, floor, 0.0)
+    return -sol.min(axis=-1) > reach
+
+
 def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> InnerSolve:
     """Consistent p(y|z,w) for each p(w|x) of a (B, |X|, |W|) stack.
 
@@ -433,10 +470,12 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
     feasible set leaves a residual and is rejected.
 
-    That solution is unique when the block has full column rank.  In a row
-    every block passes, each other block takes the max-entropy point of its
-    consistent set instead (:func:`_max_entropy_stack`), the q with the
-    least I(XYZ;W), which must pass the same test.
+    That solution is unique when the block has full column rank, and then
+    most negative blocks are rejected without the nonnegative solve
+    (:func:`_out_of_reach`).  In a row every block passes, each other block
+    takes the max-entropy point of its consistent set instead
+    (:func:`_max_entropy_stack`), the q with the least I(XYZ;W), which must
+    pass the same test.
 
     Per row, the blocks are tested in z order and the first one that fails
     rejects the channel.  Accepted: q, its conditional residual, and
@@ -447,12 +486,14 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     nx, ny, nz = target_xyz.shape
     nb, _, nw = w_given_x.shape
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
-    pinv, rank = _pinv(blocks)
+    pinv, rank, sing = _pinv(blocks)
     sol = _matvec(pinv, rhs)
     resid = np.abs(_matvec(blocks, sol) - rhs).max(axis=-1)
     consistent = resid <= 1e-9
     exact = sol.copy()
     negative = consistent & (sol.min(axis=-1) < 0.0)
+    hopeless = negative & (rank == nw * ny) & _out_of_reach(blocks, sol, resid, sing, tol)
+    negative &= ~hopeless
     if negative.any():
         bz = np.nonzero(negative)
         exact[bz] = _nnls_stack(blocks[bz], rhs[bz[1]])[0]
@@ -460,7 +501,7 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     support[~negative] = True
     q = _stochastic_rows(exact.reshape(nb, nz, nw, ny))
     gaps = _conditional_gaps(blocks, rhs, weights, q)
-    fails = ~consistent | ~(gaps <= tol)
+    fails = ~consistent | hopeless | ~(gaps <= tol)
     newton = np.zeros((nb, nz), dtype=np.int64)
     dual = np.zeros((nb, nz, nx * ny))
     bz = np.nonzero((rank < nw * ny) & ~fails.any(axis=1)[:, None])

@@ -24,6 +24,11 @@ transposes, the reference for the in-place build.
 the Karush-Kuhn-Tucker conditions of the max-entropy inner problem, from the
 block matrix alone: the reference for the Newton solve.
 
+``solve_stack_every_nnls`` is the inner solve without the full-rank
+pre-rejection: every consistent block with a negative least-squares
+solution goes to the nonnegative solve.  It is the reference that the
+pre-rejection changes no outcome.
+
 The single-channel views (``nnls``, ``consistent_y_channel``,
 ``scalarized``, ``logit_gradient`` and ``descend_from``) run one problem,
 one p(w|x) or one descent through the frontier search's stacked stages, as
@@ -280,6 +285,49 @@ def nnls(a, b):
 def consistent_y_channel(target_xyz, w_given_x, tol):
     """One p(w|x) through ``rate_region._solve_stack``; q is None when rejected."""
     return rate_region._solve_stack(target_xyz, w_given_x[None], tol).row(0)
+
+
+def solve_stack_every_nnls(target_xyz, w_given_x, tol):
+    """``rate_region._solve_stack`` with every consistent negative block sent to NNLS.
+
+    No block is rejected from its least-squares solution alone: the path
+    before the full-rank pre-rejection, the reference for it.
+    """
+    nx, ny, nz = target_xyz.shape
+    nb, _, nw = w_given_x.shape
+    blocks, rhs, weights = rate_region._z_blocks(target_xyz, w_given_x)
+    pinv, rank, _ = rate_region._pinv(blocks)
+    sol = rate_region._matvec(pinv, rhs)
+    resid = np.abs(rate_region._matvec(blocks, sol) - rhs).max(axis=-1)
+    consistent = resid <= 1e-9
+    exact = sol.copy()
+    negative = consistent & (sol.min(axis=-1) < 0.0)
+    if negative.any():
+        bz = np.nonzero(negative)
+        exact[bz] = rate_region._nnls_stack(blocks[bz], rhs[bz[1]])[0]
+    support = exact > 0.0
+    support[~negative] = True
+    q = rate_region._stochastic_rows(exact.reshape(nb, nz, nw, ny))
+    gaps = rate_region._conditional_gaps(blocks, rhs, weights, q)
+    fails = ~consistent | ~(gaps <= tol)
+    newton = np.zeros((nb, nz), dtype=np.int64)
+    dual = np.zeros((nb, nz, nx * ny))
+    bz = np.nonzero((rank < nw * ny) & ~fails.any(axis=1)[:, None])
+    if bz[0].size:
+        c = target_xyz.sum(axis=1).T[bz[1], :, None] * w_given_x[bz[0]]
+        q[bz], v, newton[bz] = rate_region._max_entropy_stack(c, target_xyz.transpose(2, 0, 1)[bz[1]])
+        dual[bz] = v.reshape(len(v), -1)
+        gaps[bz] = rate_region._conditional_gaps(blocks[bz], rhs[bz[1]], weights[bz[1]], q[bz])
+        fails[bz] = ~(gaps[bz] <= tol)
+    failing = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
+    rows = np.flatnonzero(failing >= 0)
+    at = failing[rows]
+    residual = gaps.max(axis=1)
+    residual[rows] = resid[rows, at]
+    violation = np.zeros(nb)
+    most_negative = -sol[rows, at].min(axis=-1)
+    violation[rows] = np.where(consistent[rows, at] & (most_negative > 0.0), most_negative, 0.0)
+    return rate_region.InnerSolve(q, residual, violation, blocks, rhs, support, failing, pinv, sol, newton, dual)
 
 
 def scalarized(target_xyz, w_given_x, lam, tol):

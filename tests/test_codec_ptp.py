@@ -31,9 +31,11 @@ from corrsynth.codec_ptp import (
 )
 from corrsynth.codec_ptp import (
     _build_system_tables,
+    _distinct_weight_table,
     _encoder_weight_batch,
     _first_occurrence_dedup,
     _induced_slices,
+    _valid_rows,
 )
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
@@ -403,6 +405,8 @@ def test_encoder_weights_equal_the_per_index_oracle(name):
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+        # encoder validity decides s <= 1 from the distinct-codeword table
+        assert np.array_equal(_valid_rows(*_distinct_weight_table(xs, block, p_joint_xw, epsilon, params)), want[2])
         weights, _, valid = got
         seen["repeats"] |= len({w.tobytes() for w in block}) < block.shape[0]
         seen["weighted"] |= bool(weights.any(axis=1).any())
@@ -419,6 +423,57 @@ def test_word_numbering_equals_the_dict_oracle(name):
         want = _oracles.first_occurrence_dedup(block)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_encoder_weights_equal_the_per_index_oracle_on_random_shapes():
+    """The letter-by-letter posterior equals the oracle's (A, L, n) product."""
+    gen = np.random.default_rng(200)
+    checked = weighted = 0
+    while checked < 200:
+        n, nx, nw = (int(v) for v in gen.integers(1, (9, 4, 4)))
+        table = gen.gamma(1.0, size=(nx, nw))
+        table[gen.random((nx, nw)) < 0.3] = 0.0
+        if not table.sum(axis=0).all() or not table.sum(axis=1).all():
+            continue
+        checked += 1
+        p_joint_xw = JointPmf.from_table(("X", "W"), table / table.sum())
+        block = gen.integers(0, nw, size=(int(gen.integers(1, 40)), n))
+        block[gen.random(block.shape[0]) < 0.4] = block[0]
+        # source words drawn through p(x|w) from codewords, so that many pairs are typical
+        given = block[gen.integers(0, block.shape[0], size=int(gen.integers(1, 30)))]
+        cdf = np.cumsum(table / table.sum(axis=0), axis=0)  # (x, w)
+        xs = np.minimum((gen.random(given.shape)[..., None] > cdf.T[given]).sum(axis=-1), nx - 1)
+        params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=0.9, eta=0.1, seed=0)
+        got = _encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
+        want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(_valid_rows(*_distinct_weight_table(xs, block, p_joint_xw, 0.1, params)), want[2])
+        weighted += bool(got[0].any())
+    assert weighted >= 50
+
+
+def test_validity_rows_near_one_take_the_gathered_row_sum(monkeypatch):
+    """Identity-coded words, each matched by five of 64 codewords at weight
+    0.2 (eta = 0, epsilon = 0.2, 2^n = 16): their sums land on 1 within
+    rounding, where only the gathered row sum decides."""
+    typical = [w for w in enumerate_sequences(2, 4) if 1 <= w.sum() <= 3]
+    block = np.vstack([np.repeat(typical[:12], 5, axis=0), np.zeros((4, 4), dtype=np.int64)])
+    xs, entries, p_joint_xw, epsilon, params = small_case(block, eta=0.0, table=((0.5, 0.0), (0.0, 0.5)))
+    table, ids = _distinct_weight_table(xs, entries[0], p_joint_xw, epsilon, params)
+    _, s, _ = _oracles.encoder_weight_batch(xs, entries[0], p_joint_xw, epsilon, params)
+    assert np.count_nonzero(np.abs(s - 1.0) <= 1e-15) == 12
+    gathered = []
+    take = np.take
+
+    def spy(a, indices, axis=None):
+        gathered.append(a.shape[0])
+        return take(a, indices, axis=axis)
+
+    monkeypatch.setattr(np, "take", spy)
+    flags = _valid_rows(table, ids)
+    assert gathered == [12]
+    assert np.array_equal(flags, s <= 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import corrsynth
 from corrsynth.budget import BudgetExceededError
 from corrsynth.codec_dist import DistCodecParams
-from corrsynth.codec_ptp import CodecParams, build_ptp_codec, encoder_validity
+from corrsynth.codec_ptp import CodecParams, build_ptp_codec, encoder_validity, soft_covering_deficit
 from corrsynth.harness import (
     Aggregate,
     ChernoffCheck,
@@ -42,6 +42,9 @@ from corrsynth.harness import (
     write_report,
 )
 from corrsynth.probability import JointPmf
+from corrsynth.typicality import typical_set
+
+import _oracles
 
 
 def h2(p):
@@ -557,6 +560,44 @@ def test_validity_rate_on_the_reference_instance_is_all_valid():
     assert [c.empirical for c in checks] == [1.0, 1.0]
     assert [c.empirical_pointwise for c in checks] == [1.0, 1.0]
     assert checks[0].typical_count == 2 and checks[1].typical_count == 6
+
+
+def test_validity_rate_equals_records_from_full_codec_builds():
+    """validity_rate draws codebooks alone; they are build_ptp_codec's, and
+    its records are the per-index oracle's validity on them."""
+    inst = synthesis_demo_instance()
+    p_joint_xw = inst.p_joint_xw()
+    grid = [CodecParams(n=n, rt=1.5, r=0.0, c=0.25, delta=0.5, eta=0.05, seed=2) for n in (1, 3, 5)]
+    checks = validity_rate(inst, grid, trials=4)
+    seen_invalid = False
+    for params, check in zip(grid, checks):
+        all_valid, pointwise = [], []
+        for t in range(4):
+            codebook, _ = build_ptp_codec(
+                inst.p_w(), dataclasses.replace(params, seed=trial_seed(params.seed, t)), allow_degenerate=True
+            )
+            xs = typical_set(p_joint_xw.marginalize(("X",)), params.n, params.delta)
+            if codebook.degenerate or xs.shape[0] == 0:
+                all_valid.append(True)
+                pointwise.append(1.0)
+                continue
+            flags = np.stack([_oracles.encoder_weight_batch(xs, block, p_joint_xw, codebook.epsilon, params)[2]
+                              for block in codebook.entries])
+            all_valid.append(bool(flags.all()))
+            pointwise.append(float(flags.mean()))
+        seen_invalid |= not all(all_valid)
+        assert check.empirical == float(np.mean(all_valid))
+        assert check.empirical_pointwise == float(np.array(pointwise).mean())
+    assert seen_invalid
+
+
+def test_soft_covering_trials_draw_build_ptp_codec_codebooks():
+    inst = synthesis_demo_instance()
+    params = CodecParams(n=3, rt=1.5, r=0.0, c=0.25, delta=0.5, eta=0.1, seed=1)
+    got = soft_covering_trials(inst, params, 3)
+    for t in range(3):
+        codebook, _ = build_ptp_codec(inst.p_w(), dataclasses.replace(params, seed=trial_seed(params.seed, t)))
+        assert got[t] == soft_covering_deficit(inst.design_joint(), codebook, params)
 
 
 def test_validity_union_bound_formula_and_monotonicity():

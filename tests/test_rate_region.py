@@ -19,6 +19,7 @@ from _oracles import (
     scalarized,
     scalarized_minimum,
     sequential_descent,
+    solve_stack_every_nnls,
     z_block,
 )
 from corrsynth import rate_region
@@ -762,6 +763,96 @@ def test_stacked_nnls_rows_equal_single_solves_and_the_oracle():
             assert np.array_equal(x[i], one) and norms[i] == norm
             assert x[i].min() >= 0.0
             assert abs(norm - nonnegative_lstsq_residual(a[i], b[i])) <= 1e-10
+
+
+def same_inner_solve(got, want):
+    """Outcomes and slope inputs on every row; the channel and its solve on accepted rows."""
+    ok = want.failing < 0
+    return (
+        all(np.array_equal(getattr(got, f), getattr(want, f)) for f in ("failing", "residual", "violation"))
+        and all(np.array_equal(getattr(got, f)[ok], getattr(want, f)[ok]) for f in ("q", "support", "newton", "dual"))
+    )
+
+
+def boundary_case(gen, t):
+    """(target, p(w|x)): |W| < |X|, |Z| = 1, and the unique consistent q has one entry -t."""
+    nx, ny, nw = 3, 2, 2
+    p_x = random_simplex(gen, (nx,))
+    w_table = random_simplex(gen, (nx, nw))
+    q = random_simplex(gen, (1, nw, ny))
+    q[0, 0] = (-t, 1.0 + t)
+    return np.einsum("x,xw,zwy->xyz", p_x, w_table, q), w_table
+
+
+def test_pre_rejection_never_rejects_a_block_the_nnls_path_accepts():
+    """Full-rank blocks whose least-squares minimum runs from -1e-13 to -1:
+    the bound rejects a block only where the nonnegative solve and the tol
+    test would, and the solve's outcome is the oracle's on every row."""
+    gen = np.random.default_rng(17)
+    for tol in (1e-12, 1e-9, 1e-6):
+        cases = [boundary_case(gen, t) for t in np.logspace(-13, 0, 60) for _ in range(3)]
+        cases = [(target, w) for target, w in cases if target.min() >= 0.0]
+        accepted = rejected_early = 0
+        for target, w in cases:
+            blocks, rhs, _ = rate_region._z_blocks(target, w)
+            pinv, rank, sing = rate_region._pinv(blocks)
+            sol = rate_region._matvec(pinv, rhs)
+            resid = np.abs(rate_region._matvec(blocks, sol) - rhs).max(axis=-1)
+            assert rank[0] == blocks.shape[-1] and -1.0 <= sol.min() < -1e-14
+            early = bool(rate_region._out_of_reach(blocks, sol, resid, sing, tol)[0])
+            want = solve_stack_every_nnls(target, w[None], tol)
+            assert same_inner_solve(rate_region._solve_stack(target, w[None], tol), want)
+            if want.failing[0] < 0:
+                accepted += 1
+                assert not early
+            rejected_early += early
+        # both sides of the bound occur at every tolerance
+        assert accepted >= 3 and rejected_early >= 3
+
+
+PRE_REJECTION_STACKS = {
+    # the benchmark's validity-region search: full-rank 2x2x2 blocks
+    "benchmark": (
+        np.random.default_rng((0xC0DE, 0)).gamma(1.0, size=(2, 2, 2)),
+        SearchConfig(w_cap=2, restarts=1, lambda_grid=1, iters=20),
+    ),
+    # gate 4's 990 descents: the README target at w_cap = 2
+    "gate-4": (README_TARGET, SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0)),
+    # the README spec: every block rank-deficient, none rejected early
+    "readme-w4": (README_TARGET, SearchConfig(w_cap=4, lambda_grid=17, restarts=2, iters=60, seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(PRE_REJECTION_STACKS))
+def test_inner_solve_equals_the_every_block_nnls_oracle(case, monkeypatch):
+    """Every stack a short lockstep run solves, from a search's phase-one
+    starts, matches the path that sends every negative block to NNLS."""
+    cells, cfg = PRE_REJECTION_STACKS[case]
+    target, lams, logits, iters = phase_one_stack(cells, cfg)
+    nnls_rows = {"solve": 0, "oracle": 0}
+    counting = "solve"
+    real_solve, real_nnls = rate_region._solve_stack, rate_region._nnls_stack
+
+    def nnls_stack(a, b):
+        nnls_rows[counting] += len(a)
+        return real_nnls(a, b)
+
+    def solve_stack(target_xyz, w_given_x, tol):
+        nonlocal counting
+        counting = "solve"
+        got = real_solve(target_xyz, w_given_x, tol)
+        counting = "oracle"
+        assert same_inner_solve(got, solve_stack_every_nnls(target_xyz, w_given_x, tol))
+        return got
+
+    monkeypatch.setattr(rate_region, "_nnls_stack", nnls_stack)
+    monkeypatch.setattr(rate_region, "_solve_stack", solve_stack)
+    rate_region._lockstep(target, lams, logits, np.minimum(iters, 3), cfg.tol)
+    assert nnls_rows["oracle"] > 0
+    if case == "readme-w4":
+        assert nnls_rows["solve"] == nnls_rows["oracle"]
+    else:
+        assert nnls_rows["solve"] < nnls_rows["oracle"] / 4
 
 
 def test_stacked_rates_equal_rates_evaluated_alone():
