@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="corrsynth",
         description="rate regions and finite-blocklength codecs for correlated-randomness synthesis",
@@ -274,7 +277,7 @@ _HANDLERS = {
 
 def cli_dispatch(argv=None) -> int:
     """Parse arguments, run one subcommand, and map failures to exit codes."""
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

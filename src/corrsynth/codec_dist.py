@@ -273,22 +273,23 @@ def _build_dist_tables(
         "ab,aw,bv->wv", p_x1x2.table, p_w1_given_x1.table, p_w2_given_x2.table
     )
     bn1, bn2 = binnings
+    e1 = codebooks.first.entries.reshape(-1, n)
+    e2 = codebooks.second.entries.reshape(-1, n)
+    numbering1, numbering2 = _word_ids(e1), _word_ids(e2)
     messages1 = _message_table(
-        xs1, codebooks.first, bn1.labels, bn1.m_size, p_joint_xw1, _leg_params(params, 1)
+        xs1, codebooks.first, numbering1, bn1.labels, bn1.m_size, p_joint_xw1, _leg_params(params, 1)
     )
     messages2 = _message_table(
-        xs2, codebooks.second, bn2.labels, bn2.m_size, p_joint_xw2, _leg_params(params, 2)
+        xs2, codebooks.second, numbering2, bn2.labels, bn2.m_size, p_joint_xw2, _leg_params(params, 2)
     )
 
     # A (μ1, μ2, m1, m2) cell decodes when exactly one jointly typical index
     # pair sits in it; duplicate codewords count multiply.
-    e1 = codebooks.first.entries.reshape(-1, n)
-    e2 = codebooks.second.entries.reshape(-1, n)
     a, b = np.nonzero(pairwise_typical_mask(e1, e2, p_w1w2, params.delta))
     mu1, mu2 = a // codebooks.first.l_size, b // codebooks.second.l_size
     cell = ((mu1 * k2 + mu2) * (m1 + 1) + bn1.labels.reshape(-1)[a]) * (m2 + 1)
     cell += bn2.labels.reshape(-1)[b]
-    (id1, words1), (id2, words2) = _word_ids(e1), _word_ids(e2)
+    (id1, words1), (id2, words2) = numbering1, numbering2
     pair = id1[a] * words2.shape[0] + id2[b]  # 0 = the fallback pair
     used, decoded = _decoded_rows(cell, pair, k1 * k2 * (m1 + 1) * (m2 + 1))
     decoded = decoded.reshape(k1, k2, m1 + 1, m2 + 1)

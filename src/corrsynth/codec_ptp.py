@@ -222,18 +222,29 @@ class BinningMap:
         return self.bins[mu][self.dedup[mu]]
 
 
+#: bits of one packed numbering key, so that int64 keys stay nonnegative
+_KEY_BITS = 62
+
+
 def _first_occurrence_dedup(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dedup indices over rows, first-occurrence row positions).
 
     Equal rows share one index, and indices count up in order of first
-    occurrence.  A stable sort on the letter columns brings equal rows
-    together with the earliest first, so no row is packed into an integer
-    code and any word length works.
+    occurrence.  The letters, nonnegative integers, are packed into int64
+    keys, as many letters per key as 62 bits hold (at least one), and a
+    stable sort on the keys brings equal rows together with the earliest
+    first, so any word length and letter range works.
     """
-    order = np.lexsort(block.T)
-    ranked = block[order]
+    n = block.shape[1]
+    bits = max(1, int(block.max(initial=0)).bit_length())
+    per = max(1, _KEY_BITS // bits)
+    # letters of one key occupy disjoint bits, so a product with powers of two packs them
+    place = np.left_shift(1, bits * np.arange(per, dtype=np.int64))
+    keys = np.stack([block[:, s : s + per] @ place[: min(per, n - s)] for s in range(0, n, per)])
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
     starts = np.ones(block.shape[0], dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
     firsts = order[starts]  # first row of each run of equal rows
     by_first = np.argsort(firsts)
     relabel = np.empty_like(by_first)
@@ -261,28 +272,27 @@ def _conditional_rows(joint: JointPmf, axis: int) -> np.ndarray:
     return np.where(cond.defined[:, None], cond.table, 0.0)
 
 
-def _distinct_weight_table(
+def _weight_columns(
     xs: np.ndarray,
-    entries_mu: np.ndarray,
+    words: np.ndarray,
+    l_size: int,
     p_joint_xw: JointPmf,
     epsilon: float,
     params: CodecParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder weights of a batch of source words against a block's distinct codewords.
+) -> np.ndarray:
+    """(A, U) encoder weights of a batch of source words against codewords ``words``.
 
-    Returns (table (A, Θ), ids (L,)): index l of the block weighs
-    ``table[:, ids[l]]``, since a weight depends on its index only through
-    the codeword.  A weight is scale(x) · posterior(x | w) · [pair typical],
-    with the posterior multiplied letter by letter, in the order a per-index
-    running product takes; atypical source words get all-zero rows.
+    A weight is scale(x) · posterior(x | w) · [pair typical], with
+    scale(x) = (1-ε) / ((1+η) L p(x^n)) for blocks of ``l_size`` = L
+    indices and the posterior multiplied letter by letter, in the order a
+    per-index running product takes; atypical source words get all-zero
+    rows.  A column depends on its codeword and on L alone.
     """
     p_x = p_joint_xw.table.sum(axis=1)
     typical_x = marginal_typical_mask(xs, p_x, params.delta)
-    ids, firsts = _first_occurrence_dedup(entries_mu)
-    words = entries_mu[firsts]  # (Θ, n)
     pair_mask = pairwise_typical_mask(xs, words, p_joint_xw.table, params.delta)
     by_x = _conditional_rows(p_joint_xw, axis=1).T  # (x, w): p(x | w)
-    post = np.take(by_x[xs[:, 0]], words[:, 0], axis=1)  # (A, Θ)
+    post = np.take(by_x[xs[:, 0]], words[:, 0], axis=1)  # (A, U)
     for i in range(1, xs.shape[1]):
         post *= by_x[xs[:, i]][:, words[:, i]]
     p_xn = np.prod(p_x[xs], axis=1)
@@ -290,35 +300,51 @@ def _distinct_weight_table(
         raise AssertionError("typical source word with zero product probability")
     scale = np.zeros_like(p_xn)
     live = typical_x & (p_xn > 0.0)
-    scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * entries_mu.shape[0] * p_xn[live])
-    return scale[:, None] * post * pair_mask, ids
+    scale[live] = (1.0 - epsilon) / ((1.0 + params.eta) * l_size * p_xn[live])
+    return scale[:, None] * post * pair_mask
 
 
-def _encoder_weight_batch(
+def _distinct_weight_table(
     xs: np.ndarray,
-    entries_mu: np.ndarray,
+    entries: np.ndarray,
     p_joint_xw: JointPmf,
     epsilon: float,
     params: CodecParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw index weights for a batch of source words against one μ-block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder weights of a batch of source words against a codebook's distinct codewords.
+
+    ``entries`` holds a codebook's (K, L, n) entries, or one (L, n) block.
+    Returns (table (A, Θ), ids ``entries.shape[:-1]``): index l of block μ
+    weighs ``table[:, ids[μ, l]]``.  One table serves every block, since a
+    weight depends on its block and index only through the codeword and the
+    block size L that scales it (:func:`_weight_columns`); its Θ columns
+    are the distinct words of all K blocks, numbered in first-occurrence
+    order.
+    """
+    flat = entries.reshape(-1, entries.shape[-1])
+    ids, firsts = _first_occurrence_dedup(flat)
+    table = _weight_columns(xs, flat[firsts], entries.shape[-2], p_joint_xw, epsilon, params)
+    return table, ids.reshape(entries.shape[:-1])
+
+
+def _block_weights(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw index weights of one block from its codebook's weight table.
 
     Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
     all-zero weights, which downstream logic reads as a point mass on index 0.
-    The weights are :func:`_distinct_weight_table` gathered back per index.
-    Each weight is the product a per-index evaluation forms, in the same
-    letter order, and the gather keeps the per-index memory layout, so
-    weights, s and valid equal a per-index evaluation bit for bit (the
-    reference is ``encoder_weight_batch`` in ``tests/_oracles.py``).
-    The message tables and the scalar encoder oracle in ``tests/_oracles.py``
-    call it, so their index weights agree to the last bit; encoder validity
+    ``ids[l]`` is the table column of index l.  Each weight is the product a
+    per-index evaluation forms, in the same letter order, and the gather
+    keeps the per-index memory layout, so weights, s and valid equal a
+    per-index evaluation bit for bit (the reference is
+    ``encoder_weight_batch`` in ``tests/_oracles.py``).  The message tables
+    and the scalar encoder oracle in ``tests/_oracles.py`` gather through
+    it, so their index weights agree to the last bit; encoder validity
     decides ``s <= 1`` from the table itself (:func:`_valid_rows`), with the
     same outcome.  Message 0 does not agree to the last bit:
     :func:`_message_table` takes ``max(0, 1 - Σ)`` of the binned row, the
     oracle the compensated complement ``_complement_to_one``, and the two
     can differ in the last bits.
     """
-    table, ids = _distinct_weight_table(xs, entries_mu, p_joint_xw, epsilon, params)
     # t[:, ids] would come back in another memory order, and the row sums
     # would then add in another order; np.take keeps the per-index layout.
     weights = np.take(table, ids, axis=1)
@@ -327,15 +353,16 @@ def _encoder_weight_batch(
 
 
 def _valid_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``s <= 1`` per row, s the row sum of :func:`_encoder_weight_batch`'s weights.
+    """``s <= 1`` per row, s the row sum of :func:`_block_weights`' weights.
 
     The weights are nonnegative, so any order of summing them is within
     gamma_L s of their exact sum (Higham 2002, sec. 4.2): the weighted sum
-    ``table @ counts``, one term per distinct codeword times its index
-    count, and the gathered (A, L) row sum alike.  So the two lie within
-    2 L eps of each other, relative, and the weighted sum decides every row
-    outside twice that band around 1.  Rows inside it take the gathered
-    row sum, summed as :func:`_encoder_weight_batch` sums it.
+    ``table @ counts``, one term per codeword of the table times its index
+    count in the block (exact zeros for the words the block lacks), and the
+    gathered (A, L) row sum alike.  So the two lie within 2 L eps of each
+    other, relative, and the weighted sum decides every row outside twice
+    that band around 1.  Rows inside it take the gathered row sum, summed
+    as :func:`_block_weights` sums it.
     """
     counts = np.bincount(ids, minlength=table.shape[1]).astype(float)
     fast = table @ counts
@@ -355,18 +382,18 @@ def encoder_validity(
     """Whether every (typical input word, block) pair yields a proper sub-PMF.
 
     Returns ``(all_valid, fraction)``, the fraction averaging over typical
-    input words and blocks.  An empty typical input set or a degenerate
+    input words and blocks.  One weight table serves the whole codebook:
+    its columns are the distinct words of all K blocks, scaled by the block
+    size L (:func:`_distinct_weight_table`), and each block reads its
+    columns through its ids.  An empty typical input set or a degenerate
     codebook leaves nothing to oversubscribe: vacuously valid, fraction 1.0.
     """
     p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
     xs = typical_set(p_x, params.n, params.delta, budget)
     if xs.shape[0] == 0 or codebook.degenerate:
         return True, 1.0
-    flags = np.empty((codebook.k_size, xs.shape[0]), dtype=bool)
-    for mu in range(codebook.k_size):
-        flags[mu] = _valid_rows(*_distinct_weight_table(
-            xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
-        ))
+    table, ids = _distinct_weight_table(xs, codebook.entries, p_joint_xw, codebook.epsilon, params)
+    flags = np.stack([_valid_rows(table, block) for block in ids])
     return bool(flags.all()), float(flags.mean())
 
 
@@ -426,8 +453,11 @@ def _decoded_rows(cell: np.ndarray, code: np.ndarray, size: int) -> tuple[np.nda
     candidate = np.zeros(size, dtype=np.int64)
     candidate[cell] = code
     decoded = np.where(np.bincount(cell, minlength=size) == 1, candidate, 0)
-    used, rows = np.unique(decoded, return_inverse=True)
-    return used, rows.reshape(-1)
+    # codes are nonnegative word (or word-pair) numbers: a presence mask
+    # over 0..max code replaces a sort
+    present = np.zeros(int(code.max(initial=0)) + 1, dtype=bool)
+    present[decoded] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[decoded]
 
 
 def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
@@ -451,6 +481,7 @@ def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
 def _message_table(
     xs: np.ndarray,
     codebook: Codebook,
+    numbering: tuple[np.ndarray, np.ndarray],
     labels: np.ndarray,
     m_size: int,
     p_joint_xw: JointPmf,
@@ -458,14 +489,20 @@ def _message_table(
 ) -> np.ndarray:
     """(K, A, M+1) message PMFs; ``labels[μ, l]`` is the bin of index l in block μ.
 
-    Bins collect the index weights, invalid rows send nothing, and message 0
+    ``numbering`` is :func:`_word_ids` of the codebook's entries, flattened:
+    one weight table over its words serves every block, each block reading
+    its columns through its ids (:func:`_distinct_weight_table`).  Bins
+    collect the index weights, invalid rows send nothing, and message 0
     takes ``max(0, 1 - Σ)`` of each row.
     """
+    ids, words = numbering
+    ids = ids.reshape(codebook.k_size, codebook.l_size)
+    table = _weight_columns(xs, words, codebook.l_size, p_joint_xw, codebook.epsilon, params)
     msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
-    for mu, entries in enumerate(codebook.entries):
-        weights, _, valid = _encoder_weight_batch(xs, entries, p_joint_xw, codebook.epsilon, params)
-        onehot = np.zeros((entries.shape[0], m_size + 1))
-        onehot[np.arange(entries.shape[0]), labels[mu]] = 1.0
+    for mu in range(codebook.k_size):
+        weights, _, valid = _block_weights(table, ids[mu])
+        onehot = np.zeros((codebook.l_size, m_size + 1))
+        onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
         msg[mu] = weights @ onehot
         msg[mu, ~valid] = 0.0
     msg[:, :, 0] = np.maximum(0.0, 1.0 - msg[:, :, 1:].sum(axis=2))
@@ -504,16 +541,19 @@ def _build_system_tables(
     p_zw_table = np.einsum("xz,xw->zw", p_xz.table, p_w_given_x.table)
 
     labels = np.stack([binning.messages(mu) for mu in range(kk)])
-    messages = _message_table(xs, codebook, labels, mm, p_joint_xw, params)
+    numbering = _word_ids(codebook.entries.reshape(-1, n))
+    messages = _message_table(xs, codebook, numbering, labels, mm, p_joint_xw, params)
 
     # Entry e is distinct word j of block block_of[e], in bin bin_of[e]; its
-    # letters are words[gid[e]], numbered across blocks.
-    blocks = [
-        codebook.entries[mu][_first_occurrence_dedup(codebook.entries[mu])[1]]
-        for mu in range(kk)
-    ]
-    gid, words = _word_ids(np.vstack(blocks))
-    block_of = np.repeat(np.arange(kk), [b.shape[0] for b in blocks])
+    # letters are words[gid[e]], numbered across blocks.  Dedup ids count up
+    # in first-occurrence order, so an index is a word's first in its block
+    # exactly when its id exceeds every id before it.
+    dedup = binning.dedup
+    first = np.ones(dedup.shape, dtype=bool)
+    first[:, 1:] = dedup[:, 1:] > np.maximum.accumulate(dedup, axis=1)[:, :-1]
+    block_of, index_of = np.nonzero(first)
+    ids, words = numbering
+    gid = ids.reshape(kk, -1)[block_of, index_of]
     bin_of = np.concatenate(binning.bins)
     ok = pairwise_typical_mask(zs, words, p_zw_table, typ.delta2)[:, gid]  # (Az, ΣΘ)
     zz, ee = np.nonzero(ok)

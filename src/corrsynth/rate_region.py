@@ -726,9 +726,11 @@ class _Descent(NamedTuple):
     newton_missed: int = 0
 
 
-#: halvings one round tries per backtracking search, in order: a search that
-#: accepts none of a chunk's steps tries the next chunk in the next round,
-#: and gives up after all 25
+#: chunk sizes that cut halvings 0..24 into rounds: a search's first round
+#: tries halvings 0..k, k the halving its descent's previous search accepted
+#: (0 in a descent's first search); after a round that accepts no step, the
+#: next round runs from the following halving to the end of its chunk.  A
+#: search gives up after all 25.
 _HALVING_CHUNKS = (1, 2, 4, 8, 10)
 
 
@@ -742,14 +744,16 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
     gradient is exact (:func:`_gradient_stack`) and reuses the current
     point's inner solve.  The descents step in lockstep: each round takes
     one gradient stack of the descents that just moved, then evaluates one
-    stack of candidates, the next chunk of halvings (:data:`_HALVING_CHUNKS`)
-    of every open search, and each search accepts its first candidate in
-    halving order.  ``step * 2**-k`` is exact, so a descent takes the steps
-    it would take alone, whatever else is in the stack.  A descent's value
-    is the scalarized value of the channel pair it returns.
+    stack of candidates, the next halvings of every open search, and each
+    search accepts its first candidate in halving order.  A search's first
+    round reaches the halving its descent's previous search accepted, and a
+    miss goes on along :data:`_HALVING_CHUNKS`, so a descent's rounds depend
+    on its own history alone.  ``step * 2**-k`` is exact, so a descent takes
+    the steps it would take alone, whatever else is in the stack.  A
+    descent's value is the scalarized value of the channel pair it returns.
 
     ``solves`` counts the candidates evaluated, start point included, so
-    the halvings after an accepted one in its chunk count too; so do the
+    the halvings after an accepted one in its round count too; so do the
     max-entropy counts.
     """
     nd = len(lam)
@@ -770,11 +774,12 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
     steps = np.zeros(nd, dtype=np.int64)
     grad = np.zeros_like(logits)
     step = np.zeros(nd)
-    chunk = np.zeros(nd, dtype=np.int64)  # of the open search
+    # the open search's next round tries halvings lo..hi-1; last is the
+    # halving the previous search accepted
+    lo, hi, last = (np.zeros(nd, dtype=np.int64) for _ in range(3))
     live = steps < iters
     moved = live.copy()
-    sizes = np.array(_HALVING_CHUNKS)
-    first_halving = np.cumsum(sizes) - sizes
+    ends = np.cumsum(_HALVING_CHUNKS)
     while True:
         at = np.flatnonzero(moved)
         if at.size:
@@ -785,13 +790,13 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
             at, g, norm = at[keep], g[keep], norm[keep]
             grad[at] = g
             step[at] = 1.0 / np.where(norm > 1.0, norm, 1.0)
-            chunk[at] = 0
+            lo[at], hi[at] = 0, last[at] + 1
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        count = sizes[chunk[rows]]
+        count = hi[rows] - lo[rows]
         owner = np.repeat(rows, count)
-        k = first_halving[chunk[owner]] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        k = lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
         trial = logits[owner] - np.ldexp(step[owner], -k)[:, None, None] * grad[owner]
         trial_w = _softmax(trial)
         trial_value, trial_solve, trial_rates = _scalarized_stack(target_xyz, trial_w, lam[owner], tol)
@@ -803,12 +808,14 @@ def _lockstep(target_xyz, lam, logits, iters, tol) -> list[_Descent]:
         logits[took], w_given_x[took], value[took] = trial[picks], trial_w[picks], trial_value[picks]
         solve.put(took, trial_solve, picks)
         rates[took] = trial_rates[picks]
+        last[took] = k[picks]
         steps[took] += 1
         moved[:] = False
         moved[took] = live[took] = steps[took] < iters[took]
         missed = np.setdiff1d(rows, took, assume_unique=True)
-        chunk[missed] += 1
-        live[missed[chunk[missed] == len(sizes)]] = False
+        lo[missed] = hi[missed]
+        live[missed[lo[missed] == ends[-1]]] = False
+        hi[missed] = ends[np.minimum(np.searchsorted(ends, lo[missed], side="right"), len(ends) - 1)]
     runs = []
     for d in range(nd):
         one = solve.row(d)

@@ -17,6 +17,8 @@ running product over letters, the reference for the letter-by-letter build.
 index, through an (A, L, n) gather, and ``first_occurrence_dedup`` numbers
 words with a dictionary of their bytes: the references for the per-word
 evaluation and the vectorised numbering, which must match them bit for bit.
+``encoder_validity_per_block`` builds one weight table per block, over the
+block's own distinct words: the reference for the per-codebook table.
 ``product_table`` builds the n-fold product table by outer products and
 transposes, the reference for the in-place build.
 
@@ -65,9 +67,11 @@ from corrsynth.codec_ptp import (
     BinningMap,
     Codebook,
     CodecParams,
+    _block_weights,
     _conditional_rows,
-    _encoder_weight_batch,
+    _distinct_weight_table,
     _first_occurrence_dedup,
+    _valid_rows,
 )
 from corrsynth.probability import JointPmf
 from corrsynth.typicality import (
@@ -75,6 +79,7 @@ from corrsynth.typicality import (
     TypicalityParams,
     marginal_typical_mask,
     pairwise_typical_mask,
+    typical_set,
 )
 
 
@@ -239,6 +244,20 @@ def encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params):
     weights = scale[:, None] * post * pair_mask
     s = weights.sum(axis=1)
     return weights, s, s <= 1.0
+
+
+def encoder_validity_per_block(codebook, p_joint_xw, params, budget=None):
+    """``codec_ptp.encoder_validity`` with one weight table per block, over its own distinct words."""
+    p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
+    xs = typical_set(p_x, params.n, params.delta, budget)
+    if xs.shape[0] == 0 or codebook.degenerate:
+        return True, 1.0
+    flags = np.empty((codebook.k_size, xs.shape[0]), dtype=bool)
+    for mu in range(codebook.k_size):
+        flags[mu] = _valid_rows(*_distinct_weight_table(
+            xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
+        ))
+    return bool(flags.all()), float(flags.mean())
 
 
 def product_table(base, n):
@@ -450,9 +469,9 @@ def encoder_subpmf(
     deficit; otherwise the flag drops and the message convention takes over.
     """
     x = _coerce_word(x_seq, params.n)
-    weights, s, valid = _encoder_weight_batch(
+    weights, s, valid = _block_weights(*_distinct_weight_table(
         x[None, :], codebook.entries[mu], p_joint_xw, codebook.epsilon, params
-    )
+    ))
     s0, valid0 = float(s[0]), bool(valid[0])
     out = np.empty(codebook.l_size + 1)
     out[1:] = weights[0]
@@ -545,9 +564,9 @@ def dist_encoder_pmf(
     x = np.asarray(x_seq, dtype=int)
     if x.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
-    weights, s, valid = _encoder_weight_batch(
+    weights, s, valid = _block_weights(*_distinct_weight_table(
         x[None, :], book.entries[mu], p_joint_xw, book.epsilon, _leg_params(params, j)
-    )
+    ))
     return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)
 
 

@@ -391,6 +391,53 @@ def test_module_entry_point_runs(tmp_path):
     assert main(["not-a-command"]) == 1
 
 
+def test_one_process_dispatches_like_separate_processes(tmp_path):
+    """The parser is built once, on the first dispatch: a bad command, then
+    ``validity``, then ``simulate-ptp`` in one process exit with the codes
+    and write the bytes each call gives in a process of its own."""
+    validity = write_json(tmp_path / "validity.json", {
+        "instance": "synthesis-demo", "trials": 2,
+        "params": {"n": 4, "rt": 1.5, "r": 0.0, "c": 0.25, "delta": 0.5, "eta": 0.9, "seed": 0},
+    })
+    simulate = write_json(tmp_path / "simulate.json", {
+        "instance": "synthesis-demo", "trials": 2,
+        "params": {"n": 4, "rt": 1.5, "r": 1.0, "c": 0.25, "delta": 0.5, "eta": 0.1, "seed": 0},
+    })
+    calls = [
+        ["not-a-command"],
+        ["validity", "--spec", validity, "--out", "validity.csv"],
+        ["simulate-ptp", "--spec", simulate, "--out", "report.csv"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(corrsynth.__file__).resolve().parent.parent)}
+    script = (
+        "import json, sys\n"
+        "from corrsynth import cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "codes = [cli.cli_dispatch(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert cli._parser.cache_info().misses == 1\n"
+        "print(json.dumps(codes))\n"
+    )
+    together = tmp_path / "together"
+    together.mkdir()
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)], cwd=together,
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    written = []
+    for i, argv in enumerate(calls):
+        alone = tmp_path / f"alone{i}"
+        alone.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "corrsynth.cli", *argv], cwd=alone,
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == codes[i]
+        for path in sorted(alone.iterdir()):
+            assert (together / path.name).read_bytes() == path.read_bytes()
+            written.append(path.name)
+    assert codes == [1, 0, 0]
+    assert sorted(written) == sorted(p.name for p in together.iterdir()) == [
+        "report.csv", "report.json", "validity.csv", "validity.json"]
+
+
 def test_cli_import_loads_only_the_standard_library_numpy_and_the_package():
     # modules the interpreter loaded before the import (site hooks) are not
     # the package's doing, so only the ones the import adds are checked

@@ -17,6 +17,7 @@ from corrsynth.codec_ptp import (
     codec_from_dict,
     codec_to_dict,
     derived_rng,
+    encoder_validity,
     induced_joint_exact,
     null_codebook,
     product_pmf,
@@ -30,9 +31,10 @@ from corrsynth.codec_ptp import (
     read_codec,
 )
 from corrsynth.codec_ptp import (
+    _block_weights,
     _build_system_tables,
+    _decoded_rows,
     _distinct_weight_table,
-    _encoder_weight_batch,
     _first_occurrence_dedup,
     _induced_slices,
     _valid_rows,
@@ -401,7 +403,7 @@ def test_encoder_weights_equal_the_per_index_oracle(name):
     xs, entries, p_joint_xw, epsilon, params = build()
     seen = dict.fromkeys(("repeats", "weighted", "unweighted", "invalid"), False)
     for block in entries:
-        got = _encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
+        got = _block_weights(*_distinct_weight_table(xs, block, p_joint_xw, epsilon, params))
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -444,7 +446,7 @@ def test_encoder_weights_equal_the_per_index_oracle_on_random_shapes():
         cdf = np.cumsum(table / table.sum(axis=0), axis=0)  # (x, w)
         xs = np.minimum((gen.random(given.shape)[..., None] > cdf.T[given]).sum(axis=-1), nx - 1)
         params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=0.9, eta=0.1, seed=0)
-        got = _encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
+        got = _block_weights(*_distinct_weight_table(xs, block, p_joint_xw, 0.1, params))
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -474,6 +476,101 @@ def test_validity_rows_near_one_take_the_gathered_row_sum(monkeypatch):
     flags = _valid_rows(table, ids)
     assert gathered == [12]
     assert np.array_equal(flags, s <= 1.0)
+
+
+def test_packed_word_numbering_equals_the_dict_oracle_on_random_blocks():
+    gen = np.random.default_rng(40)
+    blocks = []
+    for _ in range(300):
+        # up to 40 letters over up to 9 symbols: up to three packed keys
+        n, size, rows = (int(v) for v in gen.integers(1, (41, 10, 60)))
+        pool = gen.integers(0, size, size=(int(gen.integers(1, 10)), n))
+        block = pool[gen.integers(0, pool.shape[0], size=rows)]
+        # near-duplicates: one letter changed, anywhere in the word
+        tweak = np.flatnonzero(gen.random(rows) < 0.3)
+        block[tweak, gen.integers(0, n, size=tweak.size)] = gen.integers(0, size, size=tweak.size)
+        blocks.append(block)
+    blocks.append(np.zeros((7, 13), dtype=np.int64))  # a one-letter alphabet
+    # letters too large for two to share a 62-bit key
+    large = np.array([0, 1, 2**31, 2**61, 2**62 - 1, 2**63 - 1], dtype=np.int64)
+    blocks.append(large[gen.integers(0, large.size, size=(40, 3))])
+    blocks.append(large[gen.integers(0, large.size, size=(40, 1))])
+    blocks.append(gen.integers(0, 3, size=(1, 9)))  # a single row
+    for block in blocks:
+        got = _first_occurrence_dedup(block)
+        want = _oracles.first_occurrence_dedup(block)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_codebook_validity_equals_the_per_block_oracle():
+    """One weight table per codebook gives the flags one table per block
+    gives: on random codebooks whose blocks share words, and on blocks whose
+    sums land on 1 within rounding, inside ``_valid_rows``' band."""
+    gen = np.random.default_rng(12)
+    # three blocks of the near-one test's shape, each over its own 12 of
+    # the 14 typical words, so the codebook's table has columns a block lacks
+    typical = np.array([w for w in enumerate_sequences(2, 4) if 1 <= w.sum() <= 3])
+    band = np.stack([
+        np.vstack([np.repeat(typical[mu : mu + 12], 5, axis=0), np.zeros((4, 4), dtype=np.int64)])
+        for mu in range(3)
+    ])
+    band_joint = JointPmf.from_table(("X", "W"), np.diag([0.5, 0.5]))
+    band_params = CodecParams(n=4, rt=1.5, r=0.0, c=0.4, delta=0.5, eta=0.0, seed=0)
+    for block in band:
+        _, s, _ = _oracles.encoder_weight_batch(typical, block, band_joint, 0.2, band_params)
+        assert np.count_nonzero(np.abs(s - 1.0) <= 1e-15) == 12
+    cases = [(Codebook(entries=band, epsilon=0.2, w_size=2), band_joint, band_params)]
+    inst = named_instance("synthesis-demo")
+    for n, eta in itertools.product((4, 6), (0.0, 0.1)):
+        params = CodecParams(n=n, rt=1.5, r=0.0, c=0.5, delta=0.5, eta=eta, seed=n)
+        cases.append((build_ptp_codec(inst.p_w(), params)[0], inst.p_joint_xw(), params))
+    while len(cases) < 200:
+        n, nx, nw = (int(v) for v in gen.integers((2, 1, 1), (7, 4, 4)))
+        if len(cases) % 3:
+            # a copy channel: a pair is typical when the words agree, so
+            # repeated codewords oversubscribe some source words and not others
+            nx = nw = 2
+            table = np.diag(gen.dirichlet((1.0, 1.0)))
+        else:
+            table = gen.gamma(1.0, size=(nx, nw))
+            table[gen.random((nx, nw)) < 0.3] = 0.0
+            if not table.sum(axis=0).all() or not table.sum(axis=1).all():
+                continue
+        pool = gen.integers(0, nw, size=(int(gen.integers(1, 12)), n))
+        entries = pool[gen.integers(0, pool.shape[0], size=tuple(int(v) for v in gen.integers(1, (5, 40))))]
+        params = CodecParams(n=n, rt=1.0, r=0.0, c=0.0, delta=float(gen.uniform(0.3, 0.99)),
+                             eta=float(gen.uniform(0.0, 0.5)), seed=0)
+        book = Codebook(entries=entries, epsilon=float(gen.uniform(0.0, 0.3)), w_size=nw)
+        cases.append((book, JointPmf.from_table(("X", "W"), table / table.sum()), params))
+    mixed = 0
+    for book, p_joint_xw, params in cases:
+        got = encoder_validity(book, p_joint_xw, params)
+        assert got == _oracles.encoder_validity_per_block(book, p_joint_xw, params)
+        mixed += 0.0 < got[1] < 1.0
+    assert mixed >= 60
+
+
+def test_decoded_rows_equal_the_unique_oracle():
+    gen = np.random.default_rng(7)
+    none = np.zeros(0, dtype=np.int64)
+    cases = [
+        (none, none, 9),  # no candidate anywhere: every cell falls back
+        (np.repeat(np.arange(6), 2), gen.integers(1, 5, size=12), 6),  # every cell ambiguous
+        (np.arange(8), gen.integers(1, 20, size=8), 8),  # every cell unique: no fallback row
+    ]
+    for _ in range(200):
+        size = int(gen.integers(1, 300))
+        count = int(gen.integers(0, 2 * size))
+        cases.append((gen.integers(0, size, size=count), gen.integers(0, int(gen.integers(1, 50)), size=count), size))
+    for cell, code, size in cases:
+        decoded = np.zeros(size, dtype=np.int64)
+        for c in range(size):
+            here = code[cell == c]
+            decoded[c] = here[0] if here.size == 1 else 0
+        used, rows = np.unique(decoded, return_inverse=True)
+        got_used, got_rows = _decoded_rows(cell, code, size)
+        assert np.array_equal(got_used, used) and np.array_equal(got_rows, rows.reshape(-1))
 
 
 # --------------------------------------------------------------------------

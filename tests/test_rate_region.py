@@ -706,6 +706,12 @@ LOCKSTEP_CASES = {
         np.random.default_rng(3).gamma(1.0, size=(3, 2, 2)),
         SearchConfig(w_cap=3, restarts=1, lambda_grid=1, iters=15),
     ),
+    # five searches accept halving 0 after their descent's previous search
+    # accepted a later halving, so a first round must start at halving 0
+    "halving-0-again": (
+        np.random.default_rng(21).gamma(1.0, size=(3, 2, 2)),
+        SearchConfig(w_cap=2, restarts=1, lambda_grid=1, iters=20),
+    ),
 }
 
 
@@ -748,6 +754,28 @@ def test_a_descent_does_not_depend_on_its_stack():
             assert (runs[i].entropic, runs[i].newton, runs[i].newton_missed) == (
                 alone.entropic, alone.newton, alone.newton_missed)
         assert (cfg.w_cap == 4) == any(runs[i].entropic > 0 for i in picks)
+
+
+def test_benchmark_frontier_stays_under_a_candidate_stack_bound(monkeypatch):
+    """The benchmark's one-weight frontier evaluates at most 40 candidate
+    stacks on average over 16 of its op seeds: a search's first round reaches
+    the halving its descent's previous search accepted.  Starting every
+    search at one candidate takes 62.8 stacks on the same seeds."""
+    stacks = 0
+    scalarized_stack = rate_region._scalarized_stack
+
+    def counting(*args):
+        nonlocal stacks
+        stacks += 1
+        return scalarized_stack(*args)
+
+    monkeypatch.setattr(rate_region, "_scalarized_stack", counting)
+    cells = np.random.default_rng((0xC0DE, 0)).gamma(1.0, size=(2, 2, 2))
+    target = JointPmf.from_table(("X", "Y", "Z"), cells / cells.sum())
+    for index in range(16):
+        seed = int(np.random.SeedSequence((0, index)).generate_state(1, np.uint32)[0])
+        ptp_frontier(target, SearchConfig(w_cap=2, lambda_grid=1, restarts=1, iters=20, seed=seed))
+    assert stacks <= 40 * 16
 
 
 def test_stacked_nnls_rows_equal_single_solves_and_the_oracle():
