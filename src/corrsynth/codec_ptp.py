@@ -304,31 +304,44 @@ def _weight_columns(
     return scale[:, None] * post * pair_mask
 
 
-def _distinct_weight_table(
+def _block_tables(
     xs: np.ndarray,
-    entries: np.ndarray,
+    codebook: Codebook,
+    numbering: tuple[np.ndarray, np.ndarray],
     p_joint_xw: JointPmf,
-    epsilon: float,
     params: CodecParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder weights of a batch of source words against a codebook's distinct codewords.
+):
+    """Yield (table, ids) per block μ: index l of block μ weighs ``table[:, ids[l]]``.
 
-    ``entries`` holds a codebook's (K, L, n) entries, or one (L, n) block.
-    Returns (table (A, Θ), ids ``entries.shape[:-1]``): index l of block μ
-    weighs ``table[:, ids[μ, l]]``.  One table serves every block, since a
-    weight depends on its block and index only through the codeword and the
-    block size L that scales it (:func:`_weight_columns`); its Θ columns
-    are the distinct words of all K blocks, numbered in first-occurrence
-    order.
+    ``numbering`` is (ids (K·L,), words (U, n)) of the codebook's entries,
+    flattened: ``words[ids[e]]`` is entry e.  A weight depends on its
+    block and index only through the codeword and the block size L that
+    scales it (:func:`_weight_columns`), so one table over the U words can
+    serve every block.  That pays when the blocks share most of their words,
+    as when L far exceeds the typical set (U = Θ_μ on both benchmarked
+    synthesis-demo codebooks); where they share few, one table would hold up
+    to K times a block's Θ_μ columns.  So all blocks read one table when U
+    is at most twice the largest Θ_μ, and otherwise each block gets a table
+    over its own words.  Either way a column holds the same weights.
     """
-    flat = entries.reshape(-1, entries.shape[-1])
-    ids, firsts = _first_occurrence_dedup(flat)
-    table = _weight_columns(xs, flat[firsts], entries.shape[-2], p_joint_xw, epsilon, params)
-    return table, ids.reshape(entries.shape[:-1])
+    ids, words = numbering
+    ids = ids.reshape(codebook.k_size, codebook.l_size)
+    present = [np.bincount(block, minlength=words.shape[0]) > 0 for block in ids]
+    if words.shape[0] <= 2 * max(np.count_nonzero(p) for p in present):
+        table = _weight_columns(xs, words, codebook.l_size, p_joint_xw, codebook.epsilon, params)
+        for block in ids:
+            yield table, block
+        return
+    for block, here in zip(ids, present):
+        cols = np.flatnonzero(here)
+        yield (
+            _weight_columns(xs, words[cols], codebook.l_size, p_joint_xw, codebook.epsilon, params),
+            np.searchsorted(cols, block),
+        )
 
 
 def _block_weights(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw index weights of one block from its codebook's weight table.
+    """Raw index weights of one block from a weight table (:func:`_block_tables`).
 
     Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
     all-zero weights, which downstream logic reads as a point mass on index 0.
@@ -357,15 +370,15 @@ def _valid_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
     The weights are nonnegative, so any order of summing them is within
     gamma_L s of their exact sum (Higham 2002, sec. 4.2): the weighted sum
-    ``table @ counts``, one term per codeword of the table times its index
-    count in the block (exact zeros for the words the block lacks), and the
-    gathered (A, L) row sum alike.  So the two lie within 2 L eps of each
-    other, relative, and the weighted sum decides every row outside twice
-    that band around 1.  Rows inside it take the gathered row sum, summed
-    as :func:`_block_weights` sums it.
+    ``table @ counts`` over the block's own columns, one term per codeword
+    times its index count, and the gathered (A, L) row sum alike.  So the
+    two lie within 2 L eps of each other, relative, and the weighted sum
+    decides every row outside twice that band around 1.  Rows inside it take
+    the gathered row sum, summed as :func:`_block_weights` sums it.
     """
     counts = np.bincount(ids, minlength=table.shape[1]).astype(float)
-    fast = table @ counts
+    cols = np.flatnonzero(counts)
+    fast = table @ counts if cols.size == counts.size else table[:, cols] @ counts[cols]
     valid = fast <= 1.0
     near = np.flatnonzero(np.abs(fast - 1.0) <= 4.0 * ids.shape[0] * np.finfo(float).eps * fast)
     if near.size:
@@ -382,18 +395,23 @@ def encoder_validity(
     """Whether every (typical input word, block) pair yields a proper sub-PMF.
 
     Returns ``(all_valid, fraction)``, the fraction averaging over typical
-    input words and blocks.  One weight table serves the whole codebook:
-    its columns are the distinct words of all K blocks, scaled by the block
-    size L (:func:`_distinct_weight_table`), and each block reads its
-    columns through its ids.  An empty typical input set or a degenerate
-    codebook leaves nothing to oversubscribe: vacuously valid, fraction 1.0.
+    input words and blocks.  The weights are scaled by the block size L, and
+    blocks that share most of their words read one table over the
+    codebook's distinct words (:func:`_block_tables`).  An empty typical
+    input set or a degenerate codebook leaves nothing to oversubscribe:
+    vacuously valid, fraction 1.0.
     """
     p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
     xs = typical_set(p_x, params.n, params.delta, budget)
     if xs.shape[0] == 0 or codebook.degenerate:
         return True, 1.0
-    table, ids = _distinct_weight_table(xs, codebook.entries, p_joint_xw, codebook.epsilon, params)
-    flags = np.stack([_valid_rows(table, block) for block in ids])
+    flat = codebook.entries.reshape(-1, params.n)
+    ids, firsts = _first_occurrence_dedup(flat)
+    numbering = (ids, flat[firsts])
+    flags = np.stack([
+        _valid_rows(table, ids)
+        for table, ids in _block_tables(xs, codebook, numbering, p_joint_xw, params)
+    ])
     return bool(flags.all()), float(flags.mean())
 
 
@@ -453,11 +471,12 @@ def _decoded_rows(cell: np.ndarray, code: np.ndarray, size: int) -> tuple[np.nda
     candidate = np.zeros(size, dtype=np.int64)
     candidate[cell] = code
     decoded = np.where(np.bincount(cell, minlength=size) == 1, candidate, 0)
-    # codes are nonnegative word (or word-pair) numbers: a presence mask
-    # over 0..max code replaces a sort
+    # codes are nonnegative word (or word-pair) numbers: a one-byte presence
+    # mask over 0..max code replaces a sort of the cells
     present = np.zeros(int(code.max(initial=0)) + 1, dtype=bool)
     present[decoded] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[decoded]
+    used = np.flatnonzero(present)
+    return used, np.searchsorted(used, decoded)
 
 
 def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
@@ -489,18 +508,15 @@ def _message_table(
 ) -> np.ndarray:
     """(K, A, M+1) message PMFs; ``labels[μ, l]`` is the bin of index l in block μ.
 
-    ``numbering`` is :func:`_word_ids` of the codebook's entries, flattened:
-    one weight table over its words serves every block, each block reading
-    its columns through its ids (:func:`_distinct_weight_table`).  Bins
+    ``numbering`` is :func:`_word_ids` of the codebook's entries, flattened,
+    and the blocks read their weights through :func:`_block_tables`.  Bins
     collect the index weights, invalid rows send nothing, and message 0
     takes ``max(0, 1 - Σ)`` of each row.
     """
-    ids, words = numbering
-    ids = ids.reshape(codebook.k_size, codebook.l_size)
-    table = _weight_columns(xs, words, codebook.l_size, p_joint_xw, codebook.epsilon, params)
     msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
-    for mu in range(codebook.k_size):
-        weights, _, valid = _block_weights(table, ids[mu])
+    tables = _block_tables(xs, codebook, numbering, p_joint_xw, params)
+    for mu, (table, ids) in enumerate(tables):
+        weights, _, valid = _block_weights(table, ids)
         onehot = np.zeros((codebook.l_size, m_size + 1))
         onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
         msg[mu] = weights @ onehot

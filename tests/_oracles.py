@@ -17,8 +17,9 @@ running product over letters, the reference for the letter-by-letter build.
 index, through an (A, L, n) gather, and ``first_occurrence_dedup`` numbers
 words with a dictionary of their bytes: the references for the per-word
 evaluation and the vectorised numbering, which must match them bit for bit.
-``encoder_validity_per_block`` builds one weight table per block, over the
-block's own distinct words: the reference for the per-codebook table.
+``block_weight_table`` builds one block's weight table over the block's own
+distinct words, and ``encoder_validity_per_block`` decides validity from one
+such table per block: the reference for the tables blocks share.
 ``product_table`` builds the n-fold product table by outer products and
 transposes, the reference for the in-place build.
 
@@ -69,9 +70,9 @@ from corrsynth.codec_ptp import (
     CodecParams,
     _block_weights,
     _conditional_rows,
-    _distinct_weight_table,
     _first_occurrence_dedup,
     _valid_rows,
+    _weight_columns,
 )
 from corrsynth.probability import JointPmf
 from corrsynth.typicality import (
@@ -246,6 +247,13 @@ def encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params):
     return weights, s, s <= 1.0
 
 
+def block_weight_table(xs, entries_mu, p_joint_xw, epsilon, params):
+    """(table (A, Θ), ids (L,)): one block's weights over its own distinct words."""
+    ids, firsts = _first_occurrence_dedup(entries_mu)
+    words = entries_mu[firsts]
+    return _weight_columns(xs, words, entries_mu.shape[0], p_joint_xw, epsilon, params), ids
+
+
 def encoder_validity_per_block(codebook, p_joint_xw, params, budget=None):
     """``codec_ptp.encoder_validity`` with one weight table per block, over its own distinct words."""
     p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
@@ -254,7 +262,7 @@ def encoder_validity_per_block(codebook, p_joint_xw, params, budget=None):
         return True, 1.0
     flags = np.empty((codebook.k_size, xs.shape[0]), dtype=bool)
     for mu in range(codebook.k_size):
-        flags[mu] = _valid_rows(*_distinct_weight_table(
+        flags[mu] = _valid_rows(*block_weight_table(
             xs, codebook.entries[mu], p_joint_xw, codebook.epsilon, params
         ))
     return bool(flags.all()), float(flags.mean())
@@ -469,7 +477,7 @@ def encoder_subpmf(
     deficit; otherwise the flag drops and the message convention takes over.
     """
     x = _coerce_word(x_seq, params.n)
-    weights, s, valid = _block_weights(*_distinct_weight_table(
+    weights, s, valid = _block_weights(*block_weight_table(
         x[None, :], codebook.entries[mu], p_joint_xw, codebook.epsilon, params
     ))
     s0, valid0 = float(s[0]), bool(valid[0])
@@ -564,7 +572,7 @@ def dist_encoder_pmf(
     x = np.asarray(x_seq, dtype=int)
     if x.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
-    weights, s, valid = _block_weights(*_distinct_weight_table(
+    weights, s, valid = _block_weights(*block_weight_table(
         x[None, :], book.entries[mu], p_joint_xw, book.epsilon, _leg_params(params, j)
     ))
     return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)

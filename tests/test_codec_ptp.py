@@ -34,7 +34,6 @@ from corrsynth.codec_ptp import (
     _block_weights,
     _build_system_tables,
     _decoded_rows,
-    _distinct_weight_table,
     _first_occurrence_dedup,
     _induced_slices,
     _valid_rows,
@@ -403,12 +402,13 @@ def test_encoder_weights_equal_the_per_index_oracle(name):
     xs, entries, p_joint_xw, epsilon, params = build()
     seen = dict.fromkeys(("repeats", "weighted", "unweighted", "invalid"), False)
     for block in entries:
-        got = _block_weights(*_distinct_weight_table(xs, block, p_joint_xw, epsilon, params))
+        table = _oracles.block_weight_table(xs, block, p_joint_xw, epsilon, params)
+        got = _block_weights(*table)
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         # encoder validity decides s <= 1 from the distinct-codeword table
-        assert np.array_equal(_valid_rows(*_distinct_weight_table(xs, block, p_joint_xw, epsilon, params)), want[2])
+        assert np.array_equal(_valid_rows(*table), want[2])
         weights, _, valid = got
         seen["repeats"] |= len({w.tobytes() for w in block}) < block.shape[0]
         seen["weighted"] |= bool(weights.any(axis=1).any())
@@ -446,11 +446,12 @@ def test_encoder_weights_equal_the_per_index_oracle_on_random_shapes():
         cdf = np.cumsum(table / table.sum(axis=0), axis=0)  # (x, w)
         xs = np.minimum((gen.random(given.shape)[..., None] > cdf.T[given]).sum(axis=-1), nx - 1)
         params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=0.9, eta=0.1, seed=0)
-        got = _block_weights(*_distinct_weight_table(xs, block, p_joint_xw, 0.1, params))
+        table = _oracles.block_weight_table(xs, block, p_joint_xw, 0.1, params)
+        got = _block_weights(*table)
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        assert np.array_equal(_valid_rows(*_distinct_weight_table(xs, block, p_joint_xw, 0.1, params)), want[2])
+        assert np.array_equal(_valid_rows(*table), want[2])
         weighted += bool(got[0].any())
     assert weighted >= 50
 
@@ -462,7 +463,7 @@ def test_validity_rows_near_one_take_the_gathered_row_sum(monkeypatch):
     typical = [w for w in enumerate_sequences(2, 4) if 1 <= w.sum() <= 3]
     block = np.vstack([np.repeat(typical[:12], 5, axis=0), np.zeros((4, 4), dtype=np.int64)])
     xs, entries, p_joint_xw, epsilon, params = small_case(block, eta=0.0, table=((0.5, 0.0), (0.0, 0.5)))
-    table, ids = _distinct_weight_table(xs, entries[0], p_joint_xw, epsilon, params)
+    table, ids = _oracles.block_weight_table(xs, entries[0], p_joint_xw, epsilon, params)
     _, s, _ = _oracles.encoder_weight_batch(xs, entries[0], p_joint_xw, epsilon, params)
     assert np.count_nonzero(np.abs(s - 1.0) <= 1e-15) == 12
     gathered = []
@@ -551,6 +552,61 @@ def test_codebook_validity_equals_the_per_block_oracle():
     assert mixed >= 60
 
 
+def test_blocks_share_a_weight_table_only_when_they_share_words():
+    """Blocks drawn from one pool of words read one table over the
+    codebook's words; blocks drawn from pools of their own, U above twice the
+    largest Θ_μ, get a table each over their own words.  Either way every
+    block's weights, validity flags and message rows equal those of the
+    block alone."""
+    gen = np.random.default_rng(31)
+    shared = own = 0
+    while shared < 40 or own < 40:
+        n, nw, kk = (int(v) for v in gen.integers((2, 2, 1), (7, 5, 6)))
+        table = gen.gamma(1.0, size=(2, nw)) + 0.05
+        p_joint_xw = JointPmf.from_table(("X", "W"), table / table.sum())
+        pools = [gen.integers(0, nw, size=(int(gen.integers(1, 8)), n))]
+        pools *= kk if gen.random() < 0.5 else 1
+        while len(pools) < kk:
+            pools.append(gen.integers(0, nw, size=(int(gen.integers(1, 8)), n)))
+        l_size = int(gen.integers(1, 30))
+        entries = np.stack([pool[gen.integers(0, pool.shape[0], size=l_size)] for pool in pools])
+        params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=float(gen.uniform(0.3, 0.99)),
+                             eta=float(gen.uniform(0.0, 0.5)), seed=0)
+        book = Codebook(entries=entries, epsilon=float(gen.uniform(0.0, 0.3)), w_size=nw)
+        xs = enumerate_sequences(2, n)
+        flat = entries.reshape(-1, n)
+        ids, firsts = _first_occurrence_dedup(flat)
+        tables = list(codec_ptp._block_tables(xs, book, (ids, flat[firsts]), p_joint_xw, params))
+        thetas = [len(np.unique(ids.reshape(kk, -1)[mu])) for mu in range(kk)]
+        if firsts.size <= 2 * max(thetas):
+            shared += 1
+            assert all(t is tables[0][0] and t.shape[1] == firsts.size for t, _ in tables)
+        else:
+            own += 1
+            assert [t.shape[1] for t, _ in tables] == thetas
+        for (t, block_ids), block in zip(tables, entries):
+            got = _block_weights(t, block_ids)
+            want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, book.epsilon, params)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert np.array_equal(_valid_rows(t, block_ids), want[2])
+        assert encoder_validity(book, p_joint_xw, params) == _oracles.encoder_validity_per_block(
+            book, p_joint_xw, params
+        )
+        m_size = int(gen.integers(1, 5))
+        labels = gen.integers(1, m_size + 1, size=(kk, l_size))
+        msg = codec_ptp._message_table(
+            xs, book, codec_ptp._word_ids(flat), labels, m_size, p_joint_xw, params
+        )
+        for mu in range(kk):
+            alone = Codebook(entries=entries[mu : mu + 1], epsilon=book.epsilon, w_size=nw)
+            want = codec_ptp._message_table(
+                xs, alone, codec_ptp._word_ids(entries[mu]), labels[mu : mu + 1], m_size,
+                p_joint_xw, params,
+            )
+            assert np.array_equal(msg[mu], want[0])
+
+
 def test_decoded_rows_equal_the_unique_oracle():
     gen = np.random.default_rng(7)
     none = np.zeros(0, dtype=np.int64)
@@ -562,7 +618,8 @@ def test_decoded_rows_equal_the_unique_oracle():
     for _ in range(200):
         size = int(gen.integers(1, 300))
         count = int(gen.integers(0, 2 * size))
-        cases.append((gen.integers(0, size, size=count), gen.integers(0, int(gen.integers(1, 50)), size=count), size))
+        cell = gen.integers(0, size, size=count)
+        cases.append((cell, gen.integers(0, int(gen.integers(1, 50)), size=count), size))
     for cell, code, size in cases:
         decoded = np.zeros(size, dtype=np.int64)
         for c in range(size):
