@@ -36,22 +36,19 @@ from .budget import check_budget
 from .codec_ptp import (
     Codebook,
     CodecParams,
-    EmptyTypicalSetError,
     _check_joint_budget,
     _codebook_from_dict,
     _codebook_to_dict,
     _decoded_rows,
+    _draw_codebook,
+    _encoder_stage,
     _letter_target,
-    _message_table,
     _pow2_size,
     _rowwise_categorical,
     _stream_chunk,
     _streamed_tv,
-    _word_ids,
     _word_rows,
     derived_rng,
-    null_codebook,
-    sample_codebook,
     tv_deficit,
     word_alphabet,
 )
@@ -198,15 +195,10 @@ def build_dist_codec(
     budget: int | None = None,
 ) -> tuple[DistCodebooks, tuple[DistBinning, DistBinning]]:
     """Sample both codebooks and binnings from the four derived streams."""
-    books = []
-    for j, p_w, cb_stream in ((1, p_w1, CODEBOOK1_STREAM), (2, p_w2, CODEBOOK2_STREAM)):
-        leg = _leg_params(params, j)
-        try:
-            books.append(sample_codebook(p_w, leg, derived_rng(params.seed, cb_stream), budget))
-        except EmptyTypicalSetError:
-            if not allow_degenerate:
-                raise
-            books.append(null_codebook(p_w.alphabets[0].size, leg))
+    books = [
+        _draw_codebook(p_w, _leg_params(params, j), stream, allow_degenerate, budget)
+        for j, p_w, stream in ((1, p_w1, CODEBOOK1_STREAM), (2, p_w2, CODEBOOK2_STREAM))
+    ]
     m1, m2 = params.m_sizes
     bn1 = sample_dist_binning(books[0], m1, derived_rng(params.seed, BINNING1_STREAM))
     bn2 = sample_dist_binning(books[1], m2, derived_rng(params.seed, BINNING2_STREAM))
@@ -228,13 +220,14 @@ def _leg_params(params: DistCodecParams, j: int) -> CodecParams:
 
 @dataclass(frozen=True)
 class _DistSystemTables:
-    """Shared precomputation behind exact enumeration and sampling."""
+    """Shared precomputation behind exact enumeration, streaming, sampling and validity."""
 
     p_x_words: np.ndarray  # (A1, A2) source-word law
     messages1: np.ndarray  # (K1, A1, M1+1)
     messages2: np.ndarray  # (K2, A2, M2+1)
     decoded: np.ndarray  # (K1, K2, M1+1, M2+1) row ids into y_rows
     y_rows: np.ndarray  # (rows, Ay) output-word laws, row 0 = fallback pair
+    valid: bool  # both legs' encoder validity, read off their message tables
 
 
 def _build_dist_tables(
@@ -250,37 +243,21 @@ def _build_dist_tables(
     n = params.n
     nx1, nx2 = (a.size for a in p_x1x2.alphabets)
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
+    e1, e2 = (book.entries.reshape(-1, n) for book in (codebooks.first, codebooks.second))
     cells = max(k1 * nx1**n * (m1 + 1), k2 * nx2**n * (m2 + 1), k1 * k2 * (m1 + 1) * (m2 + 1))
-    check_budget(cells, budget, what="message and decoder tables")
-    xs1 = enumerate_sequences(nx1, n, budget)
-    xs2 = enumerate_sequences(nx2, n, budget)
-
+    # the decoder's index-pair typicality mask is (K1 L1) x (K2 L2)
+    check_budget(max(cells, e1.shape[0] * e2.shape[0]), budget, what="message and decoder tables")
     p_x_words = ProductPmf(p_x1x2, n).table(budget)
-
-    marg1 = p_x1x2.table.sum(axis=1)
-    marg2 = p_x1x2.table.sum(axis=0)
-    p_joint_xw1 = JointPmf(
-        (p_x1x2.names[0], p_w1_given_x1.out_names[0]),
-        (p_x1x2.alphabets[0], p_w1_given_x1.out_alphabets[0]),
-        marg1[:, None] * p_w1_given_x1.table,
-    )
-    p_joint_xw2 = JointPmf(
-        (p_x1x2.names[1], p_w2_given_x2.out_names[0]),
-        (p_x1x2.alphabets[1], p_w2_given_x2.out_alphabets[0]),
-        marg2[:, None] * p_w2_given_x2.table,
+    bn1, bn2 = binnings
+    (numbering1, messages1, ok1), (numbering2, messages2, ok2) = (
+        _encoder_stage(
+            p_x1x2, j - 1, p_w, codebooks.book(j), bn.labels, bn.m_size,
+            _leg_params(params, j), budget,
+        )
+        for j, p_w, bn in ((1, p_w1_given_x1, bn1), (2, p_w2_given_x2, bn2))
     )
     p_w1w2 = np.einsum(
         "ab,aw,bv->wv", p_x1x2.table, p_w1_given_x1.table, p_w2_given_x2.table
-    )
-    bn1, bn2 = binnings
-    e1 = codebooks.first.entries.reshape(-1, n)
-    e2 = codebooks.second.entries.reshape(-1, n)
-    numbering1, numbering2 = _word_ids(e1), _word_ids(e2)
-    messages1 = _message_table(
-        xs1, codebooks.first, numbering1, bn1.labels, bn1.m_size, p_joint_xw1, _leg_params(params, 1)
-    )
-    messages2 = _message_table(
-        xs2, codebooks.second, numbering2, bn2.labels, bn2.m_size, p_joint_xw2, _leg_params(params, 2)
     )
 
     # A (μ1, μ2, m1, m2) cell decodes when exactly one jointly typical index
@@ -296,7 +273,7 @@ def _build_dist_tables(
     w1s, w2s = words1[used // words2.shape[0]], words2[used % words2.shape[0]]
     check_budget(used.size * p_y_given_w1w2.out_alphabets[0].size ** n, budget, what="output rows")
     y_rows = _word_rows([p_y_given_w1w2.table[w1s[:, i], w2s[:, i]] for i in range(n)])
-    return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows)
+    return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows, ok1 and ok2)
 
 
 def _dist_slice(tabs: _DistSystemTables, k_sizes: tuple[int, int], x1s: slice) -> np.ndarray:
@@ -398,11 +375,12 @@ def dist_streamed_tv_deficit(
     binnings: tuple[DistBinning, DistBinning],
     params: DistCodecParams,
     budget: int | None = None,
-) -> float:
-    """``dist_tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed.
+) -> tuple[float, bool]:
+    """``dist_tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed, and validity.
 
     Streams over chunks of source-1 words, each with its induced slice and its
     target slice t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) built letter by letter.
+    The flag is both legs' encoder validity, read off their message tables.
     """
     alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
     target = _letter_target(p_x1x2y, (*p_x1x2.names, p_y_given_w1w2.out_names[0]), alphabets)
@@ -420,7 +398,7 @@ def dist_streamed_tv_deficit(
         (_word_rows(list(head[:, x1s])), _dist_slice(tabs, params.k_sizes, x1s))
         for x1s in (slice(s, s + chunk) for s in range(0, a1, chunk))
     )
-    return _streamed_tv(pairs, alphabets)
+    return _streamed_tv(pairs, alphabets), tabs.valid
 
 
 # ---------------------------------------------------------------------------

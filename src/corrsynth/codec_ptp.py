@@ -310,6 +310,7 @@ def _block_tables(
     numbering: tuple[np.ndarray, np.ndarray],
     p_joint_xw: JointPmf,
     params: CodecParams,
+    budget: int | None = None,
 ):
     """Yield (table, ids) per block μ: index l of block μ weighs ``table[:, ids[l]]``.
 
@@ -322,12 +323,16 @@ def _block_tables(
     synthesis-demo codebooks); where they share few, one table would hold up
     to K times a block's Θ_μ columns.  So all blocks read one table when U
     is at most twice the largest Θ_μ, and otherwise each block gets a table
-    over its own words.  Either way a column holds the same weights.
+    over its own words.  Either way a column holds the same weights.  The
+    budget counts the widest table's cells, before any is built.
     """
     ids, words = numbering
     ids = ids.reshape(codebook.k_size, codebook.l_size)
     present = [np.bincount(block, minlength=words.shape[0]) > 0 for block in ids]
-    if words.shape[0] <= 2 * max(np.count_nonzero(p) for p in present):
+    widest = max(np.count_nonzero(p) for p in present)
+    shared = words.shape[0] <= 2 * widest
+    check_budget(xs.shape[0] * (words.shape[0] if shared else widest), budget, what="encoder weights")
+    if shared:
         table = _weight_columns(xs, words, codebook.l_size, p_joint_xw, codebook.epsilon, params)
         for block in ids:
             yield table, block
@@ -399,18 +404,16 @@ def encoder_validity(
     blocks that share most of their words read one table over the
     codebook's distinct words (:func:`_block_tables`).  An empty typical
     input set or a degenerate codebook leaves nothing to oversubscribe:
-    vacuously valid, fraction 1.0.
+    vacuously valid, fraction 1.0.  Trials read it off :func:`_message_table`.
     """
     p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
     xs = typical_set(p_x, params.n, params.delta, budget)
     if xs.shape[0] == 0 or codebook.degenerate:
         return True, 1.0
-    flat = codebook.entries.reshape(-1, params.n)
-    ids, firsts = _first_occurrence_dedup(flat)
-    numbering = (ids, flat[firsts])
+    numbering = _word_ids(codebook.entries.reshape(-1, params.n))
     flags = np.stack([
         _valid_rows(table, ids)
-        for table, ids in _block_tables(xs, codebook, numbering, p_joint_xw, params)
+        for table, ids in _block_tables(xs, codebook, numbering, p_joint_xw, params, budget)
     ])
     return bool(flags.all()), float(flags.mean())
 
@@ -435,13 +438,14 @@ def product_pmf(p: JointPmf, n: int, budget: int | None = None) -> JointPmf:
 
 @dataclass(frozen=True)
 class _SystemTables:
-    """Shared precomputation behind exact enumeration, streaming and sampling."""
+    """Shared precomputation behind exact enumeration, streaming, sampling and validity."""
 
     p_xz_words: np.ndarray  # (Ax, Az) source-word law
     messages: np.ndarray  # (K, Ax, M+1) message PMFs
     decoded: np.ndarray  # (K, Az, M+1) output-row ids, 0 = w0
     zs: np.ndarray  # (Az, n) side-information words
     row_letters: np.ndarray  # (n, Az, R, Y) factors p(y | z_i, w_i); row 0 = w0, then decoded
+    valid: bool  # every message-table row is a proper sub-PMF (encoder validity)
 
     @property
     def y_rows(self) -> np.ndarray:
@@ -505,24 +509,53 @@ def _message_table(
     m_size: int,
     p_joint_xw: JointPmf,
     params: CodecParams,
-) -> np.ndarray:
-    """(K, A, M+1) message PMFs; ``labels[μ, l]`` is the bin of index l in block μ.
+    budget: int | None = None,
+) -> tuple[np.ndarray, bool]:
+    """(K, A, M+1) message PMFs, and whether every row is a proper sub-PMF.
 
-    ``numbering`` is :func:`_word_ids` of the codebook's entries, flattened,
-    and the blocks read their weights through :func:`_block_tables`.  Bins
-    collect the index weights, invalid rows send nothing, and message 0
-    takes ``max(0, 1 - Σ)`` of each row.
+    ``labels[μ, l]`` is the bin of index l in block μ; ``numbering`` is
+    :func:`_word_ids` of the codebook's entries, flattened, and the blocks
+    read their weights through :func:`_block_tables`.  Bins collect the
+    index weights, invalid rows send nothing, and message 0 takes
+    ``max(0, 1 - Σ)`` of each row.  Atypical rows are all zero, so the flag
+    is :func:`encoder_validity`'s on the same joint (by :func:`_valid_rows`'
+    band argument).
     """
+    check_budget(xs.shape[0] * codebook.l_size, budget, what="encoder index weights")
     msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
-    tables = _block_tables(xs, codebook, numbering, p_joint_xw, params)
+    all_valid = True
+    tables = _block_tables(xs, codebook, numbering, p_joint_xw, params, budget)
     for mu, (table, ids) in enumerate(tables):
         weights, _, valid = _block_weights(table, ids)
         onehot = np.zeros((codebook.l_size, m_size + 1))
         onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
         msg[mu] = weights @ onehot
         msg[mu, ~valid] = 0.0
+        all_valid = all_valid and bool(valid.all())
     msg[:, :, 0] = np.maximum(0.0, 1.0 - msg[:, :, 1:].sum(axis=2))
-    return msg
+    return msg, all_valid
+
+
+def _encoder_stage(
+    p_source: JointPmf, axis: int, p_w_given_x: CondPmf, codebook: Codebook,
+    labels: np.ndarray, m_size: int, params: CodecParams, budget: int | None = None,
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, bool]:
+    """(numbering, messages, valid) of one codebook's encoder on source axis ``axis``.
+
+    Forms the (X, W) joint p(x) p(w|x), numbers the codebook behind w0
+    (:func:`_word_ids`) and builds :func:`_message_table` over all |X|ⁿ
+    source words.  The single-encoder codec runs it once, the two-encoder
+    codec once per leg.
+    """
+    joint = JointPmf(
+        (p_source.names[axis], p_w_given_x.out_names[0]),
+        (p_source.alphabets[axis], p_w_given_x.out_alphabets[0]),
+        p_source.table.sum(axis=1 - axis)[:, None] * p_w_given_x.table,
+    )
+    xs = enumerate_sequences(p_source.alphabets[axis].size, params.n, budget)
+    numbering = _word_ids(codebook.entries.reshape(-1, params.n))
+    messages, valid = _message_table(xs, codebook, numbering, labels, m_size, joint, params, budget)
+    return numbering, messages, valid
 
 
 def _check_joint_budget(sizes: tuple[int, ...], n: int, budget: int | None) -> None:
@@ -544,21 +577,13 @@ def _build_system_tables(
     n, kk, mm = params.n, codebook.k_size, binning.m_size
     check_budget(kk * max(nx, nz) ** n * (mm + 1), budget, what="message and decoder tables")
     typ = TypicalityParams(params.delta, nx, ny, nz)
-    xs = enumerate_sequences(nx, n, budget)
     zs = enumerate_sequences(nz, n, budget)
     p_xz_words = ProductPmf(p_xz, n).table(budget)
-
-    p_x = p_xz.table.sum(axis=1)
-    p_joint_xw = JointPmf(
-        (p_xz.names[0], p_w_given_x.out_names[0]),
-        (p_xz.alphabets[0], p_w_given_x.out_alphabets[0]),
-        p_x[:, None] * p_w_given_x.table,
+    labels = np.stack([binning.messages(mu) for mu in range(kk)])
+    numbering, messages, valid = _encoder_stage(
+        p_xz, 0, p_w_given_x, codebook, labels, mm, params, budget
     )
     p_zw_table = np.einsum("xz,xw->zw", p_xz.table, p_w_given_x.table)
-
-    labels = np.stack([binning.messages(mu) for mu in range(kk)])
-    numbering = _word_ids(codebook.entries.reshape(-1, n))
-    messages = _message_table(xs, codebook, numbering, labels, mm, p_joint_xw, params)
 
     # Entry e is distinct word j of block block_of[e], in bin bin_of[e]; its
     # letters are words[gid[e]], numbered across blocks.  Dedup ids count up
@@ -571,13 +596,14 @@ def _build_system_tables(
     ids, words = numbering
     gid = ids.reshape(kk, -1)[block_of, index_of]
     bin_of = np.concatenate(binning.bins)
+    check_budget(zs.shape[0] * max(words.shape[0], gid.size), budget, what="decoder typicality mask")
     ok = pairwise_typical_mask(zs, words, p_zw_table, typ.delta2)[:, gid]  # (Az, ΣΘ)
     zz, ee = np.nonzero(ok)
     cell = (block_of[ee] * zs.shape[0] + zz) * (mm + 1) + bin_of[ee]
     used, decoded = _decoded_rows(cell, gid[ee], kk * zs.shape[0] * (mm + 1))
     decoded = decoded.reshape(kk, zs.shape[0], mm + 1)
     row_letters = p_y_given_zw.table[zs.T[:, :, None], words[used].T[:, None, :]]
-    return _SystemTables(p_xz_words, messages, decoded, zs, row_letters)
+    return _SystemTables(p_xz_words, messages, decoded, zs, row_letters, valid)
 
 
 def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
@@ -759,14 +785,15 @@ def streamed_tv_deficit(
     binning: BinningMap,
     params: CodecParams,
     budget: int | None = None,
-) -> float:
-    """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table.
+) -> tuple[float, bool]:
+    """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table, and validity.
 
     Streams over chunks of side-information words: each chunk builds its own
     output rows, its induced slice and its target slice
     t[z, x, y] = Π_i p(x_i, y_i, z_i), letter by letter, and adds up |t − q|.
     The slices equal the full tables' bit for bit; only the order of the
     final sums differs.  The budget counts the largest array held at once.
+    The flag is :func:`encoder_validity`'s, read off the deficit's own message tables.
     """
     x_name, z_name = p_xz.names
     alphabets = (p_xz.alphabets[0], p_y_given_zw.out_alphabets[0], p_xz.alphabets[1])
@@ -777,7 +804,7 @@ def streamed_tv_deficit(
     chunk = _stream_chunk(az, max((ax + rr) * ny**n, kk * rr * ax), n * az * (ax + rr) * ny, budget)
     # t's letters p(x_i, y, z_i) ride along with the output rows' letters
     head = target[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]  # (n, Az, Ax, Y)
-    return _streamed_tv(_induced_slices(tabs, chunk, head), alphabets)
+    return _streamed_tv(_induced_slices(tabs, chunk, head), alphabets), tabs.valid
 
 
 def soft_covering_deficit(
@@ -885,8 +912,15 @@ def build_ptp_codebook(
     With ``allow_degenerate`` an empty typical set yields the null codebook
     instead of raising, so short-blocklength baselines stay well-defined.
     """
+    return _draw_codebook(p_w, params, CODEBOOK_STREAM, allow_degenerate, budget)
+
+
+def _draw_codebook(
+    p_w: JointPmf, params: CodecParams, stream: int, allow_degenerate: bool, budget: int | None
+) -> Codebook:
+    """Both codecs' codebook draw, from derived stream ``stream`` of the run seed."""
     try:
-        return sample_codebook(p_w, params, derived_rng(params.seed, CODEBOOK_STREAM), budget)
+        return sample_codebook(p_w, params, derived_rng(params.seed, stream), budget)
     except EmptyTypicalSetError:
         if not allow_degenerate:
             raise

@@ -31,7 +31,6 @@ from corrsynth.codec_ptp import (
     product_pmf,
 )
 from corrsynth.codec_dist import _build_dist_tables
-import corrsynth.codec_dist as codec_dist
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
@@ -575,23 +574,36 @@ def streamed_case(name, n, seed):
 def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n, monkeypatch):
     target, args = streamed_case(name, n, seed=n)
     want = dist_tv_deficit(target, dist_induced_joint_exact(*args))
-    assert abs(dist_streamed_tv_deficit(target, *args) - want) <= 1e-12
+    assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
     monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", 1)  # one source-1 word per chunk
-    assert abs(dist_streamed_tv_deficit(target, *args) - want) <= 1e-12
+    assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
+
+
+def test_the_decoder_pair_mask_counts_against_the_budget():
+    """The decoder's (K₁L₁) × (K₂L₂) pair-typicality mask is refused before it is built."""
+    inst = named_instance("dist-demo")
+    params = DistCodecParams(n=3, rt1=1.75, rt2=1.75, r1=0.0, r2=0.0, c1=0.0, c2=0.0,
+                             delta=0.5, eta=0.45, seed=0)
+    assert params.l_sizes == (38, 38) and params.k_sizes == (1, 1)
+    books, bins = build_dist_codec(inst.p_w1(), inst.p_w2(), params)
+    args = (inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2, inst.p_y_given_w1w2, books, bins, params)
+    with pytest.raises(BudgetExceededError, match="message and decoder tables needs 1444 "):
+        _build_dist_tables(*args, budget=1_000)
+    _build_dist_tables(*args, budget=38 * 38)
 
 
 def test_streamed_deficit_checks_the_total_mass(monkeypatch):
     target, args = streamed_case("dist-demo", 2, seed=2)
-    message_table = codec_dist._message_table
-    monkeypatch.setattr(codec_dist, "_message_table", lambda *a: 2.0 * message_table(*a))
+    message_table = codec_ptp._message_table
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: (2.0 * message_table(*a)[0], True))
     with pytest.raises(ArithmeticError, match="induced law sums to"):
         dist_streamed_tv_deficit(target, *args)
 
 
 def test_a_nan_induced_law_fails_the_total_mass_check(monkeypatch):
     target, args = streamed_case("dist-demo", 2, seed=2)
-    message_table = codec_dist._message_table
-    monkeypatch.setattr(codec_dist, "_message_table", lambda *a: np.nan * message_table(*a))
+    message_table = codec_ptp._message_table
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: (np.nan * message_table(*a)[0], True))
     with pytest.raises(ArithmeticError, match="induced law sums to nan"):
         dist_streamed_tv_deficit(target, *args)
     with pytest.raises(ArithmeticError, match="induced law sums to nan"):

@@ -595,12 +595,12 @@ def test_blocks_share_a_weight_table_only_when_they_share_words():
         )
         m_size = int(gen.integers(1, 5))
         labels = gen.integers(1, m_size + 1, size=(kk, l_size))
-        msg = codec_ptp._message_table(
+        msg, _ = codec_ptp._message_table(
             xs, book, codec_ptp._word_ids(flat), labels, m_size, p_joint_xw, params
         )
         for mu in range(kk):
             alone = Codebook(entries=entries[mu : mu + 1], epsilon=book.epsilon, w_size=nw)
-            want = codec_ptp._message_table(
+            want, _ = codec_ptp._message_table(
                 xs, alone, codec_ptp._word_ids(entries[mu]), labels[mu : mu + 1], m_size,
                 p_joint_xw, params,
             )
@@ -965,7 +965,7 @@ def instance_codec(name, n, seed=11):
 def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n):
     inst, args = instance_codec(name, n)
     want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
-    assert abs(streamed_tv_deficit(inst.target_joint(), *args) - want) <= 1e-12
+    assert abs(streamed_tv_deficit(inst.target_joint(), *args)[0] - want) <= 1e-12
 
 
 def test_streamed_deficit_on_a_null_codebook():
@@ -976,7 +976,7 @@ def test_streamed_deficit_on_a_null_codebook():
     args = (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
     want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
     assert want > 0.1
-    assert abs(streamed_tv_deficit(inst.target_joint(), *args) - want) <= 1e-12
+    assert abs(streamed_tv_deficit(inst.target_joint(), *args)[0] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -989,7 +989,7 @@ def test_streamed_deficit_on_single_letter_alphabets_is_exactly_zero(seed):
     # seed 4: the message complements leave the one cell a few ulps off 1
     assert (ind.table.item() != 1.0) == (seed == 4)
     assert tv_deficit(inst.target_joint(), ind) == 0.0
-    assert streamed_tv_deficit(inst.target_joint(), *args) == 0.0
+    assert streamed_tv_deficit(inst.target_joint(), *args)[0] == 0.0
 
 
 def test_streamed_deficit_checks_the_target_axes():
@@ -1023,17 +1023,46 @@ def test_streamed_deficit_budgets_its_largest_array():
     with pytest.raises(BudgetExceededError):
         induced_joint_exact(*args, budget=10_000)
     want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
-    got = streamed_tv_deficit(inst.target_joint(), *args, budget=10_000)
+    got, _ = streamed_tv_deficit(inst.target_joint(), *args, budget=10_000)
     assert abs(got - want) <= 1e-12
     # the message tables (1,376 cells) fit, the letter factors (5,952) do not
     with pytest.raises(BudgetExceededError, match="streamed deficit"):
         streamed_tv_deficit(inst.target_joint(), *args, budget=2_000)
 
 
+def test_encoder_and_decoder_arrays_count_against_the_budget():
+    """The (A, L) index weights of a block, the (A, U) weight table and the
+    Az × ΣΘ decoder typicality mask are each refused before they are built."""
+    inst = named_instance("synthesis-demo")
+
+    def codec(**rates):
+        params = CodecParams(delta=0.5, eta=0.1, seed=0, **rates)
+        cb, bn = build_ptp_codec(inst.p_w(), params)
+        return cb, (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
+
+    # n=6: 64 source words × L = 512 indices; every other array fits 10,000
+    cb, args = codec(n=6, rt=1.5, r=0.05, c=0.0)
+    with pytest.raises(BudgetExceededError, match="encoder index weights needs 32768 "):
+        _build_system_tables(*args, budget=10_000)
+    _build_system_tables(*args, budget=64 * 512)
+    # encoder validity's weight table: typical source words × U distinct words
+    typical = typical_set(inst.p_joint_xw().marginalize(("X",)), 6, 0.5).shape[0]
+    u_size = codec_ptp._word_ids(cb.entries.reshape(-1, 6))[1].shape[0]
+    assert typical * u_size > 1_000
+    with pytest.raises(BudgetExceededError, match=f"encoder weights needs {typical * u_size} "):
+        encoder_validity(cb, inst.p_joint_xw(), args[-1], budget=1_000)
+    # n=4, K = 16 blocks of L = 8: 16 side-information words × ΣΘ = 105 decoder cells
+    _, args = codec(n=4, rt=0.75, r=0.0, c=1.0)
+    assert sum(args[4].theta) == 105
+    with pytest.raises(BudgetExceededError, match="decoder typicality mask needs 1680 "):
+        _build_system_tables(*args, budget=1_000)
+    _build_system_tables(*args, budget=1_680)
+
+
 def test_streamed_deficit_checks_the_total_mass(monkeypatch):
     inst, args = instance_codec("synthesis-demo", 3)
     message_table = codec_ptp._message_table
-    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: 2.0 * message_table(*a))
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: (2.0 * message_table(*a)[0], True))
     with pytest.raises(ArithmeticError, match="induced law sums to"):
         streamed_tv_deficit(inst.target_joint(), *args)
 
@@ -1041,7 +1070,7 @@ def test_streamed_deficit_checks_the_total_mass(monkeypatch):
 def test_a_nan_induced_law_fails_the_total_mass_check(monkeypatch):
     inst, args = instance_codec("synthesis-demo", 3)
     message_table = codec_ptp._message_table
-    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: np.nan * message_table(*a))
+    monkeypatch.setattr(codec_ptp, "_message_table", lambda *a: (np.nan * message_table(*a)[0], True))
     with pytest.raises(ArithmeticError, match="induced law sums to nan"):
         streamed_tv_deficit(inst.target_joint(), *args)
     with pytest.raises(ArithmeticError, match="induced law sums to nan"):

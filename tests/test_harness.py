@@ -13,7 +13,9 @@ import pytest
 
 import corrsynth
 from corrsynth.budget import BudgetExceededError
-from corrsynth.codec_dist import DistCodecParams
+import corrsynth.codec_ptp as codec_ptp
+import corrsynth.harness as harness
+from corrsynth.codec_dist import DistCodecParams, _leg_params, build_dist_codec
 from corrsynth.codec_ptp import CodecParams, build_ptp_codec, encoder_validity, soft_covering_deficit
 from corrsynth.harness import (
     Aggregate,
@@ -589,6 +591,169 @@ def test_validity_rate_equals_records_from_full_codec_builds():
         assert check.empirical == float(np.mean(all_valid))
         assert check.empirical_pointwise == float(np.array(pointwise).mean())
     assert seen_invalid
+
+
+# --------------------------------------------------------------------------
+# a deficit trial's validity flag
+# --------------------------------------------------------------------------
+
+
+def _small_integer_law(gen, shape):
+    t = gen.integers(1, 4, size=shape).astype(float)
+    return t / t.sum()
+
+
+def _sparse_rows(gen, shape):
+    """Conditional rows of small-integer weights on a random support, so
+    that short words can be typical for them."""
+    t = gen.integers(1, 4, size=shape) * (gen.random(shape) < 0.6)
+    t[..., 0] += t.sum(axis=-1) == 0
+    return t / t.sum(axis=-1, keepdims=True)
+
+
+def _encoder_joint(p_source, axis, p_w_given_x):
+    """The (X, W) joint an encoder stage forms, p(x) p(w|x), not renormalized."""
+    return JointPmf(
+        (p_source.names[axis], p_w_given_x.out_names[0]),
+        (p_source.alphabets[axis], p_w_given_x.out_alphabets[0]),
+        p_source.table.sum(axis=1 - axis)[:, None] * p_w_given_x.table,
+    )
+
+
+def _validity_flags(legs, params):
+    """A row's ``valid`` from separate encoder-validity checks, one per leg.
+
+    ``legs`` holds (codebook, the encoder's own joint, a renormalized joint
+    such as ``PtpInstance.p_joint_xw``) per leg.  Returns the flag on the
+    encoder's joints, and the flag on the renormalized ones where these hold
+    the same cells (else None): renormalizing can move a cell by an ulp, and
+    that can flip a row whose weights sum to one exactly.
+    """
+    own = all(encoder_validity(book, joint, leg)[0] for (book, joint, _), leg in zip(legs, params))
+    if not all(np.array_equal(joint.table, other.table) for _, joint, other in legs):
+        return own, None
+    return own, all(encoder_validity(book, other, leg)[0] for (book, _, other), leg in zip(legs, params))
+
+
+def test_a_ptp_trial_reads_the_validity_of_a_separate_check():
+    """Random instances and rates, a degenerate codebook, and a live codebook
+    with no typical source word: every row's flag is encoder_validity's."""
+    gen = np.random.default_rng(13)
+    cases = [
+        (reference_instance(), CodecParams(n=1, rt=0.5, r=0.0, c=0.0, delta=0.34, eta=0.0, seed=0)),
+        (
+            ptp_instance_from_tables([[0.75], [0.25]], [[1.0], [1.0]], [[[0.4, 0.6]]]),
+            CodecParams(n=1, rt=0.5, r=0.0, c=0.0, delta=0.34, eta=0.0, seed=0),
+        ),
+    ]
+    for _ in range(150):
+        nx, nw = (int(v) for v in gen.integers(2, 4, size=2))
+        nz, ny = (int(v) for v in gen.integers(1, 3, size=2))
+        inst = ptp_instance_from_tables(
+            _small_integer_law(gen, (nx, nz)), _sparse_rows(gen, (nx, nw)),
+            _sparse_rows(gen, (nz, nw, ny)),
+        )
+        rt = float(gen.uniform(0.2, 2.0))
+        params = CodecParams(
+            n=int(gen.integers(1, 6 if nx == 2 else 5)), rt=rt, r=float(gen.uniform(0.0, rt)),
+            c=float(gen.choice([0.0, 0.25, 0.5])), delta=float(gen.uniform(0.3, 0.95)),
+            eta=float(gen.choice([0.0, 0.1, 0.5, 0.9])), seed=int(gen.integers(1000)),
+        )
+        cases.append((inst, params))
+    seen, compared = set(), 0
+    for inst, params in cases:
+        (row,) = run_tv_experiment(ExperimentSpec("ptp", inst, params, trials=1, seed=params.seed)).rows
+        trial = dataclasses.replace(params, seed=row.seed)
+        codebook, _ = build_ptp_codec(inst.p_w(), trial, allow_degenerate=True)
+        joint = _encoder_joint(inst.p_xz, 0, inst.p_w_given_x)
+        own, renormalized = _validity_flags([(codebook, joint, inst.p_joint_xw())], [trial])
+        assert row.valid == own
+        if renormalized is not None:
+            compared += 1
+            assert row.valid == renormalized
+        typical = typical_set(inst.p_joint_xw().marginalize(("X",)), params.n, params.delta)
+        seen.add("degenerate" if row.degenerate else "no typical x" if typical.shape[0] == 0 else row.valid)
+    assert seen == {True, False, "degenerate", "no typical x"}
+    assert compared >= len(cases) // 3
+
+
+def test_a_dist_trial_reads_the_validity_of_separate_checks():
+    gen = np.random.default_rng(17)
+    cases = [(dist_demo_instance(), DistCodecParams(
+        n=1, rt1=0.5, rt2=0.5, r1=0.0, r2=0.0, c1=0.0, c2=0.0, delta=0.3, eta=0.0, seed=0
+    ))]
+    for _ in range(100):
+        n1, n2, nw1, nw2 = (int(v) for v in gen.integers(2, 4, size=4))
+        inst = dist_instance_from_tables(
+            _small_integer_law(gen, (n1, n2)), _sparse_rows(gen, (n1, nw1)),
+            _sparse_rows(gen, (n2, nw2)), _sparse_rows(gen, (nw1, nw2, 2)),
+        )
+        rt1, rt2 = (float(v) for v in gen.uniform(0.2, 1.6, size=2))
+        params = DistCodecParams(
+            n=int(gen.integers(1, 5 if max(n1, n2) == 2 else 4)), rt1=rt1, rt2=rt2,
+            r1=float(gen.uniform(0.0, rt1)), r2=float(gen.uniform(0.0, rt2)),
+            c1=float(gen.choice([0.0, 0.25])), c2=float(gen.choice([0.0, 0.25])),
+            delta=float(gen.uniform(0.3, 0.95)), eta=float(gen.choice([0.0, 0.1, 0.5, 0.9])),
+            seed=int(gen.integers(1000)),
+        )
+        cases.append((inst, params))
+    seen, compared = set(), 0
+    for inst, params in cases:
+        (row,) = run_tv_experiment(ExperimentSpec("dist", inst, params, trials=1, seed=params.seed)).rows
+        trial = dataclasses.replace(params, seed=row.seed)
+        books, _ = build_dist_codec(inst.p_w1(), inst.p_w2(), trial, allow_degenerate=True)
+        p = inst.p_x1x2.table
+        legs = [
+            (books.first, _encoder_joint(inst.p_x1x2, 0, inst.p_w1_given_x1), JointPmf.from_table(
+                ("X1", "W1"), np.einsum("ab,aw->aw", p, inst.p_w1_given_x1.table))),
+            (books.second, _encoder_joint(inst.p_x1x2, 1, inst.p_w2_given_x2), JointPmf.from_table(
+                ("X2", "W2"), np.einsum("ab,bv->bv", p, inst.p_w2_given_x2.table))),
+        ]
+        own, renormalized = _validity_flags(legs, [_leg_params(trial, 1), _leg_params(trial, 2)])
+        assert row.valid == own
+        if renormalized is not None:
+            compared += 1
+            assert row.valid == renormalized
+        seen.add("degenerate" if row.degenerate else row.valid)
+    assert seen == {True, False, "degenerate"}
+    assert compared >= len(cases) // 3
+
+
+def test_deficit_trials_run_no_separate_validity_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a deficit trial called encoder_validity")
+
+    monkeypatch.setattr(codec_ptp, "encoder_validity", refuse)
+    monkeypatch.setattr(harness, "encoder_validity", refuse)
+    ptp = CodecParams(n=3, rt=1.5, r=1.35, c=0.25, delta=0.5, eta=0.1, seed=0)
+    dist = DistCodecParams(n=2, rt1=1.75, rt2=1.75, r1=1.6, r2=1.6, c1=0.25, c2=0.25,
+                           delta=0.5, eta=0.45, seed=0)
+    for spec in (
+        ExperimentSpec("ptp", synthesis_demo_instance(), ptp, trials=2, seed=0),
+        ExperimentSpec("dist", dist_demo_instance(), dist, trials=2, seed=0),
+    ):
+        rows = run_tv_experiment(spec, threads=2).rows
+        assert not any(r.skipped for r in rows)
+
+
+def test_a_trial_numbers_each_codebook_once(monkeypatch):
+    """One whole-codebook numbering per codebook; a ptp trial numbers K + 1
+    times in all, once per block for its binning and once for its encoder."""
+    counts = {"_word_ids": 0, "_first_occurrence_dedup": 0}
+    for name in counts:
+        def counted(*args, _inner=getattr(codec_ptp, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(codec_ptp, name, counted)
+    ptp = CodecParams(n=4, rt=1.5, r=1.35, c=0.25, delta=0.5, eta=0.1, seed=0)
+    run_tv_experiment(ExperimentSpec("ptp", synthesis_demo_instance(), ptp, trials=3, seed=0))
+    assert counts == {"_word_ids": 3, "_first_occurrence_dedup": 3 * (ptp.k_size + 1)}
+    counts.update(dict.fromkeys(counts, 0))
+    dist = DistCodecParams(n=2, rt1=1.75, rt2=1.75, r1=1.6, r2=1.6, c1=0.25, c2=0.25,
+                           delta=0.5, eta=0.45, seed=0)
+    run_tv_experiment(ExperimentSpec("dist", dist_demo_instance(), dist, trials=3, seed=0))
+    assert counts == {"_word_ids": 6, "_first_occurrence_dedup": 6}
 
 
 def test_soft_covering_trials_draw_build_ptp_codec_codebooks():
