@@ -210,6 +210,14 @@ def ptp_membership(
 # ---------------------------------------------------------------------------
 
 
+def _coefficients(target_xyz: np.ndarray, w_given_x: np.ndarray) -> np.ndarray:
+    """The (..., |Z|, |X|, |W|) coefficient matrices a_z[x, w] = p(x,z) p(w|x).
+
+    The leading axes are those of ``w_given_x``.
+    """
+    return target_xyz.sum(axis=1).T[:, :, None] * w_given_x[..., None, :, :]
+
+
 def _z_blocks(target_xyz: np.ndarray, w_given_x: np.ndarray):
     """Per-z equality systems for q(.|z,.): consistency rows then row-sum rows.
 
@@ -220,13 +228,17 @@ def _z_blocks(target_xyz: np.ndarray, w_given_x: np.ndarray):
     weights (|Z|, |X||Y|), which do not depend on p(w|x): 1/p(x,z), or 0
     where p(x,z) = 0, which turn consistency-row residuals into conditional
     ones.
+
+    Block z is A_z = [a_z (x) I_|Y| ; I_|W| (x) 1^T_|Y|], a_z the
+    coefficients of :func:`_coefficients`; :func:`_z_pinv` factors it
+    through the SVD of a_z alone.
     """
     nx, ny, nz = target_xyz.shape
     nw = w_given_x.shape[-1]
     lead = w_given_x.shape[:-2]
     nxy = nx * ny
     p_xz = target_xyz.sum(axis=1)
-    a = p_xz.T[:, :, None] * w_given_x[..., None, :, :]  # (..., z, x, w)
+    a = _coefficients(target_xyz, w_given_x)
     blocks = np.empty(lead + (nz, nxy + nw, nw * ny))
     blocks[..., :nxy, :] = (a[..., None, :, None] * np.eye(ny)[:, None, :]).reshape(lead + (nz, nxy, nw * ny))
     blocks[..., nxy:, :] = np.repeat(np.eye(nw), ny, axis=1)
@@ -262,11 +274,60 @@ def _pinv(a: np.ndarray):
     others.  The singular values come last, min(m, n) per matrix in
     descending order.  LAPACK factors each matrix on its own, so a matrix's
     pseudoinverse does not depend on its stack.
+
+    The z-blocks themselves are factored by :func:`_z_pinv`.  This generic
+    SVD serves the matrices without their Kronecker structure: NNLS passive
+    sets, the masked supports of the gradient and the Newton Hessians.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return vt.swapaxes(-1, -2) * inv[..., None, :] @ u.swapaxes(-1, -2), (s > cutoff).sum(axis=-1), s
+
+
+def _z_pinv(c: np.ndarray, ny: int):
+    """What :func:`_pinv` returns for the z-blocks, from the SVDs of their coefficients.
+
+    Block z is A = [a (x) I_|Y| ; I_|W| (x) 1^T_|Y|], a = c[..., z, :, :]
+    of shape (|X|, |W|) (:func:`_z_blocks`).  Let a = U S V^T with V a full
+    |W| x |W| basis and s padded with zeros to |W|, and F any orthonormal
+    basis of R^|Y| whose first vector is 1/sqrt|Y|.  Then
+    A^T A = (a^T a) (x) I + I (x) 1 1^T has eigenvectors V_i (x) F_j, so A
+    has singular values sqrt(s_i^2 + |Y|) (j = 0) and s_i (j >= 1, each
+    |Y| - 1 times) (Van Loan 2000).  With :func:`_pinv`'s cutoff
+    eps * max(m, n) * sigma_max, sigma_max = sqrt(s_max^2 + |Y|), the rank
+    is |W| + (|Y| - 1) #{s_i > cutoff}, and
+
+        A^+ = (A^T A)^+ A^T = [C (x) (I - J/|Y|) + D (x) J/|Y| | E (x) 1_|Y|]
+
+    with C = V S^+ U^T (s_i at most the cutoff inverted as 0),
+    D = V diag(s / (s^2 + |Y|)) U^T, E = V diag(1 / (s^2 + |Y|)) V^T and
+    J = 1 1^T.  Only the small matrices a are factored, each by LAPACK on
+    its own, so a block's pseudoinverse does not depend on its stack.
+    Returns the pseudoinverses (..., |W||Y|, |X||Y| + |W|), the ranks and
+    the min(m, n) singular values of each block in descending order.
+    """
+    nx, nw = c.shape[-2:]
+    lead = c.shape[:-2]
+    m, n = nx * ny + nw, nw * ny
+    u, s, vt = np.linalg.svd(c)
+    k = s.shape[-1]
+    s_w = np.concatenate([s, np.zeros(lead + (nw - k,))], axis=-1)
+    shifted = s_w * s_w + ny
+    head = np.sqrt(shifted)  # on V_i (x) F_0, in descending order
+    kept = (s > np.finfo(float).eps * max(m, n) * head[..., :1]) & (ny > 1)
+    # the consistency columns are C (x) I + H (x) J, H = (D - C) / |Y|
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    scales = np.stack([inv, (s / shifted[..., :k] - inv) / ny], axis=-2)
+    v = vt.swapaxes(-1, -2)
+    mat_ch = v[..., None, :, :k] * scales[..., :, None, :] @ u[..., None, :, :k].swapaxes(-1, -2)
+    pinv = np.empty(lead + (nw, ny, m))
+    pinv[..., : nx * ny] = (mat_ch[..., 0, :, None, :, None] * np.eye(ny)[:, None, :]
+                            + mat_ch[..., 1, :, None, :, None]).reshape(lead + (nw, ny, nx * ny))
+    pinv[..., nx * ny:] = (v / shifted[..., None, :] @ vt)[..., :, None, :]
+    # s_i <= ||a||_2 <= 1 < sqrt|Y|: the list is already in descending order
+    sing = np.concatenate([head, np.repeat(s_w, ny - 1, axis=-1)], axis=-1)[..., : min(m, n)]
+    return pinv.reshape(lead + (n, m)), nw + (ny - 1) * kept.sum(axis=-1), sing
 
 
 def _nnls_stack(a: np.ndarray, b: np.ndarray):
@@ -445,7 +506,7 @@ def _out_of_reach(blocks, sol, resid, sing, tol: float) -> np.ndarray:
     value, which covers the backward error of the SVD (Weyl's inequality);
     a block whose s does not survive that is never out of reach.  The bound
     is then doubled, the safety factor.  Arguments are stacks over blocks:
-    the blocks, x, r and the singular values of :func:`_pinv`; the caller
+    the blocks, x, r and the singular values of :func:`_z_pinv`; the caller
     checks the rank.
     """
     m, n = blocks.shape[-2:]
@@ -470,6 +531,11 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     :func:`ptp_consistency_residual` measures) at most ``tol``; an empty
     feasible set leaves a residual and is rejected.
 
+    Each block's pseudoinverse, rank and singular values come from the SVD
+    of its |X| x |W| coefficient matrix (:func:`_z_pinv`), not of the block.
+    The NNLS passive sets and the Newton Hessians lack the blocks' Kronecker
+    structure and keep the generic :func:`_pinv`.
+
     That solution is unique when the block has full column rank, and then
     most negative blocks are rejected without the nonnegative solve
     (:func:`_out_of_reach`).  In a row every block passes, each other block
@@ -486,7 +552,8 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     nx, ny, nz = target_xyz.shape
     nb, _, nw = w_given_x.shape
     blocks, rhs, weights = _z_blocks(target_xyz, w_given_x)
-    pinv, rank, sing = _pinv(blocks)
+    c = _coefficients(target_xyz, w_given_x)
+    pinv, rank, sing = _z_pinv(c, ny)
     sol = _matvec(pinv, rhs)
     resid = np.abs(_matvec(blocks, sol) - rhs).max(axis=-1)
     consistent = resid <= 1e-9
@@ -506,8 +573,7 @@ def _solve_stack(target_xyz: np.ndarray, w_given_x: np.ndarray, tol: float) -> I
     dual = np.zeros((nb, nz, nx * ny))
     bz = np.nonzero((rank < nw * ny) & ~fails.any(axis=1)[:, None])
     if bz[0].size:
-        c = target_xyz.sum(axis=1).T[bz[1], :, None] * w_given_x[bz[0]]
-        q[bz], v, newton[bz] = _max_entropy_stack(c, target_xyz.transpose(2, 0, 1)[bz[1]])
+        q[bz], v, newton[bz] = _max_entropy_stack(c[bz], target_xyz.transpose(2, 0, 1)[bz[1]])
         dual[bz] = v.reshape(len(v), -1)
         gaps[bz] = _conditional_gaps(blocks[bz], rhs[bz[1]], weights[bz[1]], q[bz])
         fails[bz] = ~(gaps[bz] <= tol)
@@ -669,7 +735,7 @@ def _gradient_stack(target_xyz, w_given_x, lam, solve, rates):
     nw = w_given_x.shape[-1]
     dims = (nx, nw, ny)
     p_zx = target_xyz.sum(axis=1).T[:, :, None]
-    c = p_zx * w_given_x[:, None]  # (b, z, x, w)
+    c = _coefficients(target_xyz, w_given_x)  # (b, z, x, w)
     d_c = np.zeros_like(c)
     rows = np.flatnonzero(solve.failing >= 0)
     for neg in (True, False):

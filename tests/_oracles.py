@@ -323,7 +323,7 @@ def solve_stack_every_nnls(target_xyz, w_given_x, tol):
     nx, ny, nz = target_xyz.shape
     nb, _, nw = w_given_x.shape
     blocks, rhs, weights = rate_region._z_blocks(target_xyz, w_given_x)
-    pinv, rank, _ = rate_region._pinv(blocks)
+    pinv, rank, _ = rate_region._z_pinv(rate_region._coefficients(target_xyz, w_given_x), ny)
     sol = rate_region._matvec(pinv, rhs)
     resid = np.abs(rate_region._matvec(blocks, sol) - rhs).max(axis=-1)
     consistent = resid <= 1e-9

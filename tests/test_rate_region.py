@@ -292,6 +292,62 @@ def test_z_blocks_equal_the_entrywise_construction(shape):
         assert np.array_equal(weights[z], want)
 
 
+def factorization_case(gen):
+    """(target, p(w|x)) with |X|, |Y|, |W| in 1..4 and |Z| in 1..2.
+
+    About a third of the cases null one (x, z) cell, a zero row of a_z; a
+    third never use one W letter, a zero column; a fifth repeat one row of
+    p(w|x) for every x, so a_z has rank one.
+    """
+    nx, ny, nw = (int(v) for v in gen.integers(1, 5, size=3))
+    nz = int(gen.integers(1, 3))
+    target = gen.gamma(1.0, size=(nx, ny, nz))
+    if gen.random() < 0.3 and nx * nz > 1:
+        target[gen.integers(nx), :, gen.integers(nz)] = 0.0
+    w_table = gen.dirichlet(np.ones(nw), size=nx)
+    if gen.random() < 0.3 and nw > 1:
+        w_table[:, gen.integers(nw)] = 0.0
+        w_table /= w_table.sum(axis=1, keepdims=True)
+    if gen.random() < 0.2:
+        w_table[:] = w_table[0]
+    return target / target.sum(), w_table
+
+
+def test_z_block_factorization_equals_the_generic_svd():
+    """The Kronecker factorization of every z-block, against ``_pinv`` of the
+    explicit block.  Ranks are equal.  Singular values agree within 1e-13
+    sigma_max: each SVD is backward stable, so each is within a few eps
+    sigma_max of the exact ones (Weyl).  The pseudoinverses agree within
+    1e-13 sigma_max / sigma_r^2, sigma_r the least nonzero singular value,
+    and the least-squares solutions within that times ||b||_2: a backward
+    error dA moves A^+ by at most sqrt(2) ||dA|| / sigma_r^2 when it keeps
+    the rank (Wedin 1973)."""
+    gen = np.random.default_rng(20261019)
+    seen = {"zero row": 0, "zero column": 0, "|X| < |W|": 0, "rank-deficient a": 0, "|Y| = 1": 0}
+    for _ in range(600):
+        target, w_table = factorization_case(gen)
+        nx, ny, _ = target.shape
+        nw = w_table.shape[1]
+        coefficients = rate_region._coefficients(target, w_table)
+        blocks, rhs, _ = rate_region._z_blocks(target, w_table)
+        pinv, rank, sing = rate_region._pinv(blocks)
+        got_pinv, got_rank, got_sing = rate_region._z_pinv(coefficients, ny)
+        assert np.array_equal(got_rank, rank)
+        assert got_sing.shape == sing.shape
+        assert np.all(np.abs(got_sing - sing) <= 1e-13 * sing[:, :1])
+        least = sing[np.arange(len(rank)), rank - 1]
+        bound = 1e-13 * sing[:, 0] / least**2
+        assert np.all(np.abs(got_pinv - pinv).max(axis=(1, 2)) <= bound)
+        got_sol, sol = rate_region._matvec(got_pinv, rhs), rate_region._matvec(pinv, rhs)
+        assert np.all(np.abs(got_sol - sol).max(axis=1) <= bound * np.linalg.norm(rhs, axis=1))
+        seen["zero row"] += (np.abs(coefficients).sum(axis=-1) == 0).any()
+        seen["zero column"] += (np.abs(coefficients).sum(axis=-2) == 0).any()
+        seen["|X| < |W|"] += nx < nw
+        seen["rank-deficient a"] += (np.linalg.matrix_rank(coefficients) < min(nx, nw)).any()
+        seen["|Y| = 1"] += ny == 1
+    assert min(seen.values()) >= 50, seen
+
+
 @pytest.mark.parametrize("kind", ["feasible", "full-rank", "rank-deficient"])
 def test_inner_solve_agrees_with_the_column_subset_oracle(kind):
     """_nnls reaches the brute-force optimum, and the inner solve accepts a
@@ -823,7 +879,7 @@ def test_pre_rejection_never_rejects_a_block_the_nnls_path_accepts():
         accepted = rejected_early = 0
         for target, w in cases:
             blocks, rhs, _ = rate_region._z_blocks(target, w)
-            pinv, rank, sing = rate_region._pinv(blocks)
+            pinv, rank, sing = rate_region._z_pinv(rate_region._coefficients(target, w), target.shape[1])
             sol = rate_region._matvec(pinv, rhs)
             resid = np.abs(rate_region._matvec(blocks, sol) - rhs).max(axis=-1)
             assert rank[0] == blocks.shape[-1] and -1.0 <= sol.min() < -1e-14
