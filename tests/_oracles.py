@@ -37,6 +37,10 @@ The single-channel views (``nnls``, ``consistent_y_channel``,
 one p(w|x) or one descent through the frontier search's stacked stages, as
 stacks of one.
 
+``coarse_grid_scan`` is the frontier search's strided coarse scan with
+every W-relabeling of a start kept: the reference that the scan keeps one
+start per orbit and loses none.
+
 ``central_difference_gradient`` differentiates the frontier search's
 scalarized value in the p(w|x) logits numerically, two full evaluations per
 logit: the reference for the closed-form gradient.  ``sequential_descent``
@@ -380,6 +384,28 @@ def logit_gradient(target_xyz, w_given_x, lam, solve, rates):
 def descend_from(target_xyz, lam, logits, iters, tol):
     """One descent of ``rate_region._lockstep``, from one (|X|, |W|) logit table."""
     return rate_region._lockstep(target_xyz, np.array([lam]), logits[None], np.array([iters]), tol)[0]
+
+
+def coarse_grid_scan(nx, w_size, cap=24):
+    """Logits of the strided coarse scan, relabeled duplicates included.
+
+    Rows come from a bank of distributions (p, 1 - p for binary W; uniform
+    and one 0.9 mass per letter otherwise); every product of |X| rows is
+    taken in order and strided down to at most ``cap`` starts.
+    """
+    if w_size == 2:
+        bank = [np.array([p, 1.0 - p]) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    else:
+        bank = [np.full(w_size, 1.0 / w_size)]
+        for j in range(w_size if w_size > 1 else 0):
+            row = np.full(w_size, 0.1 / (w_size - 1))
+            row[j] = 0.9
+            bank.append(row)
+    combos = [[]]
+    for _ in range(nx):
+        combos = [c + [row] for c in combos for row in bank]
+    stride = max(1, len(combos) // cap)
+    return [np.log(np.clip(np.array(c), 1e-6, None)) for c in combos[::stride]]
 
 
 def central_difference_gradient(target_xyz, lam, logits, tol=1e-9, h=1e-5):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ from _oracles import (
     binary_grid_frontier,
     central_difference_gradient,
     chebyshev_to_polyline,
+    coarse_grid_scan,
     consistent_y_channel,
     descend_from,
     logit_gradient,
@@ -790,15 +792,40 @@ def test_lockstep_descents_equal_the_sequential_oracle(case):
     assert (underdetermined == len(runs)) == (case == "readme-w4")
 
 
+def relabeled(a, b):
+    """Is start ``b`` start ``a`` with W relabeled, up to rounding?"""
+    pa, pb = np.exp(a), np.exp(b)
+    return any(np.allclose(pa[:, list(perm)], pb, rtol=0.0, atol=1e-12)
+               for perm in itertools.permutations(range(pa.shape[1])))
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_coarse_starts_keep_the_first_start_of_every_relabeling_orbit(nx):
+    """Of the strided scan, the search keeps exactly the first start of each
+    orbit under relabeling W, in scan order: no two kept starts are
+    relabelings of each other, and every scanned start relabels a kept one."""
+    kept_counts = []
+    for w_size in (1, 2, 3, 4):
+        scan = coarse_grid_scan(nx, w_size)
+        kept = rate_region._coarse_grid_inits(nx, w_size)
+        firsts = [a for i, a in enumerate(scan) if not any(relabeled(b, a) for b in scan[:i])]
+        assert len(kept) == len(firsts)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, firsts))
+        assert all(any(relabeled(k, a) for k in kept) for a in scan)
+        kept_counts.append(len(kept))
+    if nx == 2:
+        assert kept_counts == [1, 13, 5, 5]
+
+
 def test_a_descent_does_not_depend_on_its_stack():
     cases = [
-        # gate 4's first phase: 33 weights x (3 corners, 25 coarse, 2 random)
-        (SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0), 33 * 30,
-         (0, 1, 2, 3, 17, 29, 30, 448, 495, 988, 989)),
-        # the README spec's: 17 weights x 30 starts, where every accepted
-        # candidate takes a max-entropy solve
-        (SearchConfig(w_cap=4, lambda_grid=17, restarts=2, iters=60, seed=0), 17 * 30,
-         (0, 1, 2, 3, 17, 29, 30, 241, 268, 508, 509)),
+        # gate 4's first phase: 33 weights x (3 corners, 13 coarse, 2 random)
+        (SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0), 33 * 18,
+         (0, 1, 2, 3, 10, 17, 18, 268, 297, 592, 593)),
+        # the README spec's: 17 weights x (3 corners, 5 coarse, 2 random),
+        # where every accepted candidate takes a max-entropy solve
+        (SearchConfig(w_cap=4, lambda_grid=17, restarts=2, iters=60, seed=0), 17 * 10,
+         (0, 1, 2, 3, 5, 9, 10, 81, 88, 168, 169)),
     ]
     for cfg, size, picks in cases:
         target, lams, logits, iters = phase_one_stack(README_TARGET, cfg)
