@@ -536,22 +536,32 @@ def _message_table(
     return msg, all_valid
 
 
+def encoder_joint(p_source: JointPmf, axis: int, p_w_given_x: CondPmf) -> JointPmf:
+    """The (X, W) joint p(x) p(w|x) an encoder works on, X the source's axis ``axis``.
+
+    Not renormalized: every caller that decides encoder validity (the
+    encoder stage of a deficit trial and ``validity``) reads these same
+    cells, so a row whose weights sum to one exactly is decided alike.
+    """
+    return JointPmf(
+        (p_source.names[axis], p_w_given_x.out_names[0]),
+        (p_source.alphabets[axis], p_w_given_x.out_alphabets[0]),
+        p_source.table.sum(axis=1 - axis)[:, None] * p_w_given_x.table,
+    )
+
+
 def _encoder_stage(
     p_source: JointPmf, axis: int, p_w_given_x: CondPmf, codebook: Codebook,
     labels: np.ndarray, m_size: int, params: CodecParams, budget: int | None = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, bool]:
     """(numbering, messages, valid) of one codebook's encoder on source axis ``axis``.
 
-    Forms the (X, W) joint p(x) p(w|x), numbers the codebook behind w0
-    (:func:`_word_ids`) and builds :func:`_message_table` over all |X|ⁿ
-    source words.  The single-encoder codec runs it once, the two-encoder
-    codec once per leg.
+    Forms the (X, W) joint of :func:`encoder_joint`, numbers the codebook
+    behind w0 (:func:`_word_ids`) and builds :func:`_message_table` over
+    all |X|ⁿ source words.  The single-encoder codec runs it once, the
+    two-encoder codec once per leg.
     """
-    joint = JointPmf(
-        (p_source.names[axis], p_w_given_x.out_names[0]),
-        (p_source.alphabets[axis], p_w_given_x.out_alphabets[0]),
-        p_source.table.sum(axis=1 - axis)[:, None] * p_w_given_x.table,
-    )
+    joint = encoder_joint(p_source, axis, p_w_given_x)
     xs = enumerate_sequences(p_source.alphabets[axis].size, params.n, budget)
     numbering = _word_ids(codebook.entries.reshape(-1, params.n))
     messages, valid = _message_table(xs, codebook, numbering, labels, m_size, joint, params, budget)

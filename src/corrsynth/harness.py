@@ -32,6 +32,7 @@ from .codec_ptp import (
     CodecParams,
     build_ptp_codebook,
     build_ptp_codec,
+    encoder_joint,
     encoder_validity,
     soft_covering_deficit,
     streamed_tv_deficit,
@@ -115,9 +116,8 @@ class PtpInstance:
         )
 
     def p_joint_xw(self) -> JointPmf:
-        return JointPmf.from_table(
-            ("X", "W"), np.einsum("xz,xw->xw", self.p_xz.table, self.p_w_given_x.table)
-        )
+        """The (X, W) joint the encoder works on (:func:`encoder_joint`)."""
+        return encoder_joint(self.p_xz, 0, self.p_w_given_x)
 
     def target_joint(self) -> JointPmf:
         """The (X, Y, Z) law the codec is asked to synthesize."""

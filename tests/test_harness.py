@@ -624,7 +624,7 @@ def _validity_flags(legs, params):
     """A row's ``valid`` from separate encoder-validity checks, one per leg.
 
     ``legs`` holds (codebook, the encoder's own joint, a renormalized joint
-    such as ``PtpInstance.p_joint_xw``) per leg.  Returns the flag on the
+    such as ``JointPmf.from_table`` of an einsum) per leg.  Returns the flag on the
     encoder's joints, and the flag on the renormalized ones where these hold
     the same cells (else None): renormalizing can move a cell by an ulp, and
     that can flip a row whose weights sum to one exactly.
@@ -666,7 +666,9 @@ def test_a_ptp_trial_reads_the_validity_of_a_separate_check():
         trial = dataclasses.replace(params, seed=row.seed)
         codebook, _ = build_ptp_codec(inst.p_w(), trial, allow_degenerate=True)
         joint = _encoder_joint(inst.p_xz, 0, inst.p_w_given_x)
-        own, renormalized = _validity_flags([(codebook, joint, inst.p_joint_xw())], [trial])
+        renormalized_joint = JointPmf.from_table(
+            ("X", "W"), np.einsum("xz,xw->xw", inst.p_xz.table, inst.p_w_given_x.table))
+        own, renormalized = _validity_flags([(codebook, joint, renormalized_joint)], [trial])
         assert row.valid == own
         if renormalized is not None:
             compared += 1
@@ -675,6 +677,37 @@ def test_a_ptp_trial_reads_the_validity_of_a_separate_check():
         seen.add("degenerate" if row.degenerate else "no typical x" if typical.shape[0] == 0 else row.valid)
     assert seen == {True, False, "degenerate", "no typical x"}
     assert compared >= len(cases) // 3
+
+
+def test_validity_and_a_deficit_trial_decide_on_the_same_joint():
+    """For the same codebook, ``validity``'s flag of a one-trial run equals the
+    deficit trial's flag.  Random instances, every other one with all of W on
+    one letter, and η = 0 at two rates in three: there a row's weights can
+    sum to one exactly, and an (X, W) joint renormalized apart from the
+    encoder's flipped 4 of these 300 flags."""
+    gen = np.random.default_rng(1)
+    flags = set()
+    for i in range(300):
+        nx = int(gen.integers(2, 4))
+        nz, ny = (int(v) for v in gen.integers(1, 3, size=2))
+        nw = int(gen.integers(1, 4))
+        if i % 2 == 0:
+            w_table = np.zeros((nx, nw))
+            w_table[:, 0] = 1.0
+        else:
+            w_table = _sparse_rows(gen, (nx, nw))
+        inst = ptp_instance_from_tables(_small_integer_law(gen, (nx, nz)), w_table, _sparse_rows(gen, (nz, nw, ny)))
+        rt = float(gen.uniform(0.2, 2.0))
+        params = CodecParams(
+            n=int(gen.integers(1, 5)), rt=rt, r=float(gen.uniform(0.0, rt)),
+            c=float(gen.choice([0.0, 0.25, 0.5])), delta=float(gen.uniform(0.3, 0.95)),
+            eta=0.0 if i % 3 else float(gen.choice([0.1, 0.5])), seed=int(gen.integers(1000)),
+        )
+        (check,) = validity_rate(inst, [params], trials=1)
+        (row,) = run_tv_experiment(ExperimentSpec("ptp", inst, params, trials=1, seed=params.seed)).rows
+        assert (check.empirical == 1.0) == row.valid
+        flags.add(row.valid)
+    assert flags == {True, False}
 
 
 def test_a_dist_trial_reads_the_validity_of_separate_checks():
