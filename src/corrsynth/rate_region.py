@@ -126,17 +126,6 @@ def ptp_joint_table(p_xz, w_given_x, y_given_zw) -> np.ndarray:
     return np.einsum("xz,...xw,...zwy->...wxyz", p_xz, w_given_x, y_given_zw)
 
 
-def ptp_induced_joint(p_xyz: JointPmf, aux: AuxChannelPtp) -> JointPmf:
-    """The joint p(w,x,y,z) = p(x,z) p(w|x) p(y|z,w) with axes (W, X, Y, Z)."""
-    p_xz = p_xyz.marginalize(("X", "Z")).table
-    table = ptp_joint_table(p_xz, aux.p_w_given_x.table, aux.p_y_given_zw.table)
-    return JointPmf(
-        ("W",) + PTP_AXES,
-        (aux.w_alphabet,) + tuple(p_xyz.alphabet(a) for a in PTP_AXES),
-        table,
-    )
-
-
 @dataclass(frozen=True)
 class PtpRatePair:
     """Clamped lower bounds (bits) plus the raw informations behind them."""
@@ -195,14 +184,6 @@ def ptp_rates_for(p_xyz: JointPmf, aux: AuxChannelPtp, tol: float = 1e-9) -> Ptp
     return ptp_table_rates(
         p_xyz.marginalize(("X", "Z")).table, aux.p_w_given_x.table, aux.p_y_given_zw.table
     )
-
-
-def ptp_membership(
-    p_xyz: JointPmf, rate: float, cr: float, aux: AuxChannelPtp, tol: float = 1e-9
-) -> bool:
-    """Does this aux certify (rate, cr)?  One certifying aux suffices."""
-    rates = ptp_rates_for(p_xyz, aux, tol=tol)
-    return rate >= rates.r_min - tol and rate + cr >= rates.r_plus_c_min - tol
 
 
 # ---------------------------------------------------------------------------
@@ -1227,23 +1208,6 @@ def dist_rates_for(
     if aux.q_alphabet.size > DEFAULT_Q_CAP:
         logger.debug("time-sharing alphabet size %d exceeds default cap", aux.q_alphabet.size)
     return dist_table_rates(dist_induced_joint(p_x1x2y, aux).table)
-
-
-def dist_membership(
-    p_x1x2y: JointPmf,
-    r1: float,
-    r2: float,
-    cr: float,
-    aux: AuxChannelDist,
-    tol: float = 1e-9,
-) -> bool:
-    rates = dist_rates_for(p_x1x2y, aux, tol=tol)
-    return (
-        r1 >= rates.r1 - tol
-        and r2 >= rates.r2 - tol
-        and r1 + r2 >= rates.r1_plus_r2 - tol
-        and r1 + r2 + cr >= rates.r1_plus_r2_plus_c - tol
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,16 @@ The grid oracle scans every binary auxiliary channel p(w|x) on a uniform
 output channel p(y|w) is the unique solution of a 2x2 linear system, so each
 grid cell is either infeasible or evaluates exactly — no inner search.
 
+``ptp_induced_joint``, ``ptp_membership`` and ``dist_membership`` read
+one auxiliary pair's joint, or whether it certifies a rate point, through
+``rate_region``'s evaluators; only tests call them.
+
+``cascade_frontier_value`` minimizes the scalarized value along the
+analytic curve of a doubly symmetric binary source (Wyner 1975; Cuff 2013):
+the cascade X -> BSC(a) -> W -> BSC(b) -> Y with a * b = p0 is consistent
+for every a in [0, p0], so every curve point is achievable, and a search
+value above the curve's minimum is a search shortfall.
+
 The nonnegative least-squares oracle decides the inner consistency solve's
 question, whether {x >= 0 : A x = b} is empty, by brute force over column
 subsets instead of an active set; ``z_block`` builds that system entry by
@@ -135,6 +145,76 @@ def scalarized_minimum(r, rc, lam):
     values = (1.0 - lam) * r + lam * rc
     i = int(np.argmin(values))
     return float(r[i]), float(rc[i] - r[i]), float(values[i])
+
+
+def ptp_induced_joint(p_xyz: JointPmf, aux) -> JointPmf:
+    """The joint p(w,x,y,z) = p(x,z) p(w|x) p(y|z,w) with axes (W, X, Y, Z)."""
+    p_xz = p_xyz.marginalize(("X", "Z")).table
+    table = rate_region.ptp_joint_table(p_xz, aux.p_w_given_x.table, aux.p_y_given_zw.table)
+    return JointPmf(
+        ("W",) + rate_region.PTP_AXES,
+        (aux.w_alphabet,) + tuple(p_xyz.alphabet(a) for a in rate_region.PTP_AXES),
+        table,
+    )
+
+
+def ptp_membership(p_xyz: JointPmf, rate: float, cr: float, aux, tol: float = 1e-9) -> bool:
+    """Does this aux certify (rate, cr)?  One certifying aux suffices."""
+    rates = rate_region.ptp_rates_for(p_xyz, aux, tol=tol)
+    return rate >= rates.r_min - tol and rate + cr >= rates.r_plus_c_min - tol
+
+
+def dist_membership(p_x1x2y: JointPmf, r1: float, r2: float, cr: float, aux, tol: float = 1e-9) -> bool:
+    """Does this aux certify (r1, r2, cr) against all four bounds?"""
+    rates = rate_region.dist_rates_for(p_x1x2y, aux, tol=tol)
+    return (
+        r1 >= rates.r1 - tol
+        and r2 >= rates.r2 - tol
+        and r1 + r2 >= rates.r1_plus_r2 - tol
+        and r1 + r2 + cr >= rates.r1_plus_r2_plus_c - tol
+    )
+
+
+def binary_entropy(p):
+    """h(p) in bits, with 0 log 0 = 0."""
+    p = np.asarray(p, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p > 0.0) & (p < 1.0), terms, 0.0)
+
+
+def cascade_rates(a, p0):
+    """(R, R + C) of the cascade X -> BSC(a) -> W -> BSC(b) -> Y, a * b = p0.
+
+    X is uniform, so R = I(X;W) = 1 - h(a) and
+    R + C = I(XY;W) = 1 + h(p0) - h(a) - h(b), with b = (p0 - a) / (1 - 2a).
+    """
+    a = np.asarray(a, float)
+    b = (p0 - a) / (1.0 - 2.0 * a)
+    return 1.0 - binary_entropy(a), 1.0 + binary_entropy(p0) - binary_entropy(a) - binary_entropy(b)
+
+
+def cascade_frontier_value(p0, lam, grid=20001, rounds=80):
+    """min over a in [0, p0] of (1 - lam) R + lam (R + C) along the cascade curve.
+
+    A dense grid brackets the minimum; golden-section rounds then shrink the
+    bracket around the best grid point to below 1e-15 wide.
+    """
+    def value(a):
+        r, rc = cascade_rates(a, p0)
+        return (1.0 - lam) * r + lam * rc
+
+    grid_a = np.linspace(0.0, p0, grid)
+    i = int(np.argmin(value(grid_a)))
+    lo, hi = grid_a[max(i - 1, 0)], grid_a[min(i + 1, grid - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(rounds):
+        left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if value(left) <= value(right):
+            hi = right
+        else:
+            lo = left
+    return float(min(value(grid_a[i]), value(lo), value(hi)))
 
 
 def pareto_polyline(rates, crs):

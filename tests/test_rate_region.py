@@ -8,16 +8,20 @@ import pytest
 
 from _oracles import (
     binary_grid_frontier,
+    cascade_frontier_value,
     central_difference_gradient,
     chebyshev_to_polyline,
     coarse_grid_scan,
     consistent_y_channel,
     descend_from,
+    dist_membership,
     logit_gradient,
     max_entropy_kkt,
     nnls,
     nonnegative_lstsq_residual,
     pareto_polyline,
+    ptp_induced_joint,
+    ptp_membership,
     scalarized,
     scalarized_minimum,
     sequential_descent,
@@ -36,14 +40,11 @@ from corrsynth.rate_region import (
     aux_ptp_from_tables,
     dist_bindings,
     dist_induced_joint,
-    dist_membership,
     dist_rates_for,
     pareto_prune,
     ptp_bindings,
     ptp_consistency_residual,
     ptp_frontier,
-    ptp_induced_joint,
-    ptp_membership,
     ptp_rates_for,
 )
 
@@ -586,6 +587,40 @@ def test_frontier_value_is_the_scalarization_of_the_certified_rates(cells, cfg):
         lam = weights[point.lam]
         rates = ptp_rates_for(target, point.aux, tol=cfg.tol)
         assert point.value == (1.0 - lam) * rates.r_min + lam * rates.r_plus_c_min
+
+
+@pytest.fixture(scope="module")
+def gate_four_frontier():
+    """Gate 4's search on the README target: w_cap = 2, 33 weights.
+
+    The target is a doubly symmetric binary source with crossover 1/4 and no
+    side information, whose frontier the cascade curve traces.  Returns
+    the search and each raw point's clipped effective weight.
+    """
+    target = JointPmf.from_table(("X", "Y", "Z"), README_TARGET)
+    res = ptp_frontier(target, SearchConfig(w_cap=2, lambda_grid=33, restarts=2, iters=60, seed=0))
+    assert res.failures == () and len(res.raw) == 33
+    return res, [min(max(point.lam, 5e-4), 1.0 - 5e-4) for point in res.raw]
+
+
+def test_gate_four_search_meets_the_analytic_cascade_curve(gate_four_frontier):
+    """Every weight's value lies within 1e-8 of the cascade curve's minimum.
+    The curve is achievable, so a value above it is a search shortfall.  A
+    value can also sit below it, by what the search's residual tolerance
+    (1e-9) lets an accepted channel gain: -1.3e-9 at most here."""
+    res, weights = gate_four_frontier
+    for point, lam in zip(res.raw, weights):
+        assert abs(point.value - cascade_frontier_value(0.25, lam)) <= 1e-8
+
+
+def test_gate_four_values_are_consistent_with_the_support_function(gate_four_frontier):
+    """The optimal value is a minimum of functions affine in the weight, so
+    every returned point bounds every weight's value: no weight's value
+    exceeds the best returned point scored at that weight by over 1e-9."""
+    res, weights = gate_four_frontier
+    for point, lam in zip(res.raw, weights):
+        best = min((1.0 - lam) * other.rate + lam * (other.rate + other.cr) for other in res.raw)
+        assert point.value <= best + 1e-9
 
 
 def test_instance_informations_equal_the_rate_evaluators_bit_for_bit():
