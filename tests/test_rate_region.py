@@ -299,8 +299,10 @@ def factorization_case(gen):
     """(target, p(w|x)) with |X|, |Y|, |W| in 1..4 and |Z| in 1..2.
 
     About a third of the cases null one (x, z) cell, a zero row of a_z; a
-    third never use one W letter, a zero column; a fifth repeat one row of
-    p(w|x) for every x, so a_z has rank one.
+    third never use one W letter, a zero column; two in five repeat one row of
+    p(w|x) for every x, so a_z has rank one, or move the other rows only
+    1e-13 away from it, so a_z has singular values near 1e-13, just above
+    the rank cutoff (at most 1e-14 here).
     """
     nx, ny, nw = (int(v) for v in gen.integers(1, 5, size=3))
     nz = int(gen.integers(1, 3))
@@ -311,8 +313,9 @@ def factorization_case(gen):
     if gen.random() < 0.3 and nw > 1:
         w_table[:, gen.integers(nw)] = 0.0
         w_table /= w_table.sum(axis=1, keepdims=True)
-    if gen.random() < 0.2:
-        w_table[:] = w_table[0]
+    if gen.random() < 0.4:
+        w_table[:] = w_table[0] + (1e-13 * (gen.dirichlet(np.ones(nw), size=nx) - w_table[0])
+                                   if gen.random() < 0.5 else 0.0)
     return target / target.sum(), w_table
 
 
@@ -326,7 +329,8 @@ def test_z_block_factorization_equals_the_generic_svd():
     error dA moves A^+ by at most sqrt(2) ||dA|| / sigma_r^2 when it keeps
     the rank (Wedin 1973)."""
     gen = np.random.default_rng(20261019)
-    seen = {"zero row": 0, "zero column": 0, "|X| < |W|": 0, "rank-deficient a": 0, "|Y| = 1": 0}
+    seen = {"zero row": 0, "zero column": 0, "|X| < |W|": 0, "rank-deficient a": 0, "|Y| = 1": 0,
+            "singular value near 1e-13": 0}
     for _ in range(600):
         target, w_table = factorization_case(gen)
         nx, ny, _ = target.shape
@@ -348,7 +352,9 @@ def test_z_block_factorization_equals_the_generic_svd():
         seen["|X| < |W|"] += nx < nw
         seen["rank-deficient a"] += (np.linalg.matrix_rank(coefficients) < min(nx, nw)).any()
         seen["|Y| = 1"] += ny == 1
-    assert min(seen.values()) >= 50, seen
+        small = np.linalg.svd(coefficients, compute_uv=False)
+        seen["singular value near 1e-13"] += ((small > 1e-14) & (small < 1e-12)).any()
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("kind", ["feasible", "full-rank", "rank-deficient"])
