@@ -299,12 +299,13 @@ def _z_pinv(c: np.ndarray, ny: int):
     kept = (s > np.finfo(float).eps * max(m, n) * head[..., :1]) & (ny > 1)
     # the consistency columns are C (x) I + H (x) J, H = (D - C) / |Y|
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    scales = np.stack([inv, (s / shifted[..., :k] - inv) / ny], axis=-2)
-    v = vt.swapaxes(-1, -2)
-    mat_ch = v[..., None, :, :k] * scales[..., :, None, :] @ u[..., None, :, :k].swapaxes(-1, -2)
+    v, ut = vt.swapaxes(-1, -2), u[..., :k].swapaxes(-1, -2)
     pinv = np.empty(lead + (nw, ny, m))
-    pinv[..., : nx * ny] = (mat_ch[..., 0, :, None, :, None] * np.eye(ny)[:, None, :]
-                            + mat_ch[..., 1, :, None, :, None]).reshape(lead + (nw, ny, nx * ny))
+    top = pinv[..., : nx * ny].reshape(lead + (nw, ny, nx, ny))
+    top[...] = (v[..., :k] * ((s / shifted[..., :k] - inv) / ny)[..., None, :] @ ut)[..., :, None, :, None]
+    mat_c = v[..., :k] * inv[..., None, :] @ ut
+    for y in range(ny):
+        top[..., :, y, :, y] += mat_c
     pinv[..., nx * ny:] = (v / shifted[..., None, :] @ vt)[..., :, None, :]
     # s_i <= ||a||_2 <= 1 < sqrt|Y|: the list is already in descending order
     sing = np.concatenate([head, np.repeat(s_w, ny - 1, axis=-1)], axis=-1)[..., : min(m, n)]
