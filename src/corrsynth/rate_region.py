@@ -296,6 +296,7 @@ def _z_pinv(c: np.ndarray, ny: int):
     s_w = np.concatenate([s, np.zeros(lead + (nw - k,))], axis=-1)
     shifted = s_w * s_w + ny
     head = np.sqrt(shifted)  # on V_i (x) F_0, in descending order
+    # at |Y| = 1 no s_i is a singular value of A, and I - J/|Y| = 0 drops C
     kept = (s > np.finfo(float).eps * max(m, n) * head[..., :1]) & (ny > 1)
     # the consistency columns are C (x) I + H (x) J, H = (D - C) / |Y|
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
