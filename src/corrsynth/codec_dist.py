@@ -26,9 +26,7 @@ Conventions carried over or pinned down here:
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +35,15 @@ from .codec_ptp import (
     Codebook,
     CodecParams,
     _check_joint_budget,
-    _codebook_from_dict,
-    _codebook_to_dict,
     _decoded_rows,
     _draw_codebook,
     _encoder_stage,
     _letter_target,
     _pow2_size,
-    _rowwise_categorical,
     _stream_chunk,
     _streamed_tv,
     _word_rows,
     derived_rng,
-    tv_deficit,
     word_alphabet,
 )
 from .probability import CondPmf, JointPmf, ProductPmf
@@ -124,19 +118,6 @@ class DistCodecParams:
         """Total randomness blocks K = K₁·K₂."""
         k1, k2 = self.k_sizes
         return k1 * k2
-
-    def effective_rates(self) -> dict[str, float]:
-        l1, l2 = self.l_sizes
-        m1, m2 = self.m_sizes
-        k1, k2 = self.k_sizes
-        return {
-            "rt1": math.log2(l1) / self.n,
-            "rt2": math.log2(l2) / self.n,
-            "r1": math.log2(m1) / self.n,
-            "r2": math.log2(m2) / self.n,
-            "c1": math.log2(k1) / self.n,
-            "c2": math.log2(k2) / self.n,
-        }
 
     def leg(self, j: int) -> tuple[float, float, float]:
         """(rt, r, c) of encoder j ∈ {1, 2}."""
@@ -214,13 +195,13 @@ def _leg_params(params: DistCodecParams, j: int) -> CodecParams:
 
 
 # ---------------------------------------------------------------------------
-# exact induced law and end-to-end sampling
+# exact induced law
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _DistSystemTables:
-    """Shared precomputation behind exact enumeration, streaming, sampling and validity."""
+    """Shared precomputation behind exact enumeration, streaming and validity."""
 
     p_x_words: np.ndarray  # (A1, A2) source-word law
     messages1: np.ndarray  # (K1, A1, M1+1)
@@ -324,47 +305,6 @@ def dist_induced_joint_exact(
     )
 
 
-def sample_dist_induced(
-    p_x1x2: JointPmf,
-    p_w1_given_x1: CondPmf,
-    p_w2_given_x2: CondPmf,
-    p_y_given_w1w2: CondPmf,
-    codebooks: DistCodebooks,
-    binnings: tuple[DistBinning, DistBinning],
-    params: DistCodecParams,
-    num_samples: int,
-    rng: np.random.Generator,
-    budget: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """End-to-end Monte Carlo of the two-encoder chain: word codes (x1, x2, y)."""
-    _check_joint_budget((*p_x1x2.table.shape, p_y_given_w1w2.table.shape[-1]), params.n, budget)
-    tabs = _build_dist_tables(
-        p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
-        codebooks, binnings, params, budget,
-    )
-    k1, k2 = params.k_sizes
-    a1, a2 = tabs.p_x_words.shape
-    flat = tabs.p_x_words.reshape(-1)
-    xx = rng.choice(a1 * a2, size=num_samples, p=flat / flat.sum())
-    x1_codes, x2_codes = xx // a2, xx % a2
-    mu1s = rng.integers(0, k1, size=num_samples)
-    mu2s = rng.integers(0, k2, size=num_samples)
-    m1s = _rowwise_categorical(
-        tabs.messages1.reshape(k1 * a1, -1), mu1s * a1 + x1_codes, rng.random(num_samples)
-    )
-    m2s = _rowwise_categorical(
-        tabs.messages2.reshape(k2 * a2, -1), mu2s * a2 + x2_codes, rng.random(num_samples)
-    )
-    rows = tabs.decoded[mu1s, mu2s, m1s, m2s]
-    y_codes = _rowwise_categorical(tabs.y_rows, rows, rng.random(num_samples))
-    return x1_codes, x2_codes, y_codes
-
-
-def dist_tv_deficit(p_x1x2y: JointPmf, induced: JointPmf, budget: int | None = None) -> float:
-    """Total variation between the n-fold target and the induced word law."""
-    return tv_deficit(p_x1x2y, induced, budget)
-
-
 def dist_streamed_tv_deficit(
     p_x1x2y: JointPmf,
     p_x1x2: JointPmf,
@@ -376,7 +316,7 @@ def dist_streamed_tv_deficit(
     params: DistCodecParams,
     budget: int | None = None,
 ) -> tuple[float, bool]:
-    """``dist_tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed, and validity.
+    """``tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed, and validity.
 
     Streams over chunks of source-1 words, each with its induced slice and its
     target slice t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) built letter by letter.
@@ -399,47 +339,3 @@ def dist_streamed_tv_deficit(
         for x1s in (slice(s, s + chunk) for s in range(0, a1, chunk))
     )
     return _streamed_tv(pairs, alphabets), tabs.valid
-
-
-# ---------------------------------------------------------------------------
-# serialization for replay
-# ---------------------------------------------------------------------------
-
-
-def dist_codec_to_dict(
-    params: DistCodecParams,
-    codebooks: DistCodebooks,
-    binnings: tuple[DistBinning, DistBinning],
-) -> dict:
-    return {
-        "params": asdict(params),
-        "codebooks": [_codebook_to_dict(codebooks.first), _codebook_to_dict(codebooks.second)],
-        "binnings": [
-            {"labels": bn.labels.tolist(), "m_size": bn.m_size} for bn in binnings
-        ],
-    }
-
-
-def dist_codec_from_dict(d: dict):
-    try:
-        params = DistCodecParams(**d["params"])
-        if len(d["codebooks"]) != 2 or len(d["binnings"]) != 2:
-            raise ValueError("malformed distributed codec spec: need two codebooks and two binnings")
-        first, second = (_codebook_from_dict(blk) for blk in d["codebooks"])
-        binnings = tuple(
-            DistBinning(labels=np.asarray(blk["labels"], dtype=np.int64), m_size=int(blk["m_size"]))
-            for blk in d["binnings"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed distributed codec spec: {exc}") from exc
-    return params, DistCodebooks(first=first, second=second), binnings
-
-
-def write_dist_codec(path, params, codebooks, binnings) -> None:
-    with open(path, "w") as fh:
-        json.dump(dist_codec_to_dict(params, codebooks, binnings), fh, indent=2, sort_keys=True)
-
-
-def read_dist_codec(path):
-    with open(path) as fh:
-        return dist_codec_from_dict(json.load(fh))

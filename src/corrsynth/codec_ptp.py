@@ -18,8 +18,7 @@ Conventions adopted where the construction leaves freedom:
   invalid (total weight above one), or with the leftover deficit weight;
 - fallback word w0: the constant word of the first codeword symbol (decoding
   message 0, an empty bin, or an ambiguous bin all yield w0);
-- non-integer 2^{n rate}: rounded to the nearest integer, floor one; the
-  effective rates log2(size)/n are recorded alongside the requested ones;
+- non-integer 2^{n rate}: rounded to the nearest integer, floor one;
 - empty typical set: sampling raises; :func:`null_codebook` builds the
   degenerate stand-in (all-w0 entries, ε = 1) whose encoder weights all
   vanish, so every message is 0 and the decoder always falls back — the
@@ -29,9 +28,8 @@ Conventions adopted where the construction leaves freedom:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,18 +109,6 @@ class CodecParams:
     def k_size(self) -> int:
         """Number of common-randomness blocks."""
         return _pow2_size(self.n, self.c)
-
-    @property
-    def effective_rt(self) -> float:
-        return math.log2(self.l_size) / self.n
-
-    @property
-    def effective_r(self) -> float:
-        return math.log2(self.m_size) / self.n
-
-    @property
-    def effective_c(self) -> float:
-        return math.log2(self.k_size) / self.n
 
 
 @dataclass(frozen=True)
@@ -519,9 +505,11 @@ def _message_table(
     index weights, invalid rows send nothing, and message 0 takes
     ``max(0, 1 - Σ)`` of each row.  Atypical rows are all zero, so the flag
     is :func:`encoder_validity`'s on the same joint (by :func:`_valid_rows`'
-    band argument).
+    band argument).  A block holds its (A, L) index weights and the (L, M+1)
+    one-hot of its bins, and the budget bounds the larger.
     """
-    check_budget(xs.shape[0] * codebook.l_size, budget, what="encoder index weights")
+    cells = max(xs.shape[0], m_size + 1) * codebook.l_size
+    check_budget(cells, budget, what="encoder index weights")
     msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
     all_valid = True
     tables = _block_tables(xs, codebook, numbering, p_joint_xw, params, budget)
@@ -847,68 +835,6 @@ def soft_covering_deficit(
     mixture /= flat.shape[0]
     target = letter_product([target_letter.table] * params.n)
     return 0.5 * float(np.abs(target - mixture).sum())
-
-
-# ---------------------------------------------------------------------------
-# serialization for replay
-# ---------------------------------------------------------------------------
-
-
-def _codebook_to_dict(book: Codebook) -> dict:
-    """The codebook block both codecs' replay files share."""
-    return {
-        "entries": book.entries.tolist(),
-        "epsilon": book.epsilon,
-        "w_size": book.w_size,
-        "degenerate": book.degenerate,
-    }
-
-
-def _codebook_from_dict(blk: dict) -> Codebook:
-    """Inverse of :func:`_codebook_to_dict`; a missing key raises ``KeyError``."""
-    return Codebook(
-        entries=np.asarray(blk["entries"], dtype=np.int64),
-        epsilon=float(blk["epsilon"]),
-        w_size=int(blk["w_size"]),
-        degenerate=bool(blk["degenerate"]),
-    )
-
-
-def codec_to_dict(params: CodecParams, codebook: Codebook, binning: BinningMap) -> dict:
-    return {
-        "params": asdict(params),
-        "codebook": _codebook_to_dict(codebook),
-        "binning": {
-            "dedup": binning.dedup.tolist(),
-            "bins": [b.tolist() for b in binning.bins],
-            "m_size": binning.m_size,
-        },
-    }
-
-
-def codec_from_dict(d: dict) -> tuple[CodecParams, Codebook, BinningMap]:
-    try:
-        params = CodecParams(**d["params"])
-        codebook = _codebook_from_dict(d["codebook"])
-        bn = d["binning"]
-        binning = BinningMap(
-            dedup=np.asarray(bn["dedup"], dtype=np.int64),
-            bins=tuple(np.asarray(b, dtype=np.int64) for b in bn["bins"]),
-            m_size=int(bn["m_size"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed codec spec: {exc}") from exc
-    return params, codebook, binning
-
-
-def write_codec(path, params: CodecParams, codebook: Codebook, binning: BinningMap) -> None:
-    with open(path, "w") as fh:
-        json.dump(codec_to_dict(params, codebook, binning), fh, indent=2, sort_keys=True)
-
-
-def read_codec(path) -> tuple[CodecParams, Codebook, BinningMap]:
-    with open(path) as fh:
-        return codec_from_dict(json.load(fh))
 
 
 def build_ptp_codebook(

@@ -201,17 +201,6 @@ class DistInstance:
             ("W2",), np.einsum("ab,bv->v", self.p_x1x2.table, self.p_w2_given_x2.table)
         )
 
-    def pair_law(self) -> JointPmf:
-        return JointPmf.from_table(
-            ("W1", "W2"),
-            np.einsum(
-                "ab,aw,bv->wv",
-                self.p_x1x2.table,
-                self.p_w1_given_x1.table,
-                self.p_w2_given_x2.table,
-            ),
-        )
-
     def target_joint(self) -> JointPmf:
         return JointPmf.from_table(
             ("X1", "X2", "Y"),
@@ -556,9 +545,6 @@ class ExperimentReport:
     spec: ExperimentSpec
     rows: tuple[TrialRow, ...]
     aggregates: tuple[Aggregate, ...]
-
-    def recompute_aggregates(self) -> tuple[Aggregate, ...]:
-        return aggregate_rows(self.rows)
 
 
 def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:

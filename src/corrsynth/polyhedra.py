@@ -10,15 +10,14 @@ through elimination, so a projected system can be inspected before binding
 numbers to the symbols.
 
 Besides projection, the module carries an exact two-phase simplex used for
-membership checks with per-row certificates, redundancy certification, and
-witness searches over eliminated variables.  All arithmetic is rational; no
-floats enter any decision.
+membership checks with per-row certificates and for redundancy
+certification.  All arithmetic is rational; no floats enter any decision.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -154,21 +153,6 @@ class LinIneqSystem:
                     syms.append(coeff)
             rows.append(LinearRow(row.coeffs, tuple(syms), const))
         return LinIneqSystem(self.variables, keep, _clean_rows(rows))
-
-    def restrict(self, assignment: dict[str, Fraction]) -> "LinIneqSystem":
-        """Fix some *variables* to rational values, shrinking the system."""
-        keep_idx = [i for i, v in enumerate(self.variables) if v not in assignment]
-        rows = []
-        for row in self.rows:
-            const = row.const
-            for name, value in assignment.items():
-                const -= row.coeffs[self.var_index(name)] * _frac(value)
-            rows.append(
-                LinearRow(tuple(row.coeffs[i] for i in keep_idx), row.sym_coeffs, const)
-            )
-        return LinIneqSystem(
-            tuple(self.variables[i] for i in keep_idx), self.constants, tuple(rows)
-        )
 
 
 def _clean_rows(rows) -> tuple[LinearRow, ...]:
@@ -405,11 +389,6 @@ def lp_minimize(rows, n_vars: int, objective) -> tuple[str, Fraction | None]:
     return ("optimal", -tableau[-1][-1])
 
 
-def lp_feasible(rows, n_vars: int) -> bool:
-    status, _ = lp_minimize(rows, n_vars, [Fraction(0)] * n_vars)
-    return status == "optimal"
-
-
 # -- redundancy over the joint (variables + constants) space ------------------
 
 
@@ -435,27 +414,6 @@ def row_redundant(system: LinIneqSystem, row: LinearRow) -> bool:
     if status == "unbounded":
         return False
     return value >= row.const
-
-
-def prune_redundant(system: LinIneqSystem) -> LinIneqSystem:
-    """Drop rows implied by the rest; presentation only, region unchanged."""
-    rows = list(system.rows)
-    kept: list[LinearRow] = []
-    for i, row in enumerate(rows):
-        others = kept + rows[i + 1 :]
-        if not row_redundant(LinIneqSystem(system.variables, system.constants, tuple(others)), row):
-            kept.append(row)
-    return LinIneqSystem(system.variables, system.constants, tuple(kept))
-
-
-def feasible_with(system: LinIneqSystem, bindings: dict[str, Fraction]) -> bool:
-    """Exact feasibility of the system once all constants are bound."""
-    bound = system.substitute(bindings)
-    if bound.constants:
-        raise ValueError(f"bindings miss constants {bound.constants}")
-    if bound.contradictory:
-        return False
-    return lp_feasible([(r.coeffs, r.const) for r in bound.rows], len(bound.variables))
 
 
 # ---------------------------------------------------------------------------

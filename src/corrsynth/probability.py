@@ -264,17 +264,6 @@ def total_variation(p: JointPmf, q: JointPmf) -> float:
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
-def verify_markov_chain(p: JointPmf, chain, tol: float = 1e-10) -> tuple[bool, float]:
-    """Check A - B - C: returns (holds, I(A;C|B) in bits).
-
-    ``chain`` is three axis groups; the violation certificate is the
-    conditional mutual information across the middle group.
-    """
-    a, b, c = chain
-    violation = conditional_mutual_information(p, a, c, b)
-    return (violation <= tol, violation)
-
-
 # --------------------------------------------------------------------------
 # product (n-letter) extensions
 # --------------------------------------------------------------------------
@@ -283,8 +272,8 @@ def verify_markov_chain(p: JointPmf, chain, tol: float = 1e-10) -> tuple[bool, f
 class ProductPmf:
     """Lazy n-fold product of a single-letter joint PMF.
 
-    Evaluates sequence probabilities without materializing the n-letter
-    table; :meth:`table` materializes (budget-guarded) for exact TV work.
+    Holds the letter law and the blocklength; :meth:`table` materializes the
+    n-letter table (budget-guarded) for exact TV work.
     """
 
     def __init__(self, base: JointPmf, n: int):
@@ -292,14 +281,6 @@ class ProductPmf:
             raise ValueError("n must be >= 1")
         self.base = base
         self.n = int(n)
-
-    def seq_prob(self, assignment: dict[str, np.ndarray]) -> float:
-        """Probability of one n-letter cell, e.g. {'X': x_seq, 'Z': z_seq}."""
-        seqs = [np.asarray(assignment[name], dtype=int) for name in self.base.names]
-        for s in seqs:
-            if s.shape != (self.n,):
-                raise ValueError(f"sequence length must be {self.n}")
-        return float(np.prod(self.base.table[tuple(seqs)]))
 
     def table(self, budget: int | None = None) -> np.ndarray:
         """New dense table over per-axis sequence codes (:func:`letter_product`)."""
@@ -328,31 +309,3 @@ def letter_product(tables) -> np.ndarray:
         )
         out = grown
     return out
-
-
-def product_extension(p: JointPmf, n: int) -> ProductPmf:
-    return ProductPmf(p, n)
-
-
-# --------------------------------------------------------------------------
-# JSON interchange
-# --------------------------------------------------------------------------
-
-
-def pmf_to_dict(p: JointPmf) -> dict:
-    return {
-        "axes": [
-            {"name": n, "symbols": list(a.symbols)} for n, a in zip(p.names, p.alphabets)
-        ],
-        "table": p.table.tolist(),
-    }
-
-
-def pmf_from_dict(d: dict) -> JointPmf:
-    try:
-        names = tuple(ax["name"] for ax in d["axes"])
-        alphabets = tuple(Alphabet(tuple(ax["symbols"])) for ax in d["axes"])
-        table = np.asarray(d["table"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed PMF spec: {exc}") from exc
-    return JointPmf.from_table(names, table, alphabets)

@@ -1226,17 +1226,3 @@ def ptp_bindings(rates: PtpRatePair) -> dict:
         "I_W_Z": Fraction(rates.i_w_z),
         "I_XYZ_W": Fraction(rates.i_xyz_w),
     }
-
-
-def dist_bindings(rates: DistRateTriple) -> dict:
-    from fractions import Fraction
-
-    i1, i2, i3, i4, i5 = rates.informations
-    return {
-        "I_X1_W1": Fraction(i1),
-        "I_X2_W2": Fraction(i2),
-        "I_X1X2W2Y_W1": Fraction(i3),
-        "I_X1X2Y_W2": Fraction(i4),
-        "I_W1_W2": Fraction(i5),
-        "slack": Fraction(0),
-    }

@@ -22,20 +22,6 @@ from .probability import JointPmf
 
 
 @dataclass(frozen=True)
-class Sequence:
-    """A length-n word on a named axis; letters are alphabet indices."""
-
-    axis: str
-    letters: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.letters, dtype=int)
-
-
-@dataclass(frozen=True)
 class TypicalityParams:
     """User slack ``delta`` plus the derived decoder slack ``delta2``.
 
@@ -60,59 +46,6 @@ class TypicalityParams:
         return self.delta * (self.x_size * self.y_size + self.z_size)
 
 
-def _coerce_sequences(seqs, p: JointPmf) -> np.ndarray:
-    """Stack input sequences into a (num_axes, n) int array in p's axis order."""
-    if isinstance(seqs, Sequence):
-        seqs = {seqs.axis: seqs.letters}
-    if isinstance(seqs, dict):
-        arrs = []
-        for name in p.names:
-            if name not in seqs:
-                raise ValueError(f"missing sequence for axis {name!r}")
-            item = seqs[name]
-            arrs.append(item.as_array() if isinstance(item, Sequence) else np.asarray(item, int))
-    elif isinstance(seqs, (list, tuple)) and len(p.names) > 1:
-        if len(seqs) != len(p.names):
-            raise ValueError(f"expected {len(p.names)} sequences, got {len(seqs)}")
-        arrs = [s.as_array() if isinstance(s, Sequence) else np.asarray(s, int) for s in seqs]
-    else:
-        if len(p.names) != 1:
-            raise ValueError("a bare sequence only matches a single-axis PMF")
-        arrs = [np.asarray(seqs, dtype=int)]
-    stacked = np.stack(arrs)
-    if stacked.ndim != 2:
-        raise ValueError("sequences must be one-dimensional")
-    n = stacked.shape[1]
-    lengths = {a.shape[0] for a in arrs}
-    if len(lengths) != 1:
-        raise ValueError(f"sequences must share one length, got {sorted(lengths)}")
-    for arr, alpha in zip(stacked, p.alphabets):
-        if np.any(arr < 0) or np.any(arr >= alpha.size):
-            raise ValueError("letter index out of alphabet range")
-    if n < 1:
-        raise ValueError("sequences must be nonempty")
-    return stacked
-
-
-def is_typical(seqs, p: JointPmf, delta: float) -> bool:
-    """Robust typicality of one sequence tuple for the joint PMF ``p``."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    stacked = _coerce_sequences(seqs, p)
-    n = stacked.shape[1]
-    sizes = [a.size for a in p.alphabets]
-    code = np.zeros(n, dtype=int)
-    for arr, size in zip(stacked, sizes):
-        code = code * size + arr
-    counts = np.bincount(code, minlength=int(np.prod(sizes)))
-    flat = p.table.reshape(-1)
-    # compare counts, not frequencies, with a hair of float slack so exact
-    # boundary cells do not flip on rounding; identical to the batch masks
-    lo = n * flat * (1 - delta)
-    hi = n * flat * (1 + delta)
-    return bool(np.all((counts >= lo - 1e-12) & (counts <= hi + 1e-12)))
-
-
 def enumerate_sequences(size: int, n: int, budget: int | None = None) -> np.ndarray:
     """All ``size**n`` length-n words, lexicographic, as a (size**n, n) array."""
     total = size**n
@@ -123,15 +56,6 @@ def enumerate_sequences(size: int, n: int, budget: int | None = None) -> np.ndar
         out[:, pos] = codes % size
         codes //= size
     return out
-
-
-def sequence_codes(seqs: np.ndarray, size: int) -> np.ndarray:
-    """Big-endian codes of a (m, n) letter array on an alphabet of ``size``."""
-    seqs = np.asarray(seqs, dtype=int)
-    code = np.zeros(seqs.shape[0], dtype=np.int64)
-    for pos in range(seqs.shape[1]):
-        code = code * size + seqs[:, pos]
-    return code
 
 
 def marginal_typical_mask(seqs: np.ndarray, marginal: np.ndarray, delta: float) -> np.ndarray:
@@ -188,30 +112,3 @@ def typical_set(p: JointPmf, n: int, delta: float, budget: int | None = None) ->
     seqs = enumerate_sequences(size, n, budget)
     mask = marginal_typical_mask(seqs, p.table, delta)
     return seqs[mask]
-
-
-def cond_typical_set(
-    pair: JointPmf, given_seq, delta: float, budget: int | None = None
-) -> np.ndarray:
-    """Words w^n with (given, w) jointly typical under the two-axis ``pair``.
-
-    The conditioning sequence lives on the first axis of ``pair``; candidates
-    are enumerated over the second axis (budget-guarded).
-    """
-    if len(pair.names) != 2:
-        raise ValueError("cond_typical_set expects a two-axis PMF")
-    g = given_seq.as_array() if isinstance(given_seq, Sequence) else np.asarray(given_seq, int)
-    size = pair.alphabets[1].size
-    candidates = enumerate_sequences(size, g.shape[0], budget)
-    mask = pairwise_typical_mask(g[None, :], candidates, pair.table, delta)[0]
-    return candidates[mask]
-
-
-def typical_mass(p: JointPmf, n: int, delta: float, budget: int | None = None) -> float:
-    """Probability of the typical set under the n-fold product of ``p``."""
-    if len(p.names) != 1:
-        raise ValueError("typical_mass expects a single-axis PMF")
-    words = typical_set(p, n, delta, budget)
-    if words.shape[0] == 0:
-        return 0.0
-    return float(np.prod(p.table[words], axis=1).sum())

@@ -7,7 +7,19 @@ grid cell is either infeasible or evaluates exactly — no inner search.
 
 ``ptp_induced_joint``, ``ptp_membership`` and ``dist_membership`` read
 one auxiliary pair's joint, or whether it certifies a rate point, through
-``rate_region``'s evaluators; only tests call them.
+``rate_region``'s evaluators; only tests call them.  ``dist_bindings`` binds
+a two-encoder rate triple's informations to the exact systems' constants,
+and ``verify_markov_chain`` certifies a chain A - B - C by I(A;C|B).
+
+The exact-rational references run on ``polyhedra``'s systems: ``restrict``
+fixes variables, ``lp_feasible`` and ``feasible_with`` decide feasibility by
+the exact simplex (the witness side of a projection), and
+``prune_redundant`` drops, one at a time, each row the others imply
+(``row_redundant``).
+
+``is_typical`` decides robust typicality of one sequence tuple with a
+bincount over joint letter cells: the reference for the batched
+marginal and pairwise typicality masks.
 
 ``cascade_frontier_value`` minimizes the scalarized value along the
 analytic curve of a doubly symmetric binary source (Wyner 1975; Cuff 2013):
@@ -66,31 +78,42 @@ counterparts (``dist_encoder_pmf``, ``split_mu``, ``dist_decode_map``).  They
 are the references for the codecs' message and decoder tables.  Message 0 is
 the compensated complement ``_complement_to_one`` here and ``max(0, 1 - Σ)``
 in the tables, and the two can differ in the last bits.
+``sample_dist_induced`` runs the two-encoder chain end to end by Monte Carlo:
+the sampling cross-check of ``dist_induced_joint_exact``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from corrsynth import rate_region
-from corrsynth.codec_dist import DistBinning, DistCodebooks, DistCodecParams, _leg_params
+from corrsynth.codec_dist import (
+    DistBinning,
+    DistCodebooks,
+    DistCodecParams,
+    _build_dist_tables,
+    _leg_params,
+)
 from corrsynth.codec_ptp import (
     BinningMap,
     Codebook,
     CodecParams,
     _block_weights,
+    _check_joint_budget,
     _conditional_rows,
     _first_occurrence_dedup,
+    _rowwise_categorical,
     _valid_rows,
     _weight_columns,
 )
-from corrsynth.probability import JointPmf
+from corrsynth.polyhedra import LinearRow, LinIneqSystem, _frac, lp_minimize, row_redundant
+from corrsynth.probability import CondPmf, JointPmf, conditional_mutual_information
 from corrsynth.typicality import (
-    Sequence,
     TypicalityParams,
     marginal_typical_mask,
     pairwise_typical_mask,
@@ -173,6 +196,129 @@ def dist_membership(p_x1x2y: JointPmf, r1: float, r2: float, cr: float, aux, tol
         and r1 + r2 >= rates.r1_plus_r2 - tol
         and r1 + r2 + cr >= rates.r1_plus_r2_plus_c - tol
     )
+
+
+def dist_bindings(rates: rate_region.DistRateTriple) -> dict:
+    """Exact-rational bindings of a two-encoder rate triple for the dist systems."""
+    i1, i2, i3, i4, i5 = rates.informations
+    return {
+        "I_X1_W1": Fraction(i1),
+        "I_X2_W2": Fraction(i2),
+        "I_X1X2W2Y_W1": Fraction(i3),
+        "I_X1X2Y_W2": Fraction(i4),
+        "I_W1_W2": Fraction(i5),
+        "slack": Fraction(0),
+    }
+
+
+def verify_markov_chain(p: JointPmf, chain, tol: float = 1e-10) -> tuple[bool, float]:
+    """Check A - B - C: returns (holds, I(A;C|B) in bits).
+
+    ``chain`` is three axis groups; the violation certificate is the
+    conditional mutual information across the middle group.
+    """
+    a, b, c = chain
+    violation = conditional_mutual_information(p, a, c, b)
+    return (violation <= tol, violation)
+
+
+# ---------------------------------------------------------------------------
+# exact-rational systems
+# ---------------------------------------------------------------------------
+
+
+def restrict(system: LinIneqSystem, assignment: dict[str, Fraction]) -> LinIneqSystem:
+    """Fix some *variables* to rational values, shrinking the system."""
+    keep_idx = [i for i, v in enumerate(system.variables) if v not in assignment]
+    rows = []
+    for row in system.rows:
+        const = row.const
+        for name, value in assignment.items():
+            const -= row.coeffs[system.var_index(name)] * _frac(value)
+        rows.append(LinearRow(tuple(row.coeffs[i] for i in keep_idx), row.sym_coeffs, const))
+    return LinIneqSystem(tuple(system.variables[i] for i in keep_idx), system.constants, tuple(rows))
+
+
+def lp_feasible(rows, n_vars: int) -> bool:
+    """Exact feasibility of ``coeffs . x >= rhs`` rows over free variables."""
+    status, _ = lp_minimize(rows, n_vars, [Fraction(0)] * n_vars)
+    return status == "optimal"
+
+
+def feasible_with(system: LinIneqSystem, bindings: dict[str, Fraction]) -> bool:
+    """Exact feasibility of the system once all constants are bound."""
+    bound = system.substitute(bindings)
+    if bound.constants:
+        raise ValueError(f"bindings miss constants {bound.constants}")
+    if bound.contradictory:
+        return False
+    return lp_feasible([(r.coeffs, r.const) for r in bound.rows], len(bound.variables))
+
+
+def prune_redundant(system: LinIneqSystem) -> LinIneqSystem:
+    """Drop rows implied by the rest; the region is unchanged."""
+    rows = list(system.rows)
+    kept: list[LinearRow] = []
+    for i, row in enumerate(rows):
+        others = kept + rows[i + 1 :]
+        if not row_redundant(LinIneqSystem(system.variables, system.constants, tuple(others)), row):
+            kept.append(row)
+    return LinIneqSystem(system.variables, system.constants, tuple(kept))
+
+
+# ---------------------------------------------------------------------------
+# typicality of one sequence tuple
+# ---------------------------------------------------------------------------
+
+
+def _coerce_sequences(seqs, p: JointPmf) -> np.ndarray:
+    """Stack input sequences into a (num_axes, n) int array in p's axis order."""
+    if isinstance(seqs, dict):
+        arrs = []
+        for name in p.names:
+            if name not in seqs:
+                raise ValueError(f"missing sequence for axis {name!r}")
+            arrs.append(np.asarray(seqs[name], int))
+    elif isinstance(seqs, (list, tuple)) and len(p.names) > 1:
+        if len(seqs) != len(p.names):
+            raise ValueError(f"expected {len(p.names)} sequences, got {len(seqs)}")
+        arrs = [np.asarray(s, int) for s in seqs]
+    else:
+        if len(p.names) != 1:
+            raise ValueError("a bare sequence only matches a single-axis PMF")
+        arrs = [np.asarray(seqs, dtype=int)]
+    stacked = np.stack(arrs)
+    if stacked.ndim != 2:
+        raise ValueError("sequences must be one-dimensional")
+    n = stacked.shape[1]
+    lengths = {a.shape[0] for a in arrs}
+    if len(lengths) != 1:
+        raise ValueError(f"sequences must share one length, got {sorted(lengths)}")
+    for arr, alpha in zip(stacked, p.alphabets):
+        if np.any(arr < 0) or np.any(arr >= alpha.size):
+            raise ValueError("letter index out of alphabet range")
+    if n < 1:
+        raise ValueError("sequences must be nonempty")
+    return stacked
+
+
+def is_typical(seqs, p: JointPmf, delta: float) -> bool:
+    """Robust typicality of one sequence tuple for the joint PMF ``p``."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    stacked = _coerce_sequences(seqs, p)
+    n = stacked.shape[1]
+    sizes = [a.size for a in p.alphabets]
+    code = np.zeros(n, dtype=int)
+    for arr, size in zip(stacked, sizes):
+        code = code * size + arr
+    counts = np.bincount(code, minlength=int(np.prod(sizes)))
+    flat = p.table.reshape(-1)
+    # compare counts, not frequencies, with a hair of float slack so exact
+    # boundary cells do not flip on rounding; identical to the batch masks
+    lo = n * flat * (1 - delta)
+    hi = n * flat * (1 + delta)
+    return bool(np.all((counts >= lo - 1e-12) & (counts <= hi + 1e-12)))
 
 
 def binary_entropy(p):
@@ -566,7 +712,7 @@ def _complement_to_one(partial: np.ndarray) -> float:
 
 
 def _coerce_word(seq, n: int) -> np.ndarray:
-    arr = seq.as_array() if isinstance(seq, Sequence) else np.asarray(seq, dtype=int)
+    arr = np.asarray(seq, dtype=int)
     if arr.shape != (n,):
         raise ValueError(f"expected a length-{n} word, got shape {arr.shape}")
     return arr
@@ -728,3 +874,39 @@ def dist_decode_map(
         return fallback
     i, k = np.argwhere(ok)[0]
     return words1[i].copy(), words2[k].copy()
+
+
+def sample_dist_induced(
+    p_x1x2: JointPmf,
+    p_w1_given_x1: CondPmf,
+    p_w2_given_x2: CondPmf,
+    p_y_given_w1w2: CondPmf,
+    codebooks: DistCodebooks,
+    binnings: tuple[DistBinning, DistBinning],
+    params: DistCodecParams,
+    num_samples: int,
+    rng: np.random.Generator,
+    budget: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """End-to-end Monte Carlo of the two-encoder chain: word codes (x1, x2, y)."""
+    _check_joint_budget((*p_x1x2.table.shape, p_y_given_w1w2.table.shape[-1]), params.n, budget)
+    tabs = _build_dist_tables(
+        p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
+        codebooks, binnings, params, budget,
+    )
+    k1, k2 = params.k_sizes
+    a1, a2 = tabs.p_x_words.shape
+    flat = tabs.p_x_words.reshape(-1)
+    xx = rng.choice(a1 * a2, size=num_samples, p=flat / flat.sum())
+    x1_codes, x2_codes = xx // a2, xx % a2
+    mu1s = rng.integers(0, k1, size=num_samples)
+    mu2s = rng.integers(0, k2, size=num_samples)
+    m1s = _rowwise_categorical(
+        tabs.messages1.reshape(k1 * a1, -1), mu1s * a1 + x1_codes, rng.random(num_samples)
+    )
+    m2s = _rowwise_categorical(
+        tabs.messages2.reshape(k2 * a2, -1), mu2s * a2 + x2_codes, rng.random(num_samples)
+    )
+    rows = tabs.decoded[mu1s, mu2s, m1s, m2s]
+    y_codes = _rowwise_categorical(tabs.y_rows, rows, rng.random(num_samples))
+    return x1_codes, x2_codes, y_codes

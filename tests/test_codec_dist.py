@@ -1,7 +1,6 @@
 """Tests for the two-encoder distributed synthesis codec."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -13,15 +12,9 @@ from corrsynth.codec_dist import (
     DistCodebooks,
     DistCodecParams,
     build_dist_codec,
-    dist_codec_from_dict,
-    dist_codec_to_dict,
     dist_induced_joint_exact,
     dist_streamed_tv_deficit,
-    dist_tv_deficit,
-    read_dist_codec,
     sample_dist_binning,
-    sample_dist_induced,
-    write_dist_codec,
 )
 from corrsynth.codec_ptp import (
     Codebook,
@@ -29,13 +22,21 @@ from corrsynth.codec_ptp import (
     build_ptp_codec,
     induced_joint_exact,
     product_pmf,
+    tv_deficit,
 )
 from corrsynth.codec_dist import _build_dist_tables
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
 
-from _oracles import dist_decode_map, dist_encoder_pmf, encoder_subpmf, output_word_law, split_mu
+from _oracles import (
+    dist_decode_map,
+    dist_encoder_pmf,
+    encoder_subpmf,
+    output_word_law,
+    sample_dist_induced,
+    split_mu,
+)
 
 rng = np.random.default_rng(20260816)
 
@@ -78,8 +79,6 @@ def test_params_sizes_split_and_validation():
     assert params.l_sizes == (4, 8)
     assert params.m_sizes == (2, 1)  # r2 = 0 collapses encoder 2 to one bin
     assert params.k_sizes == (4, 2) and params.k_size == 8
-    eff = params.effective_rates()
-    assert eff["rt2"] == pytest.approx(1.5) and eff["r2"] == 0.0
     assert params.leg(1) == (1.0, 0.5, 1.0)
     assert split_mu(5, params) == (2, 1)  # high bits belong to encoder 1
     assert split_mu(0, params) == (0, 0)
@@ -403,7 +402,7 @@ def test_output_rows_match_per_cell_oracle(seed):
         books, bins, params,
     )
     assert 0 < np.count_nonzero(tabs.decoded) < tabs.decoded.size
-    pair_law = inst.pair_law()
+    pair_law = joint_codeword_law(inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2)
     chan = inst.p_y_given_w1w2.table
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
     words = list(itertools.product(range(chan.shape[2]), repeat=params.n))
@@ -520,7 +519,7 @@ def test_tv_deficit_trivial_and_fallback_instances():
     target = JointPmf.from_table(
         ("X1", "X2", "Y"), np.einsum("ab,y->aby", ones, [0.5, 0.5])
     )
-    assert dist_tv_deficit(target, ind) == pytest.approx(0.0, abs=1e-15)
+    assert tv_deficit(target, ind) == pytest.approx(0.0, abs=1e-15)
 
     # fallback-only system (degenerate books): TV computable directly
     generator = np.random.default_rng(48)
@@ -539,7 +538,7 @@ def test_tv_deficit_trivial_and_fallback_instances():
         ("X1", "X2", "Y"),
         np.einsum("ab,aw,bv,wvy->aby", p_x1x2b.table, np.eye(2), np.eye(2), p_yb.table),
     )
-    d = dist_tv_deficit(target_b, ind_b)
+    d = tv_deficit(target_b, ind_b)
     # every decode falls back to the first-symbol pair, so Y follows that row
     direct = 0.5 * float(
         np.abs(target_b.table - p_x1x2b.table[:, :, None] * p_yb.table[0, 0]).sum()
@@ -573,7 +572,7 @@ def streamed_case(name, n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n, monkeypatch):
     target, args = streamed_case(name, n, seed=n)
-    want = dist_tv_deficit(target, dist_induced_joint_exact(*args))
+    want = tv_deficit(target, dist_induced_joint_exact(*args))
     assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
     monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", 1)  # one source-1 word per chunk
     assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
@@ -608,37 +607,3 @@ def test_a_nan_induced_law_fails_the_total_mass_check(monkeypatch):
         dist_streamed_tv_deficit(target, *args)
     with pytest.raises(ArithmeticError, match="induced law sums to nan"):
         dist_induced_joint_exact(*args)
-
-
-def test_dist_codec_json_round_trip(tmp_path):
-    generator = np.random.default_rng(49)
-    p_x1x2, *_rest, params = correlated_binary_instance(generator, 2, seed=12)
-    p_w1 = JointPmf.from_table(("W1",), p_x1x2.table.sum(axis=1))
-    p_w2 = JointPmf.from_table(("W2",), p_x1x2.table.sum(axis=0))
-    books, bins = build_dist_codec(p_w1, p_w2, params)
-    blob = json.dumps(dist_codec_to_dict(params, books, bins))
-    params2, books2, bins2 = dist_codec_from_dict(json.loads(blob))
-    assert params2 == params
-    assert np.array_equal(books2.first.entries, books.first.entries)
-    assert np.array_equal(books2.second.entries, books.second.entries)
-    assert np.array_equal(bins2[0].labels, bins[0].labels)
-    assert np.array_equal(bins2[1].labels, bins[1].labels)
-    path = tmp_path / "dist_codec.json"
-    write_dist_codec(path, params, books, bins)
-    params3, books3, _ = read_dist_codec(path)
-    assert params3 == params and np.array_equal(books3.second.entries, books.second.entries)
-    with pytest.raises(ValueError, match="malformed"):
-        dist_codec_from_dict({"params": {}})
-
-
-@pytest.mark.parametrize("key", ["codebooks", "binnings"])
-@pytest.mark.parametrize("count", [1, 3])
-def test_dist_codec_spec_needs_exactly_two_codebooks_and_binnings(key, count):
-    generator = np.random.default_rng(49)
-    p_x1x2, *_rest, params = correlated_binary_instance(generator, 2, seed=12)
-    p_w1 = JointPmf.from_table(("W1",), p_x1x2.table.sum(axis=1))
-    p_w2 = JointPmf.from_table(("W2",), p_x1x2.table.sum(axis=0))
-    spec = dist_codec_to_dict(params, *build_dist_codec(p_w1, p_w2, params))
-    spec[key] = (spec[key] * 2)[:count]
-    with pytest.raises(ValueError, match="malformed"):
-        dist_codec_from_dict(spec)

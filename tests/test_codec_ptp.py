@@ -1,7 +1,6 @@
 """Tests for the blocklength-n synthesis codec (single-encoder system)."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ from corrsynth.codec_ptp import (
     CodecParams,
     EmptyTypicalSetError,
     build_ptp_codec,
-    codec_from_dict,
-    codec_to_dict,
     derived_rng,
     encoder_validity,
     induced_joint_exact,
@@ -27,8 +24,6 @@ from corrsynth.codec_ptp import (
     soft_covering_deficit,
     streamed_tv_deficit,
     tv_deficit,
-    write_codec,
-    read_codec,
 )
 from corrsynth.codec_ptp import (
     _block_weights,
@@ -1025,9 +1020,14 @@ def test_streamed_deficit_budgets_its_largest_array():
     want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
     got, _ = streamed_tv_deficit(inst.target_joint(), *args, budget=10_000)
     assert abs(got - want) <= 1e-12
-    # the message tables (1,376 cells) fit, the letter factors (5,952) do not
-    with pytest.raises(BudgetExceededError, match="streamed deficit"):
+    # the encoder's (L, M+1) one-hot of the bins (64 x 43 = 2,752 cells) is
+    # refused before it is built
+    with pytest.raises(BudgetExceededError, match="encoder index weights needs 2752 "):
         streamed_tv_deficit(inst.target_joint(), *args, budget=2_000)
+    # the message tables (1,376 cells) and the one-hot fit, the letter
+    # factors (5,952) do not
+    with pytest.raises(BudgetExceededError, match="streamed deficit"):
+        streamed_tv_deficit(inst.target_joint(), *args, budget=4_000)
 
 
 def test_encoder_and_decoder_arrays_count_against_the_budget():
@@ -1165,16 +1165,14 @@ def test_soft_covering_rejects_degenerate_codebook():
 
 
 # --------------------------------------------------------------------------
-# parameters, serialization
+# parameters and codebook validation
 # --------------------------------------------------------------------------
 
 
 def test_params_rounding_and_effective_rates():
     params = CodecParams(n=3, rt=0.5, r=0.5, c=0.0, delta=0.3, eta=0.1, seed=0)
     assert params.l_size == 3  # 2^1.5 = 2.83 rounds to 3
-    assert params.effective_rt == pytest.approx(math.log2(3) / 3)
     assert params.m_size == 3 and params.k_size == 1
-    assert params.effective_c == 0.0
     zero_rate = CodecParams(n=2, rt=1.0, r=0.0, c=0.0, delta=0.3, eta=0.0, seed=0)
     assert zero_rate.m_size == 1
 
@@ -1197,31 +1195,12 @@ def test_params_validation_rejects_bad_values(kwargs):
         CodecParams(seed=0, **kwargs)
 
 
-def test_codec_json_round_trip(tmp_path):
-    p_w = JointPmf.from_table(("W",), np.array([0.5, 0.5]))
-    params = CodecParams(n=4, rt=1.0, r=0.5, c=0.5, delta=0.3, eta=0.1, seed=19)
-    cb, bn = build_ptp_codec(p_w, params)
-    blob = json.dumps(codec_to_dict(params, cb, bn))
-    params2, cb2, bn2 = codec_from_dict(json.loads(blob))
-    assert params2 == params
-    assert np.array_equal(cb2.entries, cb.entries)
-    assert cb2.epsilon == cb.epsilon and cb2.w_size == cb.w_size
-    assert np.array_equal(bn2.dedup, bn.dedup)
-    assert all(np.array_equal(a, b) for a, b in zip(bn2.bins, bn.bins))
-
-    path = tmp_path / "codec.json"
-    write_codec(path, params, cb, bn)
-    params3, cb3, _ = read_codec(path)
-    assert params3 == params and np.array_equal(cb3.entries, cb.entries)
-    with pytest.raises(ValueError, match="malformed"):
-        codec_from_dict({"params": {}})
-
-
 @pytest.mark.parametrize("letter", [-1, 2])
 def test_codebook_rejects_letters_outside_the_alphabet(letter):
     p_w = JointPmf.from_table(("W",), np.array([0.5, 0.5]))
     params = CodecParams(n=4, rt=1.0, r=0.5, c=0.5, delta=0.3, eta=0.1, seed=19)
-    blob = codec_to_dict(params, *build_ptp_codec(p_w, params))
-    blob["codebook"]["entries"][0][1][2] = letter
+    cb, _ = build_ptp_codec(p_w, params)
+    entries = cb.entries.copy()
+    entries[0, 1, 2] = letter
     with pytest.raises(ValueError, match="letters must lie in 0..1"):
-        codec_from_dict(blob)
+        Codebook(entries=entries, epsilon=cb.epsilon, w_size=cb.w_size)

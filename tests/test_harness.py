@@ -355,11 +355,10 @@ def test_trials_never_build_the_joint_table_or_word_alphabets(monkeypatch):
         "corrsynth.codec_ptp.product_pmf",
         "corrsynth.codec_ptp.word_alphabet",
         "corrsynth.codec_dist.dist_induced_joint_exact",
-        "corrsynth.codec_dist.dist_tv_deficit",
         "corrsynth.codec_dist.word_alphabet",
     ):
         monkeypatch.setattr(target, fail)
-    for name in ("induced_joint_exact", "tv_deficit", "dist_induced_joint_exact", "dist_tv_deficit"):
+    for name in ("induced_joint_exact", "tv_deficit", "dist_induced_joint_exact"):
         monkeypatch.setattr(f"corrsynth.harness.{name}", fail, raising=False)
     specs = [
         ExperimentSpec("ptp", synthesis_demo_instance(), ptp_params(n=4), trials=2, seed=1),
@@ -432,7 +431,7 @@ def test_aggregates_recompute_exactly_from_parsed_reports(tmp_path):
         sweep=("rt", (0.6, 1.2)),
     )
     report = run_tv_experiment(spec)
-    assert report.recompute_aggregates() == report.aggregates
+    assert aggregate_rows(report.rows) == report.aggregates
     path = tmp_path / "report.csv"
     write_report(path, report)
     parsed = read_report_rows(path)

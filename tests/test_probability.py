@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,18 +5,16 @@ from corrsynth.probability import (
     Alphabet,
     CondPmf,
     JointPmf,
+    ProductPmf,
     UndefinedConditionalError,
     conditional_mutual_information,
     entropy,
     mutual_information,
-    pmf_from_dict,
-    pmf_to_dict,
-    product_extension,
     total_variation,
-    verify_markov_chain,
 )
 
 import _oracles
+from _oracles import verify_markov_chain
 
 rng = np.random.default_rng(20260815)
 
@@ -95,12 +91,12 @@ def test_point_mass_conditional_row():
 def test_product_extension_n1_identity():
     t = random_joint((2, 3))
     p = JointPmf.from_table(("X", "Y"), t)
-    assert np.array_equal(product_extension(p, 1).table(), t)
+    assert np.array_equal(ProductPmf(p, 1).table(), t)
 
 
 def test_product_extension_fair_coin_cubed():
     p = JointPmf.from_table(("W",), [0.5, 0.5])
-    tab = product_extension(p, 3).table()
+    tab = ProductPmf(p, 3).table()
     assert tab.shape == (8,)
     assert np.allclose(tab, 1 / 8)
 
@@ -108,7 +104,7 @@ def test_product_extension_fair_coin_cubed():
 def test_product_extension_matches_kron_oracle():
     t = random_joint((2, 2))
     p = JointPmf.from_table(("X", "Y"), t)
-    got = product_extension(p, 2).table()
+    got = ProductPmf(p, 2).table()
     oracle = np.einsum("ab,cd->acbd", t, t).reshape(4, 4)
     assert np.array_equal(got, oracle)
 
@@ -117,19 +113,18 @@ def test_product_extension_matches_kron_oracle():
 def test_product_extension_equals_outer_product_oracle(shape, n):
     table = random_joint(shape, np.random.default_rng(7))
     p = JointPmf.from_table(tuple("XYZ"[: len(shape)]), table)
-    got = product_extension(p, n).table()
+    got = ProductPmf(p, n).table()
     assert np.array_equal(got, _oracles.product_table(p.table, n))
-    assert not np.shares_memory(product_extension(p, 1).table(), p.table)
+    assert not np.shares_memory(ProductPmf(p, 1).table(), p.table)
 
 
 def test_product_seq_prob_is_product_of_cells():
     t = random_joint((2, 2))
     p = JointPmf.from_table(("X", "Z"), t)
-    ext = product_extension(p, 3)
-    x = np.array([0, 1, 1])
-    z = np.array([1, 1, 0])
+    tab = ProductPmf(p, 3).table()
+    # words x = 011 and z = 110, at their big-endian codes 3 and 6
     expected = t[0, 1] * t[1, 1] * t[1, 0]
-    assert abs(ext.seq_prob({"X": x, "Z": z}) - expected) < 1e-16
+    assert abs(tab[3, 6] - expected) < 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ def test_markov_chain_violation_certificate():
 
 
 # ---------------------------------------------------------------------------
-# validation and JSON round-trip
+# validation
 # ---------------------------------------------------------------------------
 
 
@@ -253,26 +248,6 @@ def test_renormalizes_tiny_drift():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_json_round_trip_value_exact(seed):
-    g = np.random.default_rng(seed)
-    t = random_joint((2, 3), g)
-    # decimal inputs with <= 12 significant digits survive exactly
-    t = np.round(t / t.sum(), 12)
-    t[0, 0] += 1.0 - t.sum()
-    p = JointPmf.from_table(("X", "Y"), t, alphabets=[("0", "1"), ("a", "b", "c")])
-    blob = json.dumps(pmf_to_dict(p))
-    q = pmf_from_dict(json.loads(blob))
-    assert q.names == p.names
-    assert q.alphabets == p.alphabets
-    assert np.array_equal(q.table, p.table)
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        pmf_from_dict({"axes": [{"name": "X"}], "table": [1.0]})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

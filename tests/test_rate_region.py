@@ -14,6 +14,7 @@ from _oracles import (
     coarse_grid_scan,
     consistent_y_channel,
     descend_from,
+    dist_bindings,
     dist_membership,
     logit_gradient,
     max_entropy_kkt,
@@ -26,19 +27,19 @@ from _oracles import (
     scalarized_minimum,
     sequential_descent,
     solve_stack_every_nnls,
+    verify_markov_chain,
     z_block,
 )
 from corrsynth import rate_region
 from corrsynth.harness import dist_demo_instance, named_instance
 from corrsynth.polyhedra import dist_theorem_system, lp_membership, ptp_theorem_system
-from corrsynth.probability import JointPmf, verify_markov_chain
+from corrsynth.probability import JointPmf
 from corrsynth.rate_region import (
     FrontierPoint,
     InconsistentAuxError,
     SearchConfig,
     aux_dist_from_tables,
     aux_ptp_from_tables,
-    dist_bindings,
     dist_induced_joint,
     dist_rates_for,
     pareto_prune,
@@ -744,7 +745,10 @@ def test_frontier_logs_one_debug_record_per_lambda(caplog):
     caplog.set_level(logging.DEBUG, logger="corrsynth.rate_region")
     cells = np.random.default_rng(5).gamma(1.0, size=(2, 2, 2))
     target = JointPmf.from_table(("X", "Y", "Z"), cells / cells.sum())
-    res = ptp_frontier(target, SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=10, seed=0))
+    cfg = SearchConfig(w_cap=2, restarts=1, lambda_grid=3, iters=10, seed=0)
+    res = ptp_frontier(target, cfg)
+    # |X| = 2, |W| = 2: corners, one coarse start per W-relabeling orbit, restarts
+    starts = len(rate_region._phase_one_starts(2, 2, 1, cfg))
     pattern = re.compile(
         r"lambda (\S+): (\d+) inner solves, (\d+) descent steps, "
         r"(\d+) max-entropy solves \(at most (\d+) Newton iterations, (\d+) missed\), "
@@ -754,8 +758,9 @@ def test_frontier_logs_one_debug_record_per_lambda(caplog):
     assert len(records) == len(res.raw) == 3 and all(records)
     for match, point in zip(records, res.raw):
         assert float(match[1]) == pytest.approx(point.lam, abs=1e-6)
-        # at least one inner solve per start: 3 corners, 25 coarse, 1 random
-        assert int(match[2]) >= 29 and int(match[3]) >= 1
+        # each descent evaluates its start, and at least one candidate per
+        # accepted step
+        assert int(match[2]) >= starts + int(match[3]) and int(match[3]) >= 1
         # a max-entropy solve takes at least one iteration, at most the cap
         assert (int(match[4]) > 0) == (0 < int(match[5]) <= rate_region._NEWTON_CAP)
         assert float(match[9]) == pytest.approx(point.residual, rel=1e-3, abs=1e-300)
