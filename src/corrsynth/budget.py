@@ -22,18 +22,22 @@ class BudgetExceededError(RuntimeError):
 
 
 def enumeration_budget(override: int | None = None) -> int:
-    """Current term budget: explicit override, else $CORRSYNTH_BUDGET, else default."""
+    """Current term budget: explicit override, else $CORRSYNTH_BUDGET, else default.
+
+    A budget that is not positive, from either source, is a ValueError.
+    """
     if override is not None:
-        return int(override)
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+        value, source = int(override), "budget"
+    else:
+        raw = os.environ.get(ENV_VAR)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            value, source = int(raw), ENV_VAR
+        except ValueError as exc:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+        raise ValueError(f"{source} must be positive, got {value}")
     return value
 
 

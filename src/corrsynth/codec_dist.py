@@ -1,13 +1,14 @@
 """Blocklength-n synthesis codec for the two-encoder distributed system.
 
-Each encoder owns an independent pruned codebook over its own codeword
-alphabet and maps its source word to a bin of the codeword index through the
-same sub-PMF rule as the single-encoder system — here with no decoder side
-information beyond the other message, so there is no widened typicality
-slack.  Common randomness is split between the encoders; the decoder sees
-the pair of randomness blocks, intersects the two received bins with the
-jointly typical codeword pairs, and emits the unique pair or a fixed
-fallback pair.
+Each encoder is one leg: a single-encoder :class:`CodecParams` (shared n, δ,
+η and seed) with its own pruned codebook over its own codeword alphabet, its
+own binning and its own randomness share.  It maps its source word to a bin
+of the codeword index through the same sub-PMF rule as the single-encoder
+system — here with no decoder side information beyond the other message,
+so there is no widened typicality slack.  Common randomness is split between
+the encoders; the decoder sees the pair of randomness blocks, intersects the
+two received bins with the jointly typical codeword pairs, and emits the
+unique pair or a fixed fallback pair.
 
 Conventions carried over or pinned down here:
 
@@ -17,8 +18,8 @@ Conventions carried over or pinned down here:
 - the randomness index μ splits positionally as μ = (μ₁, μ₂) with μ₁ in the
   high bits;
 - each codebook is pruned and renormalized by its own exact ε_j (the joint
-  analysis tracks min(ε₁, ε₂), recorded as a diagnostic, but only the
-  per-codebook constant normalizes the sampling law);
+  analysis tracks min(ε₁, ε₂), but only the per-codebook constant enters
+  the law, so nothing here records the minimum);
 - the decoder's pair-typicality test runs at the plain slack δ;
 - degenerate (empty-typical-set) codebooks follow the all-fallback
   convention of the single-encoder module.
@@ -39,7 +40,6 @@ from .codec_ptp import (
     _draw_codebook,
     _encoder_stage,
     _letter_target,
-    _pow2_size,
     _stream_chunk,
     _streamed_tv,
     _word_rows,
@@ -66,6 +66,12 @@ class DistCodecParams:
     permitted; it is the natural setting for an encoder that only relays its
     codeword choice through the randomness block.  ``c_total``, when given,
     caps the split c1 + c2.
+
+    ``legs`` holds each encoder's :class:`CodecParams` with the shared n, δ,
+    η and seed; their own checks validate the legs, each error prefixed with
+    ``encoder j:``.  It is not a dataclass field, so ``asdict`` sees the
+    eleven flat fields only.  Each leg's codebook carries its own ε;
+    min(ε₁, ε₂) is recorded nowhere.
     """
 
     n: int
@@ -81,37 +87,29 @@ class DistCodecParams:
     c_total: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"blocklength must be >= 1, got {self.n}")
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if not (0 <= self.eta < 1):
-            raise ValueError(f"eta must lie in [0,1), got {self.eta}")
+        legs = []
         for j, (rt, r, c) in enumerate(
             ((self.rt1, self.r1, self.c1), (self.rt2, self.r2, self.c2)), start=1
         ):
-            if rt <= 0:
-                raise ValueError(f"codebook rate {j} must be positive, got {rt}")
-            if not (0 <= r <= rt):
-                raise ValueError(f"message rate {j} must lie in [0, rt{j}], got {r}")
-            if c < 0:
-                raise ValueError(f"common randomness rate {j} must be >= 0, got {c}")
+            try:
+                legs.append(CodecParams(
+                    n=self.n, rt=rt, r=r, c=c, delta=self.delta, eta=self.eta, seed=self.seed
+                ))
+            except ValueError as err:
+                raise ValueError(f"encoder {j}: {err}") from None
+        object.__setattr__(self, "legs", tuple(legs))
         if self.c_total is not None and self.c1 + self.c2 > self.c_total + 1e-12:
             raise ValueError(
                 f"randomness split {self.c1}+{self.c2} exceeds the budget {self.c_total}"
             )
 
     @property
-    def l_sizes(self) -> tuple[int, int]:
-        return (_pow2_size(self.n, self.rt1), _pow2_size(self.n, self.rt2))
-
-    @property
     def m_sizes(self) -> tuple[int, int]:
-        return (_pow2_size(self.n, self.r1), _pow2_size(self.n, self.r2))
+        return tuple(leg.m_size for leg in self.legs)
 
     @property
     def k_sizes(self) -> tuple[int, int]:
-        return (_pow2_size(self.n, self.c1), _pow2_size(self.n, self.c2))
+        return tuple(leg.k_size for leg in self.legs)
 
     @property
     def k_size(self) -> int:
@@ -119,29 +117,13 @@ class DistCodecParams:
         k1, k2 = self.k_sizes
         return k1 * k2
 
-    def leg(self, j: int) -> tuple[float, float, float]:
-        """(rt, r, c) of encoder j ∈ {1, 2}."""
-        if j not in (1, 2):
-            raise ValueError(f"encoder index must be 1 or 2, got {j}")
-        return ((self.rt1, self.r1, self.c1), (self.rt2, self.r2, self.c2))[j - 1]
-
 
 @dataclass(frozen=True)
 class DistCodebooks:
-    """The two independent pruned codebooks with their exact ε constants."""
+    """The two independent pruned codebooks, each with its own exact ε."""
 
     first: Codebook
     second: Codebook
-
-    @property
-    def epsilon(self) -> float:
-        """min(ε₁, ε₂), the constant tracked by the joint analysis."""
-        return min(self.first.epsilon, self.second.epsilon)
-
-    def book(self, j: int) -> Codebook:
-        if j not in (1, 2):
-            raise ValueError(f"encoder index must be 1 or 2, got {j}")
-        return self.first if j == 1 else self.second
 
 
 @dataclass(frozen=True)
@@ -177,21 +159,16 @@ def build_dist_codec(
 ) -> tuple[DistCodebooks, tuple[DistBinning, DistBinning]]:
     """Sample both codebooks and binnings from the four derived streams."""
     books = [
-        _draw_codebook(p_w, _leg_params(params, j), stream, allow_degenerate, budget)
-        for j, p_w, stream in ((1, p_w1, CODEBOOK1_STREAM), (2, p_w2, CODEBOOK2_STREAM))
+        _draw_codebook(p_w, leg, stream, allow_degenerate, budget)
+        for p_w, leg, stream in zip(
+            (p_w1, p_w2), params.legs, (CODEBOOK1_STREAM, CODEBOOK2_STREAM)
+        )
     ]
-    m1, m2 = params.m_sizes
-    bn1 = sample_dist_binning(books[0], m1, derived_rng(params.seed, BINNING1_STREAM))
-    bn2 = sample_dist_binning(books[1], m2, derived_rng(params.seed, BINNING2_STREAM))
-    return DistCodebooks(first=books[0], second=books[1]), (bn1, bn2)
-
-
-def _leg_params(params: DistCodecParams, j: int) -> CodecParams:
-    """Single-encoder parameter view of leg j (shared n, delta, eta, seed)."""
-    rt, r, c = params.leg(j)
-    return CodecParams(
-        n=params.n, rt=rt, r=r, c=c, delta=params.delta, eta=params.eta, seed=params.seed
+    binnings = tuple(
+        sample_dist_binning(book, leg.m_size, derived_rng(params.seed, stream))
+        for book, leg, stream in zip(books, params.legs, (BINNING1_STREAM, BINNING2_STREAM))
     )
+    return DistCodebooks(first=books[0], second=books[1]), binnings
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +201,18 @@ def _build_dist_tables(
     n = params.n
     nx1, nx2 = (a.size for a in p_x1x2.alphabets)
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
-    e1, e2 = (book.entries.reshape(-1, n) for book in (codebooks.first, codebooks.second))
+    books = (codebooks.first, codebooks.second)
+    e1, e2 = (book.entries.reshape(-1, n) for book in books)
     cells = max(k1 * nx1**n * (m1 + 1), k2 * nx2**n * (m2 + 1), k1 * k2 * (m1 + 1) * (m2 + 1))
     # the decoder's index-pair typicality mask is (K1 L1) x (K2 L2)
     check_budget(max(cells, e1.shape[0] * e2.shape[0]), budget, what="message and decoder tables")
     p_x_words = ProductPmf(p_x1x2, n).table(budget)
     bn1, bn2 = binnings
     (numbering1, messages1, ok1), (numbering2, messages2, ok2) = (
-        _encoder_stage(
-            p_x1x2, j - 1, p_w, codebooks.book(j), bn.labels, bn.m_size,
-            _leg_params(params, j), budget,
+        _encoder_stage(p_x1x2, axis, p_w, book, bn.labels, bn.m_size, leg, budget)
+        for axis, p_w, book, bn, leg in zip(
+            (0, 1), (p_w1_given_x1, p_w2_given_x2), books, binnings, params.legs
         )
-        for j, p_w, bn in ((1, p_w1_given_x1, bn1), (2, p_w2_given_x2, bn2))
     )
     p_w1w2 = np.einsum(
         "ab,aw,bv->wv", p_x1x2.table, p_w1_given_x1.table, p_w2_given_x2.table

@@ -36,7 +36,6 @@ import numpy as np
 from .budget import check_budget, enumeration_budget
 from .probability import Alphabet, CondPmf, JointPmf, ProductPmf, letter_product
 from .typicality import (
-    TypicalityParams,
     enumerate_sequences,
     marginal_typical_mask,
     pairwise_typical_mask,
@@ -574,7 +573,6 @@ def _build_system_tables(
     ny = p_y_given_zw.out_alphabets[0].size
     n, kk, mm = params.n, codebook.k_size, binning.m_size
     check_budget(kk * max(nx, nz) ** n * (mm + 1), budget, what="message and decoder tables")
-    typ = TypicalityParams(params.delta, nx, ny, nz)
     zs = enumerate_sequences(nz, n, budget)
     p_xz_words = ProductPmf(p_xz, n).table(budget)
     labels = np.stack([binning.messages(mu) for mu in range(kk)])
@@ -595,7 +593,9 @@ def _build_system_tables(
     gid = ids.reshape(kk, -1)[block_of, index_of]
     bin_of = np.concatenate(binning.bins)
     check_budget(zs.shape[0] * max(words.shape[0], gid.size), budget, what="decoder typicality mask")
-    ok = pairwise_typical_mask(zs, words, p_zw_table, typ.delta2)[:, gid]  # (Az, ΣΘ)
+    # the decoder's widened slack δ₂ = δ(|X||Y| + |Z|)
+    delta2 = params.delta * (nx * ny + nz)
+    ok = pairwise_typical_mask(zs, words, p_zw_table, delta2)[:, gid]  # (Az, ΣΘ)
     zz, ee = np.nonzero(ok)
     cell = (block_of[ee] * zs.shape[0] + zz) * (mm + 1) + bin_of[ee]
     used, decoded = _decoded_rows(cell, gid[ee], kk * zs.shape[0] * (mm + 1))

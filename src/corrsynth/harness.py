@@ -887,16 +887,12 @@ def chernoff_lemma_check(
     eta: float,
     trials: int = 10_000,
     seed: int = 0,
-    sampler=None,
-    mean_value: float | None = None,
 ) -> ChernoffLemmaResult:
-    """Concentration of an IID [0,1] sample mean versus its Chernoff bound.
+    """Concentration of an IID Bernoulli(theta) sample mean versus its Chernoff bound.
 
-    Draws ``trials`` batches of ``n_samples`` variables (Bernoulli(theta) by
-    default; pass ``sampler(rng, shape)`` for other [0,1]-bounded laws with
-    mean ``mean_value``) and reports the frequency of the sample mean landing
-    within (1 ± eta) of the true mean, next to the closed-form floor
-    1 − 2·exp(−N·η²·θ / (4 ln 2)).
+    Draws ``trials`` batches of ``n_samples`` Bernoulli(theta) variables and
+    reports the frequency of the sample mean landing within (1 ± eta) of
+    theta, next to the closed-form floor 1 − 2·exp(−N·η²·θ / (4 ln 2)).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -906,26 +902,9 @@ def chernoff_lemma_check(
         raise ValueError("(1 + eta) * theta must stay below 1")
     if n_samples < 1 or trials < 1:
         raise ValueError("n_samples and trials must be positive")
-    mu = theta if mean_value is None else float(mean_value)
-    if mu < theta:
-        raise ValueError("the sampler mean must be at least theta")
-    lo, hi = (1.0 - eta) * mu, (1.0 + eta) * mu
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        means = rng.binomial(n_samples, theta, size=trials) / n_samples
-        hits = int(np.count_nonzero((means >= lo) & (means <= hi)))
-    else:
-        hits = 0
-        chunk = max(1, 1_000_000 // n_samples)
-        for start in range(0, trials, chunk):
-            m = min(chunk, trials - start)
-            block = np.asarray(sampler(rng, (m, n_samples)), dtype=float)
-            if block.shape != (m, n_samples):
-                raise ValueError(f"sampler returned shape {block.shape}, wanted {(m, n_samples)}")
-            if block.min() < 0.0 or block.max() > 1.0:
-                raise ValueError("sampler values must lie in [0, 1]")
-            means = block.mean(axis=1)
-            hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
+    lo, hi = (1.0 - eta) * theta, (1.0 + eta) * theta
+    means = np.random.default_rng(seed).binomial(n_samples, theta, size=trials) / n_samples
+    hits = int(np.count_nonzero((means >= lo) & (means <= hi)))
     empirical = hits / trials
     bound = 1.0 - 2.0 * math.exp(-n_samples * eta * eta * theta / (4.0 * math.log(2.0)))
     sigma = math.sqrt(empirical * (1.0 - empirical) / trials)

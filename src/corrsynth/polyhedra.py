@@ -78,15 +78,6 @@ class LinearRow:
             and self.const <= 0
         )
 
-    @property
-    def is_contradiction(self) -> bool:
-        """0 >= positive rational: the system is infeasible outright."""
-        return (
-            all(c == 0 for c in self.coeffs)
-            and all(s == 0 for s in self.sym_coeffs)
-            and self.const > 0
-        )
-
 
 @dataclass(frozen=True)
 class LinIneqSystem:
@@ -128,10 +119,6 @@ class LinIneqSystem:
         return cls(variables, constants, tuple(built))
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def contradictory(self) -> bool:
-        return any(r.is_contradiction for r in self.rows)
 
     def var_index(self, name: str) -> int:
         try:
@@ -510,7 +497,7 @@ def ptp_theorem_system() -> LinIneqSystem:
     )
 
 
-def dist_pre_elimination_system(nonnegative_cr_split: bool = False) -> LinIneqSystem:
+def dist_pre_elimination_system() -> LinIneqSystem:
     """Distributed constraint set before projecting out per-encoder quantities.
 
     Variables: per-encoder codebook rates Rt1/Rt2, per-encoder randomness
@@ -519,10 +506,11 @@ def dist_pre_elimination_system(nonnegative_cr_split: bool = False) -> LinIneqSy
     their multiplicities (4, 4, 1, 1, 3); bind it to 0 to recover the clean
     region.
 
-    ``nonnegative_cr_split`` adds C1 >= 0 and C2 >= 0.  The default leaves
-    the split unconstrained: the underlying existence lemma quantifies the
-    shares freely, and adding the sign constraints provably *shrinks* the
-    projection below the theorem region (see the projection tests).
+    The split C1/C2 is left unconstrained: the underlying existence lemma
+    quantifies the shares freely.  Adding C1 >= 0 and C2 >= 0 provably
+    *shrinks* the projection below the theorem region; that sign-constrained
+    variant lives in the tests (``tests/_oracles.py``), which check the
+    shrinkage.
     """
     rows = [
         {"vars": {"Rt1": 1}, "syms": {"I_X1_W1": 1, "slack": 4}},
@@ -539,9 +527,6 @@ def dist_pre_elimination_system(nonnegative_cr_split: bool = False) -> LinIneqSy
         {"vars": {"Rt2": 1, "R2": -1}},
         {"vars": {"C": 1, "C1": -1, "C2": -1}},
     ]
-    if nonnegative_cr_split:
-        rows.append({"vars": {"C1": 1}})
-        rows.append({"vars": {"C2": 1}})
     return LinIneqSystem.build(
         ("Rt1", "Rt2", "C1", "C2", "R1", "R2", "C"), DIST_CONSTANTS, rows
     )

@@ -20,10 +20,6 @@ NORMALIZATION_ATOL = 1e-9
 EXACT_ATOL = 1e-12
 
 
-class UndefinedConditionalError(ValueError):
-    """A conditional row was read for a conditioning cell of probability zero."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite alphabet; symbols are strings, positions are the codes."""
@@ -198,14 +194,6 @@ class CondPmf:
         tab = np.asarray(table, dtype=float)
         mask = np.ones(tuple(a.size for a in given_alphabets), dtype=bool)
         return cls(tuple(given_names), given_alphabets, tuple(out_names), out_alphabets, tab, mask)
-
-    def row(self, given: tuple[int, ...]) -> np.ndarray:
-        """Distribution over the out-axes for one conditioning cell."""
-        if not self.defined[tuple(given)]:
-            raise UndefinedConditionalError(
-                f"p({self.out_names}|{self.given_names}={given}) conditions on a null event"
-            )
-        return self.table[tuple(given)]
 
 
 # --------------------------------------------------------------------------

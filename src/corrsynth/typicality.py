@@ -13,37 +13,10 @@ decoder widens its test, and are accepted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .budget import check_budget
 from .probability import JointPmf
-
-
-@dataclass(frozen=True)
-class TypicalityParams:
-    """User slack ``delta`` plus the derived decoder slack ``delta2``.
-
-    ``delta2 = delta * (|X||Y| + |Z|)`` is computed from the problem's
-    alphabet sizes and is never set directly.
-    """
-
-    delta: float
-    x_size: int
-    y_size: int
-    z_size: int
-
-    def __post_init__(self):
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        for s in (self.x_size, self.y_size, self.z_size):
-            if s < 1:
-                raise ValueError("alphabet sizes must be >= 1")
-
-    @property
-    def delta2(self) -> float:
-        return self.delta * (self.x_size * self.y_size + self.z_size)
 
 
 def enumerate_sequences(size: int, n: int, budget: int | None = None) -> np.ndarray:

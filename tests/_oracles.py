@@ -13,9 +13,12 @@ and ``verify_markov_chain`` certifies a chain A - B - C by I(A;C|B).
 
 The exact-rational references run on ``polyhedra``'s systems: ``restrict``
 fixes variables, ``lp_feasible`` and ``feasible_with`` decide feasibility by
-the exact simplex (the witness side of a projection), and
-``prune_redundant`` drops, one at a time, each row the others imply
-(``row_redundant``).
+the exact simplex (the witness side of a projection), ``is_contradiction``
+spots a ``0 >= positive`` row, and ``prune_redundant`` drops, one at a time,
+each row the others imply (``row_redundant``).
+``sign_constrained_dist_system`` is the two-encoder pre-elimination system
+with C1 >= 0 and C2 >= 0 added, whose projection is strictly smaller than
+the theorem region.
 
 ``is_typical`` decides robust typicality of one sequence tuple with a
 bincount over joint letter cells: the reference for the batched
@@ -73,7 +76,8 @@ which must take the same steps and reach the same point bit for bit.
 The scalar codec chain evaluates one source word, one message or one
 randomness block at a time, the way the construction reads: the
 single-encoder sub-PMF (``encoder_subpmf``), its message law
-(``induced_message_pmf``) and decoder (``decode_map``), and their two-encoder
+(``induced_message_pmf``) and decoder (``decode_map``, at the widened slack
+``decoder_slack``), and their two-encoder
 counterparts (``dist_encoder_pmf``, ``split_mu``, ``dist_decode_map``).  They
 are the references for the codecs' message and decoder tables.  Message 0 is
 the compensated complement ``_complement_to_one`` here and ``max(0, 1 - Σ)``
@@ -97,7 +101,6 @@ from corrsynth.codec_dist import (
     DistCodebooks,
     DistCodecParams,
     _build_dist_tables,
-    _leg_params,
 )
 from corrsynth.codec_ptp import (
     BinningMap,
@@ -111,10 +114,16 @@ from corrsynth.codec_ptp import (
     _valid_rows,
     _weight_columns,
 )
-from corrsynth.polyhedra import LinearRow, LinIneqSystem, _frac, lp_minimize, row_redundant
+from corrsynth.polyhedra import (
+    LinearRow,
+    LinIneqSystem,
+    _frac,
+    dist_pre_elimination_system,
+    lp_minimize,
+    row_redundant,
+)
 from corrsynth.probability import CondPmf, JointPmf, conditional_mutual_information
 from corrsynth.typicality import (
-    TypicalityParams,
     marginal_typical_mask,
     pairwise_typical_mask,
     typical_set,
@@ -250,9 +259,23 @@ def feasible_with(system: LinIneqSystem, bindings: dict[str, Fraction]) -> bool:
     bound = system.substitute(bindings)
     if bound.constants:
         raise ValueError(f"bindings miss constants {bound.constants}")
-    if bound.contradictory:
+    if any(is_contradiction(r) for r in bound.rows):
         return False
     return lp_feasible([(r.coeffs, r.const) for r in bound.rows], len(bound.variables))
+
+
+def is_contradiction(row: LinearRow) -> bool:
+    """0 >= positive rational: the system holding the row is infeasible outright."""
+    return not any(row.coeffs) and not any(row.sym_coeffs) and row.const > 0
+
+
+def sign_constrained_dist_system() -> LinIneqSystem:
+    """The two-encoder pre-elimination system with C1 >= 0 and C2 >= 0 added."""
+    base = dist_pre_elimination_system()
+    signs = LinIneqSystem.build(
+        base.variables, base.constants, [{"vars": {"C1": 1}}, {"vars": {"C2": 1}}]
+    )
+    return LinIneqSystem(base.variables, base.constants, base.rows + signs.rows)
 
 
 def prune_redundant(system: LinIneqSystem) -> LinIneqSystem:
@@ -770,6 +793,11 @@ def _message_pmf_from_labels(
     return out
 
 
+def decoder_slack(delta: float, x_size: int, y_size: int, z_size: int) -> float:
+    """The single-encoder decoder's widened slack δ₂ = δ(|X||Y| + |Z|)."""
+    return delta * (x_size * y_size + z_size)
+
+
 def decode_map(
     z_seq,
     m: int,
@@ -777,7 +805,7 @@ def decode_map(
     codebook: Codebook,
     binning: BinningMap,
     p_joint_wz: JointPmf,
-    typ: TypicalityParams,
+    delta2: float,
 ) -> np.ndarray:
     """Codeword selected by the bin/side-information intersection, else w0.
 
@@ -798,7 +826,7 @@ def decode_map(
     candidates = words[binning.bins[mu] == m]
     if candidates.shape[0] == 0:
         return w0
-    ok = pairwise_typical_mask(z[None, :], candidates, p_joint_wz.table.T, typ.delta2)[0]
+    ok = pairwise_typical_mask(z[None, :], candidates, p_joint_wz.table.T, delta2)[0]
     matches = candidates[ok]
     if matches.shape[0] == 1:
         return matches[0]
@@ -820,12 +848,12 @@ def dist_encoder_pmf(
     atypical inputs send message 0, otherwise bins collect the index weights
     and message 0 absorbs the deficit; the vector always totals one.
     """
-    book = codebooks.book(j)
+    book = (codebooks.first, codebooks.second)[j - 1]
     x = np.asarray(x_seq, dtype=int)
     if x.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
     weights, s, valid = _block_weights(*block_weight_table(
-        x[None, :], book.entries[mu], p_joint_xw, book.epsilon, _leg_params(params, j)
+        x[None, :], book.entries[mu], p_joint_xw, book.epsilon, params.legs[j - 1]
     ))
     return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)
 

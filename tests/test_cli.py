@@ -373,6 +373,29 @@ def test_exhausted_budgets_exit_two(tmp_path):
     assert all(r.skipped and r.reason == "budget" for r in read_report_rows(out))
 
 
+@pytest.mark.parametrize("command, budget", [("validity", "0"), ("softcover", "-3")])
+def test_nonpositive_budgets_exit_one(tmp_path, capsys, command, budget):
+    """A budget <= 0 is a bad argument, as in simulate-* and $CORRSYNTH_BUDGET,
+    not an exceeded budget."""
+    spec = write_json(
+        tmp_path / "spec.json",
+        {
+            "instance": "reference",
+            "params": {
+                "n": 2, "rt": 0.9, "r": 0.4, "c": 0.3,
+                "delta": 0.34, "eta": 0.1, "seed": 3,
+            },
+            "trials": 2,
+        },
+    )
+    out = tmp_path / "out.csv"
+    assert cli_dispatch([command, "--spec", spec, "--out", str(out), "--budget", budget]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"error: budget must be positive, got {budget}\n"
+    assert not out.exists()
+
+
 def test_module_entry_point_runs(tmp_path):
     spec = write_json(
         tmp_path / "coin.json", {"n_samples": 50, "theta": 0.5, "eta": 0.4}

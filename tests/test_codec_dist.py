@@ -1,5 +1,6 @@
 """Tests for the two-encoder distributed synthesis codec."""
 
+import dataclasses
 import itertools
 import math
 
@@ -76,26 +77,44 @@ def test_params_sizes_split_and_validation():
         n=2, rt1=1.0, rt2=1.5, r1=0.5, r2=0.0, c1=1.0, c2=0.5,
         delta=0.3, eta=0.0, seed=0, c_total=1.5,
     )
-    assert params.l_sizes == (4, 8)
+    assert [leg.l_size for leg in params.legs] == [4, 8]
     assert params.m_sizes == (2, 1)  # r2 = 0 collapses encoder 2 to one bin
     assert params.k_sizes == (4, 2) and params.k_size == 8
-    assert params.leg(1) == (1.0, 0.5, 1.0)
     assert split_mu(5, params) == (2, 1)  # high bits belong to encoder 1
     assert split_mu(0, params) == (0, 0)
     with pytest.raises(ValueError):
         split_mu(8, params)
-    with pytest.raises(ValueError):
-        params.leg(3)
     with pytest.raises(ValueError, match="budget"):
         DistCodecParams(
             n=2, rt1=1.0, rt2=1.0, r1=0.5, r2=0.5, c1=1.0, c2=0.6,
             delta=0.3, eta=0.0, seed=0, c_total=1.5,
         )
-    with pytest.raises(ValueError):
+    # each leg is validated as a CodecParams, its error naming the encoder
+    with pytest.raises(ValueError, match="^encoder 1: message rate"):
         DistCodecParams(
             n=2, rt1=1.0, rt2=1.0, r1=1.5, r2=0.5, c1=0.0, c2=0.0,
             delta=0.3, eta=0.0, seed=0,
         )
+    with pytest.raises(ValueError, match=r"^encoder 2: message rate must lie in \[0, rt\]"):
+        DistCodecParams(
+            n=2, rt1=1.0, rt2=1.0, r1=0.5, r2=1.25, c1=0.0, c2=0.0,
+            delta=0.3, eta=0.0, seed=0,
+        )
+
+
+def test_legs_are_the_single_encoder_params():
+    """Leg j is encoder j's CodecParams with the shared n, delta, eta and seed."""
+    params = DistCodecParams(
+        n=3, rt1=1.0, rt2=1.5, r1=0.5, r2=0.0, c1=1.0, c2=0.25,
+        delta=0.3, eta=0.1, seed=7, c_total=1.5,
+    )
+    assert params.legs == (
+        CodecParams(n=3, rt=1.0, r=0.5, c=1.0, delta=0.3, eta=0.1, seed=7),
+        CodecParams(n=3, rt=1.5, r=0.0, c=0.25, delta=0.3, eta=0.1, seed=7),
+    )
+    # the legs are no dataclass field: asdict sees the eleven flat fields only
+    assert "legs" not in dataclasses.asdict(params)
+    assert len(dataclasses.fields(params)) == 11
 
 
 def test_build_codec_streams_are_reproducible_and_independent():
@@ -112,9 +131,6 @@ def test_build_codec_streams_are_reproducible_and_independent():
     assert np.array_equal(bins_a[1].labels, bins_b[1].labels)
     # the two codebooks use distinct derived streams even for identical laws
     assert not np.array_equal(books_a.first.entries, books_a.second.entries)
-    assert books_a.epsilon == min(books_a.first.epsilon, books_a.second.epsilon)
-    with pytest.raises(ValueError):
-        books_a.book(0)
 
 
 def test_binning_is_per_index_without_dedup():
@@ -583,7 +599,7 @@ def test_the_decoder_pair_mask_counts_against_the_budget():
     inst = named_instance("dist-demo")
     params = DistCodecParams(n=3, rt1=1.75, rt2=1.75, r1=0.0, r2=0.0, c1=0.0, c2=0.0,
                              delta=0.5, eta=0.45, seed=0)
-    assert params.l_sizes == (38, 38) and params.k_sizes == (1, 1)
+    assert [leg.l_size for leg in params.legs] == [38, 38] and params.k_sizes == (1, 1)
     books, bins = build_dist_codec(inst.p_w1(), inst.p_w2(), params)
     args = (inst.p_x1x2, inst.p_w1_given_x1, inst.p_w2_given_x2, inst.p_y_given_w1w2, books, bins, params)
     with pytest.raises(BudgetExceededError, match="message and decoder tables needs 1444 "):

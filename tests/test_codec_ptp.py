@@ -37,10 +37,16 @@ import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.harness import ptp_instance_from_tables
 from corrsynth.probability import CondPmf, JointPmf, total_variation
-from corrsynth.typicality import TypicalityParams, enumerate_sequences, typical_set
+from corrsynth.typicality import enumerate_sequences, typical_set
 
 import _oracles
-from _oracles import decode_map, encoder_subpmf, induced_message_pmf, output_word_law
+from _oracles import (
+    decode_map,
+    decoder_slack,
+    encoder_subpmf,
+    induced_message_pmf,
+    output_word_law,
+)
 
 rng = np.random.default_rng(20260815)
 
@@ -135,7 +141,7 @@ def exact_joint_by_scalar_ops(p_xz, p_w_given_x, p_y_given_zw, codebook, binning
     nx, nz = (a.size for a in p_xz.alphabets)
     ny = p_y_given_zw.out_alphabets[0].size
     n, kk = params.n, codebook.k_size
-    typ = TypicalityParams(params.delta, nx, ny, nz)
+    delta2 = decoder_slack(params.delta, nx, ny, nz)
     p_x = p_xz.table.sum(axis=1)
     p_joint_xw = JointPmf.from_table(
         ("X", "W"), p_x[:, None] * p_w_given_x.table
@@ -152,7 +158,7 @@ def exact_joint_by_scalar_ops(p_xz, p_w_given_x, p_y_given_zw, codebook, binning
                 for m, pm in enumerate(msg):
                     if pm == 0.0:
                         continue
-                    w_hat = decode_map(np.array(z), m, mu, codebook, binning, p_wz, typ)
+                    w_hat = decode_map(np.array(z), m, mu, codebook, binning, p_wz, delta2)
                     for yi, y in enumerate(itertools.product(range(ny), repeat=n)):
                         p_y = float(
                             np.prod(
@@ -710,14 +716,14 @@ def _hand_codec():
 def test_decode_empty_single_and_collision_bins():
     cb, bn = _hand_codec()
     p_wz = JointPmf.from_table(("W", "Z"), np.full((2, 2), 0.25))
-    typ = TypicalityParams(0.3, 2, 2, 2)  # delta2 = 1.8: every positive cell passes
+    delta2 = 0.3 * (2 * 2 + 2)  # 1.8: every positive cell passes
     z = np.array([0, 1, 0, 1])
-    np.testing.assert_array_equal(decode_map(z, 1, 0, cb, bn, p_wz, typ), cb.entries[0, 0])
-    np.testing.assert_array_equal(decode_map(z, 2, 0, cb, bn, p_wz, typ), np.zeros(4, int))
-    np.testing.assert_array_equal(decode_map(z, 3, 0, cb, bn, p_wz, typ), np.zeros(4, int))
-    np.testing.assert_array_equal(decode_map(z, 0, 0, cb, bn, p_wz, typ), np.zeros(4, int))
+    np.testing.assert_array_equal(decode_map(z, 1, 0, cb, bn, p_wz, delta2), cb.entries[0, 0])
+    np.testing.assert_array_equal(decode_map(z, 2, 0, cb, bn, p_wz, delta2), np.zeros(4, int))
+    np.testing.assert_array_equal(decode_map(z, 3, 0, cb, bn, p_wz, delta2), np.zeros(4, int))
+    np.testing.assert_array_equal(decode_map(z, 0, 0, cb, bn, p_wz, delta2), np.zeros(4, int))
     with pytest.raises(ValueError):
-        decode_map(z, 4, 0, cb, bn, p_wz, typ)
+        decode_map(z, 4, 0, cb, bn, p_wz, delta2)
 
 
 def test_decode_typicality_filter_breaks_collisions():
@@ -725,11 +731,11 @@ def test_decode_typicality_filter_breaks_collisions():
     two-word bin can still decode uniquely."""
     cb, bn = _hand_codec()
     p_wz = JointPmf.from_table(("W", "Z"), np.diag([0.5, 0.5]))
-    typ = TypicalityParams(0.1, 1, 1, 1)  # delta2 = 0.2, zero cells exact
+    delta2 = 0.1 * (1 * 1 + 1)  # 0.2, zero cells exact
     z = np.array([0, 1, 0, 1])
-    np.testing.assert_array_equal(decode_map(z, 2, 0, cb, bn, p_wz, typ), z)
+    np.testing.assert_array_equal(decode_map(z, 2, 0, cb, bn, p_wz, delta2), z)
     # bin 1 holds only 0011, which mismatches z -> fallback
-    np.testing.assert_array_equal(decode_map(z, 1, 0, cb, bn, p_wz, typ), np.zeros(4, int))
+    np.testing.assert_array_equal(decode_map(z, 1, 0, cb, bn, p_wz, delta2), np.zeros(4, int))
 
 
 def test_decode_ignores_placement_of_duplicate_indices():
@@ -753,12 +759,12 @@ def test_decode_ignores_placement_of_duplicate_indices():
     cb1, bn1 = build(layout_one, ("A", "B", "C"))
     cb2, bn2 = build(layout_two, ("B", "A", "C"))
     p_wz = JointPmf.from_table(("W", "Z"), np.full((2, 2), 0.25))
-    typ = TypicalityParams(0.3, 2, 2, 2)
+    delta2 = decoder_slack(0.3, 2, 2, 2)
     for z in itertools.product(range(2), repeat=4):
         for m in range(params.m_size + 1):
             np.testing.assert_array_equal(
-                decode_map(np.array(z), m, 0, cb1, bn1, p_wz, typ),
-                decode_map(np.array(z), m, 0, cb2, bn2, p_wz, typ),
+                decode_map(np.array(z), m, 0, cb1, bn1, p_wz, delta2),
+                decode_map(np.array(z), m, 0, cb2, bn2, p_wz, delta2),
             )
 
 
@@ -837,7 +843,7 @@ def shared_rows_codec(n, kk):
         bins.append(np.array([1, 1, 2, 4, 4, 2][: len(firsts)]))
     cb = Codebook(entries=np.array(entries), epsilon=0.2, w_size=2)
     bn = BinningMap(dedup=np.array(dedup), bins=tuple(bins), m_size=4)
-    delta2 = TypicalityParams(params.delta, 2, 2, 2).delta2
+    delta2 = decoder_slack(params.delta, 2, 2, 2)
     assert {"unique", "ambiguous", "empty"} <= decode_outcomes(cb, bn, p_xz.table.T, delta2)
     return p_xz, p_w_given_x, p_y_given_zw, params, cb, bn
 
@@ -882,12 +888,12 @@ def test_output_rows_match_per_cell_oracle(n, kk):
     assert rows <= 1 + len(distinct) < sum(1 + t for t in bn.theta)
     assert set(np.unique(tabs.decoded)) == set(range(rows))
     p_wz = JointPmf.from_table(("W", "Z"), p_xz.table)  # copy coupling: p(w, z) = p(x=w, z)
-    typ = TypicalityParams(params.delta, 2, 2, 2)
+    delta2 = decoder_slack(params.delta, 2, 2, 2)
     words = list(itertools.product(range(2), repeat=n))
     for mu in range(kk):
         for zi, z in enumerate(words):
             for m in range(bn.m_size + 1):
-                w_hat = decode_map(np.array(z), m, mu, cb, bn, p_wz, typ)
+                w_hat = decode_map(np.array(z), m, mu, cb, bn, p_wz, delta2)
                 want = [output_word_law(p_y_given_zw.table, z, w_hat, y) for y in words]
                 np.testing.assert_array_equal(tabs.y_rows[zi, tabs.decoded[mu, zi, m]], want)
 

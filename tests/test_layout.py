@@ -1,7 +1,8 @@
-"""Layout guard: every module-level definition in ``src/corrsynth`` is reached.
+"""Layout guard: every definition in ``src/corrsynth`` is reached.
 
-A function or class defined at module level in the package is *reached* when
-one of these names it:
+A definition is a function or class at module level, or a method (property,
+classmethod, ...) of such a class.  It is *reached* when one of these names
+it:
 
 * the console-script entry in ``pyproject.toml``;
 * a module-level statement of the package other than an import (a dispatch
@@ -11,10 +12,12 @@ one of these names it:
 * ``tests/test_acceptance.py``;
 * the body of a reached definition.
 
-Names are matched by identifier, not by module, so a reference may reach a
-homonym too; the guard errs towards keeping code.  What nothing reaches is
-either deleted or, when unit tests compare ``src`` against it, kept in
-``tests/_oracles.py``.
+A class's own body (its decorators, bases, fields and dunder methods such as
+``__post_init__``, which Python calls for it) is reached with the class; each
+other method is reached only when it is named itself.  Names are matched by
+identifier, not by module or class, so a reference may reach a homonym too;
+the guard errs towards keeping code.  What nothing reaches is either deleted
+or, when unit tests compare ``src`` against it, kept in ``tests/_oracles.py``.
 """
 
 import ast
@@ -24,11 +27,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "corrsynth"
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _names(node: ast.AST) -> set[str]:
-    """Every identifier ``node`` mentions: names, attributes and dotted strings."""
+
+def _names(*nodes: ast.AST) -> set[str]:
+    """Every identifier ``nodes`` mention: names, attributes and dotted strings."""
     found = set()
-    for sub in ast.walk(node):
+    for sub in (s for node in nodes for s in ast.walk(node)):
         if isinstance(sub, ast.Name):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -43,14 +48,32 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_method(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, _FUNCTIONS) and not re.fullmatch(r"__\w+__", stmt.name)
+
+
+def _definitions(stmt: ast.stmt, module: str):
+    """(identifier, qualified name, names it reaches) of a def or class and its methods."""
+    if isinstance(stmt, _FUNCTIONS):
+        yield stmt.name, f"{module}.{stmt.name}", _names(stmt)
+    elif isinstance(stmt, ast.ClassDef):
+        own = [s for s in stmt.body if not _is_method(s)]
+        yield stmt.name, f"{module}.{stmt.name}", _names(
+            *stmt.decorator_list, *stmt.bases, *stmt.keywords, *own
+        )
+        for method in filter(_is_method, stmt.body):
+            yield method.name, f"{module}.{stmt.name}.{method.name}", _names(method)
+
+
 def unreached_definitions() -> list[str]:
-    """``module.name`` of every module-level def or class no root reaches."""
-    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    """Qualified name of every def, class or method no root reaches."""
+    defs: dict[str, list[tuple[str, set[str]]]] = {}
     roots: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in _parse(path).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(stmt.name, []).append((path.stem, stmt))
+            if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+                for name, qualified, reaches in _definitions(stmt, path.stem):
+                    defs.setdefault(name, []).append((qualified, reaches))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _names(stmt)
     entry = re.search(r'^corrsynth\s*=\s*"corrsynth\.\w+:(\w+)"',
@@ -68,10 +91,10 @@ def unreached_definitions() -> list[str]:
         if name in reached:
             continue
         reached.add(name)
-        for _, node in defs[name]:
-            frontier.extend(n for n in _names(node) if n in defs and n not in reached)
-    return sorted(f"{module}.{name}" for name, where in defs.items()
-                  if name not in reached for module, _ in where)
+        for _, reaches in defs[name]:
+            frontier.extend(n for n in reaches if n in defs and n not in reached)
+    return sorted(qualified for name, where in defs.items()
+                  if name not in reached for qualified, _ in where)
 
 
 def test_every_src_definition_is_reached():

@@ -6,7 +6,6 @@ from corrsynth.probability import (
     CondPmf,
     JointPmf,
     ProductPmf,
-    UndefinedConditionalError,
     conditional_mutual_information,
     entropy,
     mutual_information,
@@ -70,17 +69,16 @@ def test_condition_zero_mass_row_is_undefined():
     p = JointPmf.from_table(("X", "Y"), t / t.sum())
     c = p.condition(("X",))
     assert c.defined[0] and not c.defined[1]
-    assert np.allclose(c.row((0,)), [0.5, 0.5])
-    with pytest.raises(UndefinedConditionalError):
-        c.row((1,))
+    assert np.allclose(c.table[0], [0.5, 0.5])
+    assert np.isnan(c.table[1]).all()
 
 
 def test_point_mass_conditional_row():
     t = np.array([[0.7, 0.0], [0.0, 0.3]])
     p = JointPmf.from_table(("X", "Y"), t)
     c = p.condition(("X",))
-    assert np.allclose(c.row((0,)), [1.0, 0.0])
-    assert np.allclose(c.row((1,)), [0.0, 1.0])
+    assert c.defined.all()
+    assert np.allclose(c.table, [[1.0, 0.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from corrsynth.budget import BudgetExceededError
 from corrsynth.probability import JointPmf
 from corrsynth.typicality import (
-    TypicalityParams,
     enumerate_sequences,
     marginal_typical_mask,
     pairwise_typical_mask,
@@ -106,15 +105,6 @@ def test_marginal_mask_matches_scalar_route():
     mask = marginal_typical_mask(seqs, p.table, 0.25)
     for i in range(0, 64, 7):
         assert mask[i] == is_typical(seqs[i], p, 0.25)
-
-
-def test_params_delta2_derived():
-    tp = TypicalityParams(0.3, x_size=2, y_size=3, z_size=2)
-    assert abs(tp.delta2 - 0.3 * (2 * 3 + 2)) < 1e-15
-    with pytest.raises(ValueError):
-        TypicalityParams(1.0, 2, 2, 2)
-    with pytest.raises(ValueError):
-        TypicalityParams(0.0, 2, 2, 2)
 
 
 def test_is_typical_rejects_bad_input():
