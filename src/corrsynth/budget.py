@@ -24,10 +24,13 @@ class BudgetExceededError(RuntimeError):
 def enumeration_budget(override: int | None = None) -> int:
     """Current term budget: explicit override, else $CORRSYNTH_BUDGET, else default.
 
-    A budget that is not positive, from either source, is a ValueError.
+    An override that is not an ``int`` (a ``bool``, a float or a string) or
+    a budget that is not positive, from either source, is a ValueError.
     """
     if override is not None:
-        value, source = int(override), "budget"
+        if isinstance(override, bool) or not isinstance(override, int):
+            raise ValueError(f"budget must be an integer, got {override!r}")
+        value, source = override, "budget"
     else:
         raw = os.environ.get(ENV_VAR)
         if raw is None:

@@ -36,15 +36,16 @@ from .codec_ptp import (
     Codebook,
     CodecParams,
     _check_joint_budget,
+    _check_shared,
     _decoded_rows,
     _draw_codebook,
     _encoder_stage,
     _letter_target,
     _stream_chunk,
     _streamed_tv,
+    _word_law,
     _word_rows,
     derived_rng,
-    word_alphabet,
 )
 from .probability import CondPmf, JointPmf, ProductPmf
 from .typicality import enumerate_sequences, pairwise_typical_mask
@@ -67,11 +68,12 @@ class DistCodecParams:
     codeword choice through the randomness block.  ``c_total``, when given,
     caps the split c1 + c2.
 
-    ``legs`` holds each encoder's :class:`CodecParams` with the shared n, δ,
-    η and seed; their own checks validate the legs, each error prefixed with
-    ``encoder j:``.  It is not a dataclass field, so ``asdict`` sees the
-    eleven flat fields only.  Each leg's codebook carries its own ε;
-    min(ε₁, ε₂) is recorded nowhere.
+    n, δ and η are checked once, unprefixed, by the single-encoder checks.
+    ``legs`` then holds each encoder's :class:`CodecParams` with the shared
+    n, δ, η and seed; their own checks validate each leg's rates, with the
+    error prefixed ``encoder j:``.  It is not a dataclass field, so
+    ``asdict`` sees the eleven flat fields only.  Each leg's codebook carries
+    its own ε; min(ε₁, ε₂) is recorded nowhere.
     """
 
     n: int
@@ -87,6 +89,7 @@ class DistCodecParams:
     c_total: float | None = None
 
     def __post_init__(self):
+        _check_shared(self.n, self.delta, self.eta)
         legs = []
         for j, (rt, r, c) in enumerate(
             ((self.rt1, self.r1, self.c1), (self.rt2, self.r2, self.c2)), start=1
@@ -267,19 +270,9 @@ def dist_induced_joint_exact(
         p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
         codebooks, binnings, params, budget,
     )
-    out = _dist_slice(tabs, params.k_sizes, slice(None))
-    total = float(out.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ArithmeticError(f"induced law sums to {total}, expected 1")
-    return JointPmf(
-        (p_x1x2.names[0], p_x1x2.names[1], p_y_given_w1w2.out_names[0]),
-        (
-            word_alphabet(p_x1x2.alphabets[0], params.n),
-            word_alphabet(p_x1x2.alphabets[1], params.n),
-            word_alphabet(p_y_given_w1w2.out_alphabets[0], params.n),
-        ),
-        out,
-    )
+    return _word_law((*p_x1x2.names, p_y_given_w1w2.out_names[0]),
+                     (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0]), params.n,
+                     _dist_slice(tabs, params.k_sizes, slice(None)))
 
 
 def dist_streamed_tv_deficit(

@@ -62,6 +62,16 @@ def _pow2_size(n: int, rate: float) -> int:
     return max(1, round(2.0 ** (n * rate)))
 
 
+def _check_shared(n: int, delta: float, eta: float) -> None:
+    """The blocklength and slack checks of every codec, one encoder or two."""
+    if n < 1:
+        raise ValueError(f"blocklength must be >= 1, got {n}")
+    if not (0 < delta < 1):
+        raise ValueError(f"delta must lie in (0,1), got {delta}")
+    if not (0 <= eta < 1):
+        raise ValueError(f"eta must lie in [0,1), got {eta}")
+
+
 @dataclass(frozen=True)
 class CodecParams:
     """Blocklength, rates (bits/letter), typicality slacks, and the run seed.
@@ -81,12 +91,7 @@ class CodecParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"blocklength must be >= 1, got {self.n}")
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
-        if not (0 <= self.eta < 1):
-            raise ValueError(f"eta must lie in [0,1), got {self.eta}")
+        _check_shared(self.n, self.delta, self.eta)
         if self.rt <= 0:
             raise ValueError(f"codebook rate must be positive, got {self.rt}")
         if not (0 <= self.r <= self.rt):
@@ -415,6 +420,14 @@ def word_alphabet(base: Alphabet, n: int) -> Alphabet:
     return Alphabet(tuple(sep.join(base.symbols[c] for c in row) for row in words))
 
 
+def _word_law(names, alphabets, n: int, table: np.ndarray) -> JointPmf:
+    """An induced n-letter law over word alphabets, checked to total one within 1e-9."""
+    total = float(table.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ArithmeticError(f"induced law sums to {total}, expected 1")
+    return JointPmf(tuple(names), tuple(word_alphabet(a, n) for a in alphabets), table)
+
+
 def product_pmf(p: JointPmf, n: int, budget: int | None = None) -> JointPmf:
     """n-fold product law as a JointPmf over word alphabets (same axis names)."""
     table = ProductPmf(p, n).table(budget)
@@ -653,21 +666,9 @@ def induced_joint_exact(
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     # one chunk, one batched product over z; the (X, Y, Z) table is a view of it
     _, q = next(_induced_slices(tabs, tabs.zs.shape[0], tabs.row_letters[:, :, :0]))
-    out = q.transpose(1, 2, 0)
-    total = float(out.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ArithmeticError(f"induced law sums to {total}, expected 1")
-    x_name, z_name = p_xz.names
-    y_name = p_y_given_zw.out_names[0]
-    return JointPmf(
-        (x_name, y_name, z_name),
-        (
-            word_alphabet(p_xz.alphabets[0], params.n),
-            word_alphabet(p_y_given_zw.out_alphabets[0], params.n),
-            word_alphabet(p_xz.alphabets[1], params.n),
-        ),
-        out,
-    )
+    (x_name, z_name), (x_base, z_base) = p_xz.names, p_xz.alphabets
+    return _word_law((x_name, p_y_given_zw.out_names[0], z_name),
+                     (x_base, p_y_given_zw.out_alphabets[0], z_base), params.n, q.transpose(1, 2, 0))
 
 
 def sample_induced(

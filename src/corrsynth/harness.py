@@ -21,12 +21,12 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, enumeration_budget
 from .codec_dist import DistCodecParams, build_dist_codec, dist_streamed_tv_deficit
 from .codec_ptp import (
     CodecParams,
@@ -49,6 +49,7 @@ __all__ = [
     "instance_to_dict",
     "instance_from_dict",
     "named_instance",
+    "resolve_instance",
     "reference_instance",
     "synthesis_demo_instance",
     "dist_demo_instance",
@@ -63,6 +64,8 @@ __all__ = [
     "aggregate_rows",
     "run_tv_experiment",
     "soft_covering_trials",
+    "write_csv",
+    "write_sidecar",
     "write_report",
     "read_report_rows",
     "format_cell",
@@ -264,23 +267,19 @@ def dist_instance_from_tables(p_x1x2, w1_given_x1, w2_given_x2, y_given_w1w2) ->
     )
 
 
+#: serialized kind -> (instance type, builder taking its fields' tables in order)
+_KINDS = {
+    "ptp": (PtpInstance, ptp_instance_from_tables),
+    "dist": (DistInstance, dist_instance_from_tables),
+}
+
+
 def instance_to_dict(instance) -> dict:
     """JSON-ready dict of the instance tables."""
-    if isinstance(instance, PtpInstance):
-        return {
-            "kind": "ptp",
-            "p_xz": instance.p_xz.table.tolist(),
-            "p_w_given_x": instance.p_w_given_x.table.tolist(),
-            "p_y_given_zw": instance.p_y_given_zw.table.tolist(),
-        }
-    if isinstance(instance, DistInstance):
-        return {
-            "kind": "dist",
-            "p_x1x2": instance.p_x1x2.table.tolist(),
-            "p_w1_given_x1": instance.p_w1_given_x1.table.tolist(),
-            "p_w2_given_x2": instance.p_w2_given_x2.table.tolist(),
-            "p_y_given_w1w2": instance.p_y_given_w1w2.table.tolist(),
-        }
+    for kind, (cls, _) in _KINDS.items():
+        if isinstance(instance, cls):
+            return {"kind": kind, **{f.name: getattr(instance, f.name).table.tolist()
+                                     for f in fields(cls)}}
     raise TypeError(f"not an instance: {type(instance).__name__}")
 
 
@@ -288,15 +287,12 @@ def instance_from_dict(d: dict):
     """Inverse of :func:`instance_to_dict`."""
     try:
         kind = d["kind"]
-        if kind == "ptp":
-            return ptp_instance_from_tables(d["p_xz"], d["p_w_given_x"], d["p_y_given_zw"])
-        if kind == "dist":
-            return dist_instance_from_tables(
-                d["p_x1x2"], d["p_w1_given_x1"], d["p_w2_given_x2"], d["p_y_given_w1w2"]
-            )
+        if kind not in _KINDS:
+            raise ValueError(f"malformed instance spec: unknown kind {kind!r}")
+        cls, build = _KINDS[kind]
+        return build(*(d[f.name] for f in fields(cls)))
     except (KeyError, TypeError) as err:
         raise ValueError("malformed instance spec") from err
-    raise ValueError(f"malformed instance spec: unknown kind {kind!r}")
 
 
 def _flip(eps: float) -> np.ndarray:
@@ -378,6 +374,11 @@ def named_instance(name: str):
         ) from None
 
 
+def resolve_instance(entry):
+    """A spec's instance entry: a registry name or an :func:`instance_to_dict` dict."""
+    return named_instance(entry) if isinstance(entry, str) else instance_from_dict(entry)
+
+
 # ---------------------------------------------------------------------------
 # trial plumbing
 # ---------------------------------------------------------------------------
@@ -448,8 +449,8 @@ class ExperimentSpec:
             raise ValueError("trials must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.budget is not None and (not isinstance(self.budget, int) or self.budget < 1):
-            raise ValueError("budget must be a positive integer when given")
+        if self.budget is not None:
+            enumeration_budget(self.budget)
         if self.sweep is not None:
             name, values = self.sweep
             if name not in _SWEEPABLE[self.kind]:
@@ -566,8 +567,7 @@ def experiment_spec_from_dict(d: dict) -> ExperimentSpec:
     """
     try:
         kind = d["kind"]
-        raw_inst = d["instance"]
-        instance = named_instance(raw_inst) if isinstance(raw_inst, str) else instance_from_dict(raw_inst)
+        instance = resolve_instance(d["instance"])
         params_cls = CodecParams if kind == "ptp" else DistCodecParams
         params = params_cls(**d["params"])
         sweep = d.get("sweep")
@@ -615,6 +615,14 @@ def _dist_trial(instance: DistInstance, params: DistCodecParams, budget):
     return tv, valid, books.first.degenerate or books.second.degenerate
 
 
+def _map(fn, items, threads: int) -> tuple:
+    """``fn`` over ``items``, in order, on ``threads`` worker threads (serial at 1)."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return tuple(pool.map(fn, items))
+    return tuple(map(fn, items))
+
+
 def run_tv_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
     """Draw a fresh codec per trial and score its exact end-to-end deficit.
 
@@ -658,11 +666,7 @@ def run_tv_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentRepor
             runtime=time.perf_counter() - start,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(execute, enumerate(jobs)))
-    else:
-        rows = tuple(execute(item) for item in enumerate(jobs))
+    rows = _map(execute, enumerate(jobs), threads)
     return ExperimentReport(spec=spec, rows=rows, aggregates=aggregate_rows(rows))
 
 
@@ -707,30 +711,32 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def write_csv(path, header, rows) -> None:
+    """One header line, then each row's cells through :func:`format_cell`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+
+
+def write_sidecar(path, payload: dict) -> None:
+    """``payload`` as sorted, indented JSON beside the CSV at ``path`` (same stem, ``.json``)."""
+    Path(path).with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_report(path, report: ExperimentReport) -> None:
     """Write rows as CSV and (spec, aggregates) as a JSON sidecar.
 
-    The sidecar lands next to the CSV with a ``.json`` suffix.  Runtimes are
-    deliberately not emitted; both files are byte-identical across reruns of
-    the same spec.
+    Runtimes are deliberately not emitted; both files are byte-identical
+    across reruns of the same spec.
     """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TV_REPORT_HEADER)
-        for r in report.rows:
-            writer.writerow(
-                format_cell(v)
-                for v in (
-                    r.index, r.seed, r.param, r.value, r.n,
-                    r.tv_deficit, r.valid, r.degenerate, r.skipped, r.reason,
-                )
-            )
-    sidecar = {
+    write_csv(path, TV_REPORT_HEADER,
+              [tuple(getattr(r, f) for f in TV_REPORT_HEADER) for r in report.rows])
+    write_sidecar(path, {
         "spec": experiment_spec_to_dict(report.spec),
         "aggregates": [asdict(a) for a in report.aggregates],
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def read_report_rows(path) -> tuple[TrialRow, ...]:
@@ -815,12 +821,14 @@ def validity_rate(
     params_list,
     trials: int = 200,
     budget: int | None = None,
+    threads: int = 1,
 ) -> list[ChernoffCheck]:
     """Empirical P(every typical input gets a proper sub-PMF) per parameter set.
 
     Each entry draws ``trials`` codebooks (seeds derived from the parameter
-    seed and the trial index) and reports the all-inputs validity frequency,
-    the per-(input, block) frequency, and the closed-form union bound.
+    seed and the trial index, on ``threads`` workers; the count never changes
+    a value) and reports the all-inputs validity frequency, the per-(input,
+    block) frequency, and the closed-form union bound.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -830,16 +838,16 @@ def validity_rate(
     p_x = p_joint_xw.marginalize(("X",))
     checks = []
     for params in params_list:
-        all_valid = np.empty(trials, dtype=bool)
-        pointwise = np.empty(trials)
-        for t in range(trials):
+        def draw(t, params=params):
             codebook = build_ptp_codebook(
                 p_w,
                 replace(params, seed=trial_seed(params.seed, t)),
                 allow_degenerate=True,
                 budget=budget,
             )
-            all_valid[t], pointwise[t] = encoder_validity(codebook, p_joint_xw, params, budget)
+            return encoder_validity(codebook, p_joint_xw, params, budget)
+
+        all_valid, pointwise = (np.array(v) for v in zip(*_map(draw, range(trials), threads)))
         count = typical_set(p_x, params.n, params.delta, budget).shape[0]
         delta1 = params.delta * info["h_x_given_w"]
         checks.append(

@@ -167,23 +167,9 @@ def _clean_rows(rows) -> tuple[LinearRow, ...]:
 
 
 @dataclass(frozen=True)
-class EliminationStep:
-    """Bookkeeping for one eliminated variable."""
-
-    variable: str
-    rows_before: int
-    lower_rows: int
-    upper_rows: int
-    #: (lower_index, upper_index) parent pairs, indices into the pre-step rows;
-    #: passthrough rows are recorded as (index, -1)
-    provenance: tuple[tuple[int, int], ...]
-    rows_after: int
-
-
-@dataclass(frozen=True)
 class Projection:
-    order: tuple[str, ...]
-    steps: tuple[EliminationStep, ...]
+    """The result of :func:`fm_eliminate_all`: the system over the variables kept."""
+
     system: LinIneqSystem
 
 
@@ -201,43 +187,19 @@ def fm_eliminate_all(system: LinIneqSystem, variables) -> Projection:
     t; neutral rows pass through.  Output rows are normalized, deduplicated
     and sorted, so results are independent of input row order.
     """
-    steps = []
     current = system
     for name in variables:
         j = current.var_index(name)
-        lowers, uppers, keeps = [], [], []
-        for idx, row in enumerate(current.rows):
-            c = row.coeffs[j]
-            if c > 0:
-                lowers.append((idx, row))
-            elif c < 0:
-                uppers.append((idx, row))
-            else:
-                keeps.append((idx, row))
-        produced = []
-        provenance = []
-        for idx, row in keeps:
-            produced.append(_drop_var(row, j))
-            provenance.append((idx, -1))
-        for li, lrow in lowers:
-            for ui, urow in uppers:
+        lowers = [row for row in current.rows if row.coeffs[j] > 0]
+        uppers = [row for row in current.rows if row.coeffs[j] < 0]
+        produced = [_drop_var(row, j) for row in current.rows if row.coeffs[j] == 0]
+        for lrow in lowers:
+            for urow in uppers:
                 combined = lrow.scaled(-urow.coeffs[j]).plus(urow.scaled(lrow.coeffs[j]))
                 produced.append(_drop_var(combined, j))
-                provenance.append((li, ui))
         new_vars = current.variables[:j] + current.variables[j + 1 :]
-        cleaned = _clean_rows(produced)
-        steps.append(
-            EliminationStep(
-                variable=name,
-                rows_before=len(current.rows),
-                lower_rows=len(lowers),
-                upper_rows=len(uppers),
-                provenance=tuple(provenance),
-                rows_after=len(cleaned),
-            )
-        )
-        current = LinIneqSystem(new_vars, current.constants, cleaned)
-    return Projection(tuple(variables), tuple(steps), current)
+        current = LinIneqSystem(new_vars, current.constants, _clean_rows(produced))
+    return Projection(current)
 
 
 def _drop_var(row: LinearRow, j: int) -> LinearRow:

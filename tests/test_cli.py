@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import corrsynth
-from corrsynth.cli import cli_dispatch, main
+from corrsynth import cli, harness
+from corrsynth.cli import cli_dispatch
 from corrsynth.harness import (
     instance_to_dict,
     read_report_rows,
@@ -151,7 +152,7 @@ def test_non_finite_probabilities_exit_one(tmp_path, capsys):
     ]
     for command, payload in runs:
         spec = write_json(tmp_path / f"{command}.json", payload)
-        out = tmp_path / f"{command}.csv"
+        out = tmp_path / f"{command}-out.csv"
         assert cli_dispatch([command, "--spec", spec, "--out", str(out)]) == 1, command
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "nan" in err, command
@@ -163,7 +164,7 @@ def test_fm_projects_the_packaged_system(tmp_path):
     write_system(sys_path, ptp_pre_elimination_system())
     out = tmp_path / "projected.json"
     code = cli_dispatch(
-        ["fm", "--system", str(sys_path), "--eliminate", "Rt", "--out", str(out)]
+        ["fm", "--spec", str(sys_path), "--eliminate", "Rt", "--out", str(out)]
     )
     assert code == 0
     projected = read_system(out)
@@ -220,7 +221,7 @@ def test_simulate_dist_runs_the_two_encoder_codec(tmp_path):
             "trials": 3,
         },
     )
-    out = tmp_path / "dist.csv"
+    out = tmp_path / "report.csv"
     assert cli_dispatch(["simulate-dist", "--spec", spec, "--out", str(out)]) == 0
     rows = read_report_rows(out)
     assert len(rows) == 3
@@ -240,13 +241,35 @@ def test_validity_subcommand_writes_one_row_per_blocklength(tmp_path):
             "trials": 5,
         },
     )
-    out = tmp_path / "validity.csv"
+    out = tmp_path / "rows.csv"
     assert cli_dispatch(["validity", "--spec", spec, "--out", str(out)]) == 0
     rows = read_rows(out)
     assert rows[0][0] == "n" and len(rows) == 3
     assert [rec[0] for rec in rows[1:]] == ["2", "3"]
     assert all(float(rec[10]) == 1.0 for rec in rows[1:])  # empirical column
-    assert (tmp_path / "validity.json").exists()
+    assert (tmp_path / "rows.json").exists()
+
+
+def test_validity_threads_draw_in_parallel_and_never_change_a_row(tmp_path, monkeypatch):
+    pools = []
+
+    class Recording(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    spec = write_json(tmp_path / "validity.json", {
+        "instance": "synthesis-demo", "trials": 3, "ns": [4, 5],
+        "params": {"n": 4, "rt": 1.5, "r": 0.0, "c": 0.25, "delta": 0.5, "eta": 0.9, "seed": 2},
+    })
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}.csv")
+        assert cli_dispatch(["validity", "--spec", spec, "--out", out, "--threads", threads]) == 0
+    assert pools == [2, 2]  # one pool per blocklength, none at --threads 1
+    for suffix in (".csv", ".json"):
+        one, two = (tmp_path / f"threads{t}{suffix}" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()
 
 
 def test_chernoff_subcommand_emits_the_check(tmp_path):
@@ -276,14 +299,14 @@ def test_softcover_subcommand_lists_per_trial_deficits(tmp_path):
             },
         },
     )
-    out = tmp_path / "soft.csv"
+    out = tmp_path / "deficits.csv"
     assert cli_dispatch(["softcover", "--spec", spec, "--out", str(out), "--trials", "4"]) == 0
     rows = read_rows(out)
     assert rows[0] == ["index", "seed", "deficit"]
     assert len(rows) == 5
     deficits = [float(rec[2]) for rec in rows[1:]]
     assert all(0.0 <= d <= 1.0 for d in deficits)
-    sidecar = json.loads((tmp_path / "soft.json").read_text())
+    sidecar = json.loads((tmp_path / "deficits.json").read_text())
     assert sidecar["mean"] == pytest.approx(np.mean(deficits))
 
 
@@ -299,6 +322,89 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert cli_dispatch(["chernoff", "--spec", "x.json", "--out", "y.csv", "--wat"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+#: the flags each subcommand reads besides --spec and --out
+FLAG_ROWS = {
+    "region-ptp": {"seed"},
+    "region-dist": set(),
+    "fm": {"eliminate"},
+    "simulate-ptp": {"trials", "seed", "budget", "threads", "sweep"},
+    "simulate-dist": {"trials", "seed", "budget", "threads", "sweep"},
+    "validity": {"trials", "seed", "budget", "threads"},
+    "chernoff": {"trials", "seed"},
+    "softcover": {"trials", "seed", "budget"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_ROWS))
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command):
+    argv = [command, "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.csv")]
+    if command == "fm":
+        argv += ["--eliminate", "Rt"]
+    everything = {"trials", "seed", "budget", "threads", "eliminate", "sweep", "system"}
+    for flag in sorted(everything - FLAG_ROWS[command]):
+        assert cli_dispatch([*argv, f"--{flag}", "1"]) == 1, flag
+        err = capsys.readouterr().err
+        assert "usage: corrsynth" in err and f"--{flag}" in err
+    row = [word for flag in FLAG_ROWS[command] - {"eliminate"} for word in (f"--{flag}", "1")]
+    parsed = cli._parser().parse_args(argv + row)
+    assert set(vars(parsed)) == {"command", "spec", "out"} | FLAG_ROWS[command]
+    assert not list(tmp_path.iterdir())
+
+
+SIDECAR_SPECS = {
+    "region-ptp": {"p_xyz": np.full((2, 2, 2), 0.125).tolist(), "lambda_grid": 1, "iters": 1},
+    "simulate-ptp": {"instance": "reference", "trials": 1, "params": {
+        "n": 2, "rt": 0.9, "r": 0.4, "c": 0.3, "delta": 0.34, "eta": 0.1, "seed": 3}},
+    "simulate-dist": {"instance": "dist-demo", "trials": 1, "params": {
+        "n": 1, "rt1": 1.0, "rt2": 1.0, "r1": 1.0, "r2": 1.0,
+        "c1": 0.5, "c2": 0.5, "delta": 0.5, "eta": 0.2, "seed": 1}},
+    "validity": {"instance": "reference", "trials": 1, "params": {
+        "n": 2, "rt": 1.6688, "r": 0.0, "c": 0.0, "delta": 0.34, "eta": 0.1, "seed": 5}},
+    "softcover": {"instance": "reference", "trials": 1, "params": {
+        "n": 2, "rt": 1.2, "r": 0.0, "c": 0.0, "delta": 0.34, "eta": 0.0, "seed": 7}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIDECAR_SPECS))
+def test_a_sidecar_never_overwrites_the_spec(tmp_path, capsys, command, monkeypatch):
+    """``--out spec.csv`` would put the sidecar at spec.json: refused before any work."""
+    spec = tmp_path / "spec.json"
+    write_json(spec, SIDECAR_SPECS[command])
+    before = spec.read_bytes()
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    for out in (tmp_path / "spec.csv", "../spec.csv"):
+        assert cli_dispatch([command, "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overwrite" in err
+        assert spec.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "sub"]
+    # a name of its own runs, and writes the sidecar beside it
+    assert cli_dispatch([command, "--spec", str(spec), "--out", "out.csv"]) == 0
+    assert spec.read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["out.csv", "out.json"]
+
+
+def test_commands_without_a_sidecar_may_share_the_spec_stem(tmp_path):
+    spec = write_json(tmp_path / "coin.json", {"n_samples": 50, "theta": 0.5, "eta": 0.4})
+    out = tmp_path / "coin.csv"
+    assert cli_dispatch(["chernoff", "--spec", spec, "--out", str(out), "--trials", "20"]) == 0
+    assert len(read_rows(out)) == 2
+
+
+@pytest.mark.parametrize("budget", ["100000", 2.5e6, True], ids=["string", "float", "bool"])
+@pytest.mark.parametrize("command", ["validity", "softcover", "simulate-ptp"])
+def test_spec_budgets_must_be_integers(tmp_path, capsys, command, budget):
+    spec = write_json(tmp_path / "spec.json", {
+        "instance": "reference", "trials": 1, "budget": budget,
+        "params": {"n": 2, "rt": 0.9, "r": 0.4, "c": 0.3, "delta": 0.34, "eta": 0.1, "seed": 3},
+    })
+    assert cli_dispatch([command, "--spec", spec, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: budget must be an integer, got {budget!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_validation_errors_exit_one(tmp_path, sim_spec):
@@ -411,7 +517,7 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
-    assert main(["not-a-command"]) == 1
+    assert cli_dispatch(["not-a-command"]) == 1
 
 
 def test_one_process_dispatches_like_separate_processes(tmp_path):

@@ -102,6 +102,21 @@ def test_params_sizes_split_and_validation():
         )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 0, "blocklength must be >= 1"),
+    ("delta", 1.0, "delta must lie in (0,1)"),
+    ("eta", 1.0, "eta must lie in [0,1)"),
+])
+def test_shared_fields_are_checked_once_without_a_leg_prefix(field, value, message):
+    """n, delta and eta belong to both encoders, so their errors name neither."""
+    kwargs = dict(n=2, rt1=1.0, rt2=1.0, r1=0.5, r2=0.5, c1=0.0, c2=0.0,
+                  delta=0.3, eta=0.0, seed=0)
+    with pytest.raises(ValueError) as err:
+        DistCodecParams(**{**kwargs, field: value})
+    assert str(err.value) == f"{message}, got {value}"
+    assert "encoder" not in str(err.value)
+
+
 def test_legs_are_the_single_encoder_params():
     """Leg j is encoder j's CodecParams with the shared n, delta, eta and seed."""
     params = DistCodecParams(

@@ -355,7 +355,7 @@ def test_trials_never_build_the_joint_table_or_word_alphabets(monkeypatch):
         "corrsynth.codec_ptp.product_pmf",
         "corrsynth.codec_ptp.word_alphabet",
         "corrsynth.codec_dist.dist_induced_joint_exact",
-        "corrsynth.codec_dist.word_alphabet",
+        "corrsynth.codec_dist._word_law",
     ):
         monkeypatch.setattr(target, fail)
     for name in ("induced_joint_exact", "tv_deficit", "dist_induced_joint_exact"):
@@ -385,14 +385,14 @@ def test_an_n7_trial_peaks_below_300_mb(tmp_path):
     )
     src = str(Path(corrsynth.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(spec), str(tmp_path / "sim.csv")],
+        [sys.executable, "-c", script, str(spec), str(tmp_path / "report.csv")],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     rc, peak_kib = proc.stdout.split()[-2:]
     assert rc == "0"
-    assert not read_report_rows(tmp_path / "sim.csv")[0].skipped
+    assert not read_report_rows(tmp_path / "report.csv")[0].skipped
     assert int(peak_kib) < 300 * 1024
 
 

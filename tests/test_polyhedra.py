@@ -310,14 +310,6 @@ def test_ptp_projection_reproduces_closed_form_exactly():
     assert set(projected.rows) == set(theorem.rows)
 
 
-def test_ptp_projection_step_counts():
-    proj = fm_eliminate_all(ptp_pre_elimination_system(), ["Rt"])
-    (step,) = proj.steps
-    assert step.variable == "Rt"
-    assert (step.lower_rows, step.upper_rows) == (2, 1)
-    assert step.rows_after == 2
-
-
 # ---------------------------------------------------------------------------
 # canonical systems: distributed
 # ---------------------------------------------------------------------------
@@ -425,17 +417,6 @@ def test_dist_membership_agreement_on_random_rationals():
                 disagreements += 1
     assert disagreements == 0
     assert time.monotonic() - start < 10.0
-
-
-def test_dist_projection_step_log():
-    proj = fm_eliminate_all(dist_pre_elimination_system(), DIST_ELIMINATION_ORDER)
-    assert proj.order == DIST_ELIMINATION_ORDER
-    assert [s.variable for s in proj.steps] == list(DIST_ELIMINATION_ORDER)
-    for step in proj.steps:
-        combined = step.lower_rows * step.upper_rows
-        passthrough = step.rows_before - step.lower_rows - step.upper_rows
-        assert len(step.provenance) == combined + passthrough
-        assert step.rows_after <= combined + passthrough
 
 
 # ---------------------------------------------------------------------------
