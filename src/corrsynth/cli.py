@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default would sys.exit(2)
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse, refusing leftovers with this parser's own usage line.
+
+        argparse would hand a subcommand's leftover flags up to the
+        top-level parser, whose usage does not list the subcommand's flags.
+        """
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 #: argparse settings of every optional flag; each subcommand adds the ones it reads
 _FLAGS = {
@@ -249,12 +260,13 @@ def cli_dispatch(argv=None) -> int:
     """Parse arguments, run one subcommand, and map failures to exit codes."""
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args, _ = parser.parse_known_args(argv)  # every parser refuses its own leftovers
         if args.command is None:
             raise _UsageError(parser.format_usage())
-        command = _COMMANDS[args.command]
-        sidecar = Path(args.out).with_suffix(".json")
-        if command.sidecar and sidecar.resolve() == Path(args.spec).resolve():
+        command, spec, out = _COMMANDS[args.command], Path(args.spec).resolve(), Path(args.out)
+        if out.resolve() == spec:
+            raise ValueError(f"--out {args.out} would overwrite --spec {args.spec}")
+        if command.sidecar and out.with_suffix(".json").resolve() == spec:
             raise ValueError(f"--out {args.out} would write its sidecar over --spec {args.spec}")
         command.handler(args)
     except _UsageError as err:

@@ -308,4 +308,4 @@ def dist_streamed_tv_deficit(
         (_word_rows(list(head[:, x1s])), _dist_slice(tabs, params.k_sizes, x1s))
         for x1s in (slice(s, s + chunk) for s in range(0, a1, chunk))
     )
-    return _streamed_tv(pairs, alphabets), tabs.valid
+    return _streamed_tv(pairs, a1, alphabets), tabs.valid

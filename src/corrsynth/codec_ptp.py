@@ -617,33 +617,81 @@ def _build_system_tables(
     return _SystemTables(p_xz_words, messages, decoded, zs, row_letters, valid)
 
 
-def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
-    """Yield (head words, q[c, x, y] = P(x, y, z_c)) per chunk of z-words.
+def _half_word_rows(row_letters: np.ndarray, z_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gh, gt): the output rows' two half-word tables, over |Z| = ``z_size``.
 
-    ``head`` (n, Az, H, Y) holds further letter factors, built into words in
-    the same pass as the output rows.  mass[c, r, x] = Σ_μ Σ_{m → r} P(m|x, μ)
-    p(x, z_c)/K: a block's distinct words sit in one bin each, so per (μ, z)
-    at most one message decodes to a row r >= 1 (index M+1 reads zeros), and
-    row 0 (w0) takes every other message.  A slice is one batched product
-    with its own output rows, so it does not depend on the chunk size.
+    With k = n // 2 and z = z_head·|Z|^(n−k) + z_tail, ``gh[z_head, r,
+    y_head]`` multiplies letters 0..k−1 and ``gt[z_tail, r, y_tail]`` letters
+    k..n−1, each in letter order (:func:`_word_rows`); row r of z is their
+    outer product.  At n = 1, k = 0 and gh is the one empty word: 1.0.
+    """
+    n, _, rr, _ = row_letters.shape
+    k, tails = n // 2, z_size ** (n - n // 2)
+    gh = _word_rows(list(row_letters[:k, ::tails])) if k else np.ones((1, rr, 1))
+    return gh, _word_rows(list(row_letters[k:, :tails]))
+
+
+def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
+    """Yield (t, q[c, x, y] = P(x, y, z_c)) per chunk of z-words.
+
+    ``head`` (n, Az, H, Y) holds further letter factors, and t[c, h, y] is
+    their word product Π_i head[i, c, h, y_i], multiplied in letter order:
+    with the target's letters as head, t is :func:`product_pmf`'s table bit
+    for bit.  Consecutive big-endian z-words share their leading letters, so
+    t keeps the running product of each prefix and extends it from the first
+    letter that changes; this needs head[i, c] to depend on z_c only through
+    its first i+1 letters, as a head built from z's letters does.
+
+    mass[c, r, x] = Σ_μ Σ_{m → r} P(m|x, μ) p(x, z_c)/K: a block's distinct
+    words sit in one bin each, so per (μ, z) at most one message decodes to
+    a row r >= 1 (a padded zero message stands in where none does), and row
+    0 (w0) takes every other message.  The output rows are outer products of the half-word tables of
+    :func:`_half_word_rows`, so q is in that association (not the letter
+    order of ``y_rows``) and the same at every chunk size; with one chunk it
+    is :func:`induced_joint_exact`'s table.  The yielded arrays are views of
+    one workspace allocated per call, which the next chunk overwrites.
     """
     kk, ax, m1 = tabs.messages.shape
-    letters = np.concatenate([head, tabs.row_letters], axis=2)
-    (_, az, width, _), rr = letters.shape, tabs.row_letters.shape[2]
+    n, az, rr, ny = tabs.row_letters.shape
+    width = head.shape[2]
+    # source[μ, z, r]: the (μ, message) decoding to row r at z, as a row of
+    # the (K·(M+2), Ax) message table padded per block with a zero message
     mu_i, z_i, m_i = np.nonzero(tabs.decoded)
-    source = np.full((kk, az, rr), m1)
-    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i
+    source = np.full((kk, az, rr), m1) + (m1 + 1) * np.arange(kk)[:, None, None]
+    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i + (m1 + 1) * mu_i
     by_message = tabs.messages.transpose(0, 2, 1)  # (K, M+1, Ax)
-    padded = np.concatenate([by_message, np.zeros((kk, 1, ax))], axis=1)
+    padded = np.concatenate([by_message, np.zeros((kk, 1, ax))], axis=1).reshape(-1, ax)
     fallback = (tabs.decoded == 0).transpose(1, 0, 2).reshape(az, -1).astype(float)
     fallback_mass = fallback @ by_message.reshape(-1, ax)  # (Az, Ax)
+    scale = tabs.p_xz_words.T / kk  # (Az, Ax)
+    gh, gt = _half_word_rows(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)
+    z_head, z_tail = np.divmod(np.arange(az), gt.shape[0])
+    # the workspace: one chunk's t, q and output rows, and t's prefix products
+    most = min(chunk, az)
+    t_ws, q_ws = np.empty((most, width, ny**n)), np.empty((most, ax, ny**n))
+    rows = np.empty((most, rr, gh.shape[2], gt.shape[2]))
+    # prefix[i] holds the product of letters 0..i; the last is the word's row of t
+    prefix = [np.empty((width, ny ** (i + 1))) for i in range(n - 1)] + [None]
+    shared = np.zeros(az, dtype=np.int64)  # leading letters z_c shares with z_{c-1}
+    shared[1:] = np.cumprod(tabs.zs[1:] == tabs.zs[:-1], axis=1).sum(axis=1)
     for start in range(0, az, chunk):
-        zs = slice(start, start + chunk)
-        mass = padded[np.arange(kk)[:, None, None], source[:, zs]].sum(axis=0)  # (C, R, Ax)
+        zs, size = slice(start, start + chunk), min(chunk, az - start)
+        for j, c in enumerate(range(start, start + size)):
+            prefix[-1] = t_ws[j]
+            if shared[c] == 0:
+                np.copyto(prefix[0], head[0, c])
+            for i in range(max(1, shared[c]), n):
+                # one new-letter value at a time: the inner loops run over the prefix
+                grown = prefix[i].reshape(width, ny**i, ny)
+                for y in range(ny):
+                    np.multiply(prefix[i - 1], head[i, c, :, y, None], out=grown[:, :, y])
+        # the outer products; einsum's loop runs faster here than a broadcast multiply
+        np.einsum("crh,crt->crht", gh[z_head[zs]], gt[z_tail[zs]], out=rows[:size])
+        mass = padded[source[:, zs]].sum(axis=0)  # (C, R, Ax)
         mass[:, 0, :] = fallback_mass[zs]
-        mass *= (tabs.p_xz_words[:, zs].T / kk)[:, None, :]
-        words = _word_rows(list(letters[:, zs]))
-        yield words[:, : width - rr], np.matmul(mass.transpose(0, 2, 1), words[:, width - rr :])
+        mass *= scale[zs, None, :]
+        q = np.matmul(mass.transpose(0, 2, 1), rows[:size].reshape(size, rr, -1), out=q_ws[:size])
+        yield t_ws[:size], q
 
 
 def induced_joint_exact(
@@ -762,13 +810,23 @@ def _stream_chunk(words: int, slice_cells: int, fixed_cells: int, budget: int | 
     return chunk
 
 
-def _streamed_tv(pairs, alphabets: tuple[Alphabet, ...]) -> float:
-    """½ Σ|t − q| over (target, induced) chunk pairs, overwriting t; Σq must be 1 ± 1e-9."""
-    total = dev = 0.0
+def _streamed_tv(pairs, words: int, alphabets: tuple[Alphabet, ...]) -> float:
+    """½ Σ|t − q| over (target, induced) chunk pairs, overwriting t; Σq must be 1 ± 1e-9.
+
+    Each pair's leading axis runs over the chunk's words, ``words`` in all.
+    Σq and Σ|t − q| are summed per word into one vector each, reduced once
+    at the end.  Both codecs' slices of a word are the same at every chunk
+    size, so the deficit and the mass check do not depend on the chunking.
+    """
+    sums = np.empty((2, words))  # per word: Σq, Σ|t − q|
+    start = 0
     for t, q in pairs:
-        total += float(q.sum())
+        stop = start + q.shape[0]
+        q.reshape(q.shape[0], -1).sum(axis=1, out=sums[0, start:stop])
         t -= q
-        dev += float(np.abs(t, out=t).sum())
+        np.abs(t, out=t).reshape(t.shape[0], -1).sum(axis=1, out=sums[1, start:stop])
+        start = stop
+    total, dev = (float(s) for s in sums.sum(axis=1))
     if not abs(total - 1.0) <= 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
     # single-letter alphabets throughout: both laws are the one point mass
@@ -787,12 +845,16 @@ def streamed_tv_deficit(
 ) -> tuple[float, bool]:
     """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table, and validity.
 
-    Streams over chunks of side-information words: each chunk builds its own
-    output rows, its induced slice and its target slice
-    t[z, x, y] = Π_i p(x_i, y_i, z_i), letter by letter, and adds up |t − q|.
-    The slices equal the full tables' bit for bit; only the order of the
-    final sums differs.  The budget counts the largest array held at once.
-    The flag is :func:`encoder_validity`'s, read off the deficit's own message tables.
+    Streams over chunks of side-information words (:func:`_induced_slices`):
+    each chunk's target slice t[z, x, y] = Π_i p(x_i, y_i, z_i) is
+    :func:`product_pmf`'s table bit for bit, and its induced slice q is
+    :func:`induced_joint_exact`'s, both in the half-word association of the
+    output rows.  |t − q| and q are summed per z-word and reduced once
+    (:func:`_streamed_tv`), so the deficit does not depend on the chunk
+    size; it can differ from :func:`tv_deficit`'s in the last bits, which
+    sums the full tables in another order.  The budget counts the largest
+    array held at once.  The flag is :func:`encoder_validity`'s, read off
+    the deficit's own message tables.
     """
     x_name, z_name = p_xz.names
     alphabets = (p_xz.alphabets[0], p_y_given_zw.out_alphabets[0], p_xz.alphabets[1])
@@ -800,10 +862,13 @@ def streamed_tv_deficit(
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
     xs = enumerate_sequences(alphabets[0].size, n)
-    chunk = _stream_chunk(az, max((ax + rr) * ny**n, kk * rr * ax), n * az * (ax + rr) * ny, budget)
-    # t's letters p(x_i, y, z_i) ride along with the output rows' letters
+    # held throughout: the letter factors, and the half-word table over the
+    # n - n//2 trailing letters (the larger one)
+    fixed = max(n * az * (ax + rr) * ny, rr * (alphabets[2].size * ny) ** (n - n // 2))
+    chunk = _stream_chunk(az, max((ax + rr) * ny**n, kk * rr * ax), fixed, budget)
+    # t's letters p(x_i, y, z_i), per z-word
     head = target[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]  # (n, Az, Ax, Y)
-    return _streamed_tv(_induced_slices(tabs, chunk, head), alphabets), tabs.valid
+    return _streamed_tv(_induced_slices(tabs, chunk, head), az, alphabets), tabs.valid
 
 
 def soft_covering_deficit(

@@ -209,6 +209,22 @@ def test_simulate_flags_override_the_spec(tmp_path, sim_spec):
     assert sidecar["spec"]["sweep"] == {"param": "rt", "values": [0.6, 1.2]}
 
 
+def test_threads_never_change_an_n6_simulate_ptp_artifact(tmp_path):
+    """The benchmark's n=6 spec: at n=6 the z-word prefix walk branches at every
+    letter, and two workers write the same CSV and sidecar bytes as one."""
+    spec = write_json(tmp_path / "simulate.json", {
+        "instance": "synthesis-demo", "trials": 4,
+        "params": {"n": 6, "rt": 1.5, "r": 1.35, "c": 0.25, "delta": 0.5, "eta": 0.1, "seed": 0},
+    })
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}.csv")
+        assert cli_dispatch(["simulate-ptp", "--spec", spec, "--out", out, "--threads", threads]) == 0
+    assert len(read_report_rows(tmp_path / "threads1.csv")) == 4
+    for suffix in (".csv", ".json"):
+        one, two = (tmp_path / f"threads{t}{suffix}" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()
+
+
 def test_simulate_dist_runs_the_two_encoder_codec(tmp_path):
     spec = write_json(
         tmp_path / "dist.json",
@@ -392,6 +408,35 @@ def test_commands_without_a_sidecar_may_share_the_spec_stem(tmp_path):
     out = tmp_path / "coin.csv"
     assert cli_dispatch(["chernoff", "--spec", spec, "--out", str(out), "--trials", "20"]) == 0
     assert len(read_rows(out)) == 2
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_out_never_names_the_spec(tmp_path, capsys, command, monkeypatch):
+    """``--out`` resolving to ``--spec`` is refused before any work, sidecar or not."""
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"n_samples": 50, "theta": 0.5, "eta": 0.4})
+    before = spec.read_bytes()
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    extra = ["--eliminate", "Rt"] if command == "fm" else []
+    for out in (spec, "../spec.json"):
+        assert cli_dispatch([command, "--spec", str(spec), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overwrite --spec" in err
+        assert spec.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "sub"]
+        assert not list((tmp_path / "sub").iterdir())
+
+
+def test_a_flag_outside_the_row_prints_the_subcommands_usage(tmp_path, capsys):
+    spec = write_json(tmp_path / "region.json", {"p_xyz": np.full((2, 2, 2), 0.125).tolist()})
+    argv = ["region-ptp", "--spec", spec, "--out", str(tmp_path / "out.csv"), "--threads", "2"]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads" in err
+    # the usage line names the subcommand and the flags it does take
+    assert "usage: corrsynth region-ptp [-h] --spec SPEC --out OUT [--seed SEED]" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["region.json"]
 
 
 @pytest.mark.parametrize("budget", ["100000", 2.5e6, True], ids=["string", "float", "bool"])

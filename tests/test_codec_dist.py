@@ -609,6 +609,17 @@ def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n, monkeypatch):
     assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_streamed_deficit_does_not_depend_on_the_chunk_size(n, monkeypatch):
+    """One source-1 word per chunk, the default chunks and one chunk give the same bits."""
+    target, args = streamed_case("dist-demo", n, seed=n)
+    got = []
+    for cells in (1, codec_ptp.STREAM_CHUNK_CELLS, 1 << 62):
+        monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", cells)
+        got.append(dist_streamed_tv_deficit(target, *args)[0])
+    assert got[0] == got[1] == got[2]
+
+
 def test_the_decoder_pair_mask_counts_against_the_budget():
     """The decoder's (K₁L₁) × (K₂L₂) pair-typicality mask is refused before it is built."""
     inst = named_instance("dist-demo")

@@ -1018,6 +1018,25 @@ def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
         assert start == tabs.zs.shape[0]
 
 
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_streamed_deficit_does_not_depend_on_the_chunk_size(n, monkeypatch):
+    """One z-word per chunk, the default chunks and one chunk give the same bits."""
+    inst, args = instance_codec("synthesis-demo", n, seed=n)
+    slices, chunks = codec_ptp._induced_slices, []
+
+    def spy(tabs, chunk, head):
+        chunks.append(chunk)
+        return slices(tabs, chunk, head)
+
+    monkeypatch.setattr(codec_ptp, "_induced_slices", spy)
+    got = []
+    for cells in (1, codec_ptp.STREAM_CHUNK_CELLS, 1 << 62):
+        monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", cells)
+        got.append(streamed_tv_deficit(inst.target_joint(), *args)[0])
+    assert chunks[0] == 1 and chunks[2] >= 2**n
+    assert got[0] == got[1] == got[2]
+
+
 def test_streamed_deficit_budgets_its_largest_array():
     inst, args = instance_codec("synthesis-demo", 4)
     assert 10_000 < 12**4
