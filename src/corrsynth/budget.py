@@ -3,8 +3,8 @@
 Exact computations in this package enumerate sequence spaces whose size grows
 exponentially in the blocklength.  Each calls :func:`check_budget` before
 allocating, with the cells (array entries) of the table it builds; a trial's
-streamed deficit counts its largest array held at once, so its chunks shrink
-to fit.  Nothing here estimates past the budget: a larger computation runs
+deficit counts the largest array it holds at once.  Nothing here estimates
+past the budget: a larger computation runs
 only after raising the budget (``$CORRSYNTH_BUDGET`` or a ``budget``
 argument) or at a smaller blocklength.
 """

@@ -50,7 +50,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default would sys.exit(2)
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage().rstrip()}")
 
     def parse_known_args(self, args=None, namespace=None):
         """Parse, refusing leftovers with this parser's own usage line.
@@ -259,10 +259,14 @@ _COMMANDS = {
 def cli_dispatch(argv=None) -> int:
     """Parse arguments, run one subcommand, and map failures to exit codes."""
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # argparse would read the flag's value as the command
+            parser.error(f"{argv[0].partition('=')[0]} must follow the command")
         args, _ = parser.parse_known_args(argv)  # every parser refuses its own leftovers
         if args.command is None:
-            raise _UsageError(parser.format_usage())
+            parser.error("a command is required")
         command, spec, out = _COMMANDS[args.command], Path(args.spec).resolve(), Path(args.out)
         if out.resolve() == spec:
             raise ValueError(f"--out {args.out} would overwrite --spec {args.spec}")

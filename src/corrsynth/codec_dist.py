@@ -41,7 +41,6 @@ from .codec_ptp import (
     _draw_codebook,
     _encoder_stage,
     _letter_target,
-    _stream_chunk,
     _streamed_tv,
     _word_law,
     _word_rows,
@@ -181,7 +180,7 @@ def build_dist_codec(
 
 @dataclass(frozen=True)
 class _DistSystemTables:
-    """Shared precomputation behind exact enumeration, streaming and validity."""
+    """Shared precomputation behind the exact law, the deficit and validity."""
 
     p_x_words: np.ndarray  # (A1, A2) source-word law
     messages1: np.ndarray  # (K1, A1, M1+1)
@@ -237,15 +236,15 @@ def _build_dist_tables(
     return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows, ok1 and ok2)
 
 
-def _dist_slice(tabs: _DistSystemTables, k_sizes: tuple[int, int], x1s: slice) -> np.ndarray:
-    """q[a1, a2, y] of the induced law for the source-1 words ``x1s``."""
-    k1, k2 = k_sizes
+def _dist_joint(tabs: _DistSystemTables) -> np.ndarray:
+    """q[a1, a2, y] of the induced law: one contraction over every block and message pair."""
+    k1, k2 = tabs.messages1.shape[0], tabs.messages2.shape[0]
     out = 0.0
     for mu1, mu2 in np.ndindex(k1, k2):
         y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
         by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
-        out = out + np.tensordot(tabs.messages1[mu1][x1s], by_m1, axes=([1], [1]))
-    return out * (tabs.p_x_words[x1s, :, None] / (k1 * k2))
+        out = out + np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
+    return out * (tabs.p_x_words[:, :, None] / (k1 * k2))
 
 
 def dist_induced_joint_exact(
@@ -272,7 +271,7 @@ def dist_induced_joint_exact(
     )
     return _word_law((*p_x1x2.names, p_y_given_w1w2.out_names[0]),
                      (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0]), params.n,
-                     _dist_slice(tabs, params.k_sizes, slice(None)))
+                     _dist_joint(tabs))
 
 
 def dist_streamed_tv_deficit(
@@ -286,11 +285,13 @@ def dist_streamed_tv_deficit(
     params: DistCodecParams,
     budget: int | None = None,
 ) -> tuple[float, bool]:
-    """``tv_deficit(p_x1x2y, dist_induced_joint_exact(...))``, streamed, and validity.
+    """``tv_deficit(p_x1x2y, dist_induced_joint_exact(...))`` and validity.
 
-    Streams over chunks of source-1 words, each with its induced slice and its
-    target slice t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) built letter by letter.
-    The flag is both legs' encoder validity, read off their message tables.
+    Runs :func:`dist_induced_joint_exact`'s one whole-table contraction and
+    builds the whole target t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) letter by
+    letter, then sums |t − q| and q per source-1 word (:func:`_streamed_tv`).
+    The budget counts the largest array held at once.  The flag is both
+    legs' encoder validity, read off their message tables.
     """
     alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
     target = _letter_target(p_x1x2y, (*p_x1x2.names, p_y_given_w1w2.out_names[0]), alphabets)
@@ -300,12 +301,9 @@ def dist_streamed_tv_deficit(
     )
     n, (m1, m2) = params.n, params.m_sizes
     (a1, a2), ay = tabs.p_x_words.shape, tabs.y_rows.shape[1]
-    fixed = max(n * a1 * a2 * alphabets[2].size, (m1 + 1) * max(a2, m2 + 1) * ay)
-    chunk = _stream_chunk(a1, a2 * ay, fixed, budget)
+    # t and q, the letter factors, and one block pair's gathered output rows
+    cells = max(a1 * a2 * ay, n * a1 * a2 * alphabets[2].size, (m1 + 1) * max(a2, m2 + 1) * ay)
+    check_budget(cells, budget, what="streamed deficit")
     xs1, xs2 = (enumerate_sequences(a.size, n) for a in alphabets[:2])
     head = target[xs1.T[:, :, None], xs2.T[:, None, :]]  # (n, A1, A2, Y) letter factors
-    pairs = (
-        (_word_rows(list(head[:, x1s])), _dist_slice(tabs, params.k_sizes, x1s))
-        for x1s in (slice(s, s + chunk) for s in range(0, a1, chunk))
-    )
-    return _streamed_tv(pairs, a1, alphabets), tabs.valid
+    return _streamed_tv(zip(_word_rows(list(head)), _dist_joint(tabs)), a1, alphabets), tabs.valid

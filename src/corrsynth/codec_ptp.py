@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_budget, enumeration_budget
+from .budget import check_budget
 from .probability import Alphabet, CondPmf, JointPmf, ProductPmf, letter_product
 from .typicality import (
     enumerate_sequences,
@@ -45,8 +45,6 @@ from .typicality import (
 #: derived-stream indices off a run seed (the distributed codec uses 0..3)
 CODEBOOK_STREAM = 0
 BINNING_STREAM = 1
-#: cells a streamed-deficit chunk aims at (one word at n=6, one chunk for small laws)
-STREAM_CHUNK_CELLS = 1 << 16
 
 
 class EmptyTypicalSetError(ValueError):
@@ -631,29 +629,47 @@ def _half_word_rows(row_letters: np.ndarray, z_size: int) -> tuple[np.ndarray, n
     return gh, _word_rows(list(row_letters[k:, :tails]))
 
 
-def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
-    """Yield (t, q[c, x, y] = P(x, y, z_c)) per chunk of z-words.
+def _target_words(head: np.ndarray, zs: np.ndarray):
+    """Yield t[h, y] = Π_i head[i, c, h, y_i] per z-word c of ``zs``, in order.
 
-    ``head`` (n, Az, H, Y) holds further letter factors, and t[c, h, y] is
-    their word product Π_i head[i, c, h, y_i], multiplied in letter order:
-    with the target's letters as head, t is :func:`product_pmf`'s table bit
-    for bit.  Consecutive big-endian z-words share their leading letters, so
-    t keeps the running product of each prefix and extends it from the first
-    letter that changes; this needs head[i, c] to depend on z_c only through
-    its first i+1 letters, as a head built from z's letters does.
+    ``head`` (n, Az, H, Y) holds the letter factors, multiplied in letter
+    order: with the target's letters as head, t is the z-word's slice of
+    :func:`product_pmf`'s table bit for bit.  Consecutive big-endian z-words
+    share their leading letters, so the walk keeps the running product of
+    each prefix and extends it from the first letter that changes; this
+    needs head[i, c] to depend on z_c only through its first i+1 letters, as
+    a head built from z's letters does.  The yielded array is a workspace
+    the next word overwrites, and the caller may overwrite it too.
+    """
+    n, az, width, ny = head.shape
+    # prefix[i] holds the product of letters 0..i; the last is the word's t
+    prefix = [np.empty((width, ny ** (i + 1))) for i in range(n)]
+    shared = np.zeros(az, dtype=np.int64)  # leading letters z_c shares with z_{c-1}
+    shared[1:] = np.cumprod(zs[1:] == zs[:-1], axis=1).sum(axis=1)
+    for c in range(az):
+        if shared[c] == 0:
+            np.copyto(prefix[0], head[0, c])
+        for i in range(max(1, shared[c]), n):
+            # one new-letter value at a time: the inner loops run over the prefix
+            grown = prefix[i].reshape(width, ny**i, ny)
+            for y in range(ny):
+                np.multiply(prefix[i - 1], head[i, c, :, y, None], out=grown[:, :, y])
+        yield prefix[-1]
 
-    mass[c, r, x] = Σ_μ Σ_{m → r} P(m|x, μ) p(x, z_c)/K: a block's distinct
+
+def _induced_words(tabs: _SystemTables):
+    """Yield q[x, y] = P(x, y, z_c) per z-word c, in order.
+
+    mass[r, x] = Σ_μ Σ_{m → r} P(m|x, μ) p(x, z_c)/K: a block's distinct
     words sit in one bin each, so per (μ, z) at most one message decodes to
     a row r >= 1 (a padded zero message stands in where none does), and row
-    0 (w0) takes every other message.  The output rows are outer products of the half-word tables of
-    :func:`_half_word_rows`, so q is in that association (not the letter
-    order of ``y_rows``) and the same at every chunk size; with one chunk it
-    is :func:`induced_joint_exact`'s table.  The yielded arrays are views of
-    one workspace allocated per call, which the next chunk overwrites.
+    0 (w0) takes every other message.  The output rows are outer products of
+    the half-word tables of :func:`_half_word_rows`, so q is in that
+    association, not the letter order of ``y_rows``.  The yielded array is
+    a workspace the next word overwrites.
     """
     kk, ax, m1 = tabs.messages.shape
     n, az, rr, ny = tabs.row_letters.shape
-    width = head.shape[2]
     # source[μ, z, r]: the (μ, message) decoding to row r at z, as a row of
     # the (K·(M+2), Ax) message table padded per block with a zero message
     mu_i, z_i, m_i = np.nonzero(tabs.decoded)
@@ -666,32 +682,15 @@ def _induced_slices(tabs: _SystemTables, chunk: int, head: np.ndarray):
     scale = tabs.p_xz_words.T / kk  # (Az, Ax)
     gh, gt = _half_word_rows(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)
     z_head, z_tail = np.divmod(np.arange(az), gt.shape[0])
-    # the workspace: one chunk's t, q and output rows, and t's prefix products
-    most = min(chunk, az)
-    t_ws, q_ws = np.empty((most, width, ny**n)), np.empty((most, ax, ny**n))
-    rows = np.empty((most, rr, gh.shape[2], gt.shape[2]))
-    # prefix[i] holds the product of letters 0..i; the last is the word's row of t
-    prefix = [np.empty((width, ny ** (i + 1))) for i in range(n - 1)] + [None]
-    shared = np.zeros(az, dtype=np.int64)  # leading letters z_c shares with z_{c-1}
-    shared[1:] = np.cumprod(tabs.zs[1:] == tabs.zs[:-1], axis=1).sum(axis=1)
-    for start in range(0, az, chunk):
-        zs, size = slice(start, start + chunk), min(chunk, az - start)
-        for j, c in enumerate(range(start, start + size)):
-            prefix[-1] = t_ws[j]
-            if shared[c] == 0:
-                np.copyto(prefix[0], head[0, c])
-            for i in range(max(1, shared[c]), n):
-                # one new-letter value at a time: the inner loops run over the prefix
-                grown = prefix[i].reshape(width, ny**i, ny)
-                for y in range(ny):
-                    np.multiply(prefix[i - 1], head[i, c, :, y, None], out=grown[:, :, y])
+    # the workspace: one word's output rows and induced slice
+    rows, q = np.empty((rr, gh.shape[2], gt.shape[2])), np.empty((ax, ny**n))
+    for c in range(az):
         # the outer products; einsum's loop runs faster here than a broadcast multiply
-        np.einsum("crh,crt->crht", gh[z_head[zs]], gt[z_tail[zs]], out=rows[:size])
-        mass = padded[source[:, zs]].sum(axis=0)  # (C, R, Ax)
-        mass[:, 0, :] = fallback_mass[zs]
-        mass *= scale[zs, None, :]
-        q = np.matmul(mass.transpose(0, 2, 1), rows[:size].reshape(size, rr, -1), out=q_ws[:size])
-        yield t_ws[:size], q
+        np.einsum("rh,rt->rht", gh[z_head[c]], gt[z_tail[c]], out=rows)
+        mass = padded[source[:, c]].sum(axis=0)  # (R, Ax)
+        mass[0] = fallback_mass[c]
+        mass *= scale[c]
+        yield np.matmul(mass.T, rows.reshape(rr, -1), out=q)
 
 
 def induced_joint_exact(
@@ -712,8 +711,11 @@ def induced_joint_exact(
     """
     _check_joint_budget((*p_xz.table.shape, p_y_given_zw.table.shape[-1]), params.n, budget)
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
-    # one chunk, one batched product over z; the (X, Y, Z) table is a view of it
-    _, q = next(_induced_slices(tabs, tabs.zs.shape[0], tabs.row_letters[:, :, :0]))
+    # the deficit's per-word slices, stacked; the (X, Y, Z) table is a view of it
+    (ax, az), ny = tabs.p_xz_words.shape, tabs.row_letters.shape[3]
+    q = np.empty((az, ax, ny**params.n))
+    for c, q_c in enumerate(_induced_words(tabs)):
+        q[c] = q_c
     (x_name, z_name), (x_base, z_base) = p_xz.names, p_xz.alphabets
     return _word_law((x_name, p_y_given_zw.out_names[0], z_name),
                      (x_base, p_y_given_zw.out_alphabets[0], z_base), params.n, q.transpose(1, 2, 0))
@@ -803,29 +805,19 @@ def _letter_target(p: JointPmf, names: tuple[str, ...], alphabets: tuple[Alphabe
     return marginal.table
 
 
-def _stream_chunk(words: int, slice_cells: int, fixed_cells: int, budget: int | None) -> int:
-    """Words per chunk of per-word arrays of ``slice_cells`` (budget-checked)."""
-    chunk = max(1, min(STREAM_CHUNK_CELLS, enumeration_budget(budget)) // slice_cells)
-    check_budget(max(min(chunk, words) * slice_cells, fixed_cells), budget, what="streamed deficit")
-    return chunk
-
-
 def _streamed_tv(pairs, words: int, alphabets: tuple[Alphabet, ...]) -> float:
-    """½ Σ|t − q| over (target, induced) chunk pairs, overwriting t; Σq must be 1 ± 1e-9.
+    """½ Σ|t − q| over per-word (target, induced) slices, overwriting t; Σq must be 1 ± 1e-9.
 
-    Each pair's leading axis runs over the chunk's words, ``words`` in all.
-    Σq and Σ|t − q| are summed per word into one vector each, reduced once
-    at the end.  Both codecs' slices of a word are the same at every chunk
-    size, so the deficit and the mass check do not depend on the chunking.
+    ``pairs`` yields one (t, q) pair for each of ``words`` words: the
+    z-words of the single-encoder codec, the source-1 words of the
+    two-encoder one.  Σq and Σ|t − q| are summed per word into one vector
+    each, reduced once at the end.
     """
     sums = np.empty((2, words))  # per word: Σq, Σ|t − q|
-    start = 0
-    for t, q in pairs:
-        stop = start + q.shape[0]
-        q.reshape(q.shape[0], -1).sum(axis=1, out=sums[0, start:stop])
+    for w, (t, q) in enumerate(pairs):
+        sums[0, w] = q.sum()
         t -= q
-        np.abs(t, out=t).reshape(t.shape[0], -1).sum(axis=1, out=sums[1, start:stop])
-        start = stop
+        sums[1, w] = np.abs(t, out=t).sum()
     total, dev = (float(s) for s in sums.sum(axis=1))
     if not abs(total - 1.0) <= 1e-9:
         raise ArithmeticError(f"induced law sums to {total}, expected 1")
@@ -845,16 +837,16 @@ def streamed_tv_deficit(
 ) -> tuple[float, bool]:
     """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table, and validity.
 
-    Streams over chunks of side-information words (:func:`_induced_slices`):
-    each chunk's target slice t[z, x, y] = Π_i p(x_i, y_i, z_i) is
-    :func:`product_pmf`'s table bit for bit, and its induced slice q is
-    :func:`induced_joint_exact`'s, both in the half-word association of the
-    output rows.  |t − q| and q are summed per z-word and reduced once
-    (:func:`_streamed_tv`), so the deficit does not depend on the chunk
-    size; it can differ from :func:`tv_deficit`'s in the last bits, which
-    sums the full tables in another order.  The budget counts the largest
-    array held at once.  The flag is :func:`encoder_validity`'s, read off
-    the deficit's own message tables.
+    Streams one side-information word at a time: the word's target slice
+    t[x, y] = Π_i p(x_i, y_i, z_i) (:func:`_target_words`) is
+    :func:`product_pmf`'s table bit for bit, and its induced slice q
+    (:func:`_induced_words`) is :func:`induced_joint_exact`'s, both in the
+    half-word association of the output rows.  |t − q| and q are summed per
+    z-word and reduced once (:func:`_streamed_tv`); the deficit can differ
+    from :func:`tv_deficit`'s in the last bits, which sums the full tables
+    in another order.  The budget counts the largest array held at once.
+    The flag is :func:`encoder_validity`'s, read off the deficit's own
+    message tables.
     """
     x_name, z_name = p_xz.names
     alphabets = (p_xz.alphabets[0], p_y_given_zw.out_alphabets[0], p_xz.alphabets[1])
@@ -862,13 +854,15 @@ def streamed_tv_deficit(
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
     xs = enumerate_sequences(alphabets[0].size, n)
-    # held throughout: the letter factors, and the half-word table over the
-    # n - n//2 trailing letters (the larger one)
+    # held throughout: the letter factors and the half-word table over the
+    # n - n//2 trailing letters (the larger one); per word: t and q or the
+    # output rows, and the (K, R, Ax) gather of message rows
     fixed = max(n * az * (ax + rr) * ny, rr * (alphabets[2].size * ny) ** (n - n // 2))
-    chunk = _stream_chunk(az, max((ax + rr) * ny**n, kk * rr * ax), fixed, budget)
+    check_budget(max(fixed, (ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
     # t's letters p(x_i, y, z_i), per z-word
     head = target[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]  # (n, Az, Ax, Y)
-    return _streamed_tv(_induced_slices(tabs, chunk, head), az, alphabets), tabs.valid
+    pairs = zip(_target_words(head, tabs.zs), _induced_words(tabs))
+    return _streamed_tv(pairs, az, alphabets), tabs.valid
 
 
 def soft_covering_deficit(

@@ -432,10 +432,26 @@ def test_a_flag_outside_the_row_prints_the_subcommands_usage(tmp_path, capsys):
     spec = write_json(tmp_path / "region.json", {"p_xyz": np.full((2, 2, 2), 0.125).tolist()})
     argv = ["region-ptp", "--spec", spec, "--out", str(tmp_path / "out.csv"), "--threads", "2"]
     assert cli_dispatch(argv) == 1
-    err = capsys.readouterr().err
-    assert "unrecognized arguments: --threads" in err
-    # the usage line names the subcommand and the flags it does take
-    assert "usage: corrsynth region-ptp [-h] --spec SPEC --out OUT [--seed SEED]" in err
+    # the error, then the usage line naming the subcommand and the flags it does take
+    assert capsys.readouterr().err.splitlines() == [
+        "corrsynth region-ptp: error: unrecognized arguments: --threads 2",
+        "usage: corrsynth region-ptp [-h] --spec SPEC --out OUT [--seed SEED]",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["region.json"]
+
+
+@pytest.mark.parametrize("before, error", [
+    ([], "a command is required"),
+    (["--threads", "2"], "--threads must follow the command"),
+    (["--threads=2"], "--threads must follow the command"),
+])
+def test_a_missing_or_late_command_prints_the_error_and_the_usage_line(tmp_path, capsys, before, error):
+    spec = write_json(tmp_path / "region.json", {"p_xyz": np.full((2, 2, 2), 0.125).tolist()})
+    argv = before + (["region-ptp", "--spec", spec, "--out", str(tmp_path / "out.csv")] if before else [])
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"corrsynth: error: {error}", "usage: corrsynth [-h] command ...",
+    ]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["region.json"]
 
 

@@ -30,7 +30,8 @@ from corrsynth.codec_ptp import (
     _build_system_tables,
     _decoded_rows,
     _first_occurrence_dedup,
-    _induced_slices,
+    _induced_words,
+    _target_words,
     _valid_rows,
 )
 import corrsynth.codec_ptp as codec_ptp
@@ -1002,39 +1003,19 @@ def test_streamed_deficit_checks_the_target_axes():
 
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
+    """Each z-word's target and induced slices are the full tables' slices at z."""
     inst, args = instance_codec("synthesis-demo", n, seed=n)
     ind = induced_joint_exact(*args)
     target = product_pmf(inst.target_joint(), n).table
     tabs = _build_system_tables(*args)
     xs = enumerate_sequences(2, n)
     head = inst.target_joint().table[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]
-    for chunk in (1, 8):
-        start = 0
-        for t, q in _induced_slices(tabs, chunk, head):
-            stop = start + q.shape[0]
-            assert np.array_equal(q, ind.table[:, :, start:stop].transpose(2, 0, 1))
-            assert np.array_equal(t, target[:, :, start:stop].transpose(2, 0, 1))
-            start = stop
-        assert start == tabs.zs.shape[0]
-
-
-@pytest.mark.parametrize("n", [3, 5, 6])
-def test_streamed_deficit_does_not_depend_on_the_chunk_size(n, monkeypatch):
-    """One z-word per chunk, the default chunks and one chunk give the same bits."""
-    inst, args = instance_codec("synthesis-demo", n, seed=n)
-    slices, chunks = codec_ptp._induced_slices, []
-
-    def spy(tabs, chunk, head):
-        chunks.append(chunk)
-        return slices(tabs, chunk, head)
-
-    monkeypatch.setattr(codec_ptp, "_induced_slices", spy)
-    got = []
-    for cells in (1, codec_ptp.STREAM_CHUNK_CELLS, 1 << 62):
-        monkeypatch.setattr(codec_ptp, "STREAM_CHUNK_CELLS", cells)
-        got.append(streamed_tv_deficit(inst.target_joint(), *args)[0])
-    assert chunks[0] == 1 and chunks[2] >= 2**n
-    assert got[0] == got[1] == got[2]
+    words = 0
+    for c, (t, q) in enumerate(zip(_target_words(head, tabs.zs), _induced_words(tabs))):
+        assert np.array_equal(q, ind.table[:, :, c])
+        assert np.array_equal(t, target[:, :, c])
+        words += 1
+    assert words == tabs.zs.shape[0]
 
 
 def test_streamed_deficit_budgets_its_largest_array():
