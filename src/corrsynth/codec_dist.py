@@ -40,14 +40,13 @@ from .codec_ptp import (
     _decoded_rows,
     _draw_codebook,
     _encoder_stage,
-    _letter_target,
     _streamed_tv,
     _word_law,
     _word_rows,
     derived_rng,
 )
 from .probability import CondPmf, JointPmf, ProductPmf
-from .typicality import enumerate_sequences, pairwise_typical_mask
+from .typicality import pairwise_typical_mask
 
 #: derived-stream indices off a run seed (matching the single-encoder layout
 #: for encoder 1, so reductions replay the same codebook and binning draws)
@@ -231,20 +230,34 @@ def _build_dist_tables(
     used, decoded = _decoded_rows(cell, pair, k1 * k2 * (m1 + 1) * (m2 + 1))
     decoded = decoded.reshape(k1, k2, m1 + 1, m2 + 1)
     w1s, w2s = words1[used // words2.shape[0]], words2[used % words2.shape[0]]
-    check_budget(used.size * p_y_given_w1w2.out_alphabets[0].size ** n, budget, what="output rows")
+    ny = p_y_given_w1w2.out_alphabets[0].size  # (rows, Yⁿ) output rows, (X₁ⁿ, X₂ⁿ, rows) mass
+    check_budget(used.size * max(ny, nx1 * nx2) ** n, budget, what="output rows and pair mass")
     y_rows = _word_rows([p_y_given_w1w2.table[w1s[:, i], w2s[:, i]] for i in range(n)])
     return _DistSystemTables(p_x_words, messages1, messages2, decoded, y_rows, ok1 and ok2)
 
 
-def _dist_joint(tabs: _DistSystemTables) -> np.ndarray:
-    """q[a1, a2, y] of the induced law: one contraction over every block and message pair."""
-    k1, k2 = tabs.messages1.shape[0], tabs.messages2.shape[0]
-    out = 0.0
+def _dist_words(tabs: _DistSystemTables):
+    """Yield q[x2, y] = P(x1_c, x2, y) per source-1 word c, in order.
+
+    mass[x1, x2, d] = Σ_μ Σ_{(m1, m2) → d} P(m1|x1, μ1) P(m2|x2, μ2)
+    p(x1, x2)/K over the block pairs: the fallback cells (d = 0) in one
+    product through their 0/1 mask, each decoded pair over its own cells.
+    A word's slice is mass[x1] @ y_rows, in a workspace the next word
+    overwrites; no output row is gathered per message pair.
+    """
+    (k1, a1, _), (k2, a2, _) = tabs.messages1.shape, tabs.messages2.shape
+    mass = np.zeros((a1, a2, tabs.y_rows.shape[0]))
     for mu1, mu2 in np.ndindex(k1, k2):
-        y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
-        by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
-        out = out + np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
-    return out * (tabs.p_x_words[:, :, None] / (k1 * k2))
+        one, two, dec = tabs.messages1[mu1], tabs.messages2[mu2], tabs.decoded[mu1, mu2]
+        mass[:, :, 0] += one @ (dec == 0) @ two.T
+        m1s, m2s = np.nonzero(dec)
+        ds = dec[m1s, m2s]
+        for d in np.flatnonzero(np.bincount(ds)):
+            mass[:, :, d] += one[:, m1s[ds == d]] @ two[:, m2s[ds == d]].T
+    mass *= tabs.p_x_words[:, :, None] / (k1 * k2)
+    q = np.empty((a2, tabs.y_rows.shape[1]))
+    for c in range(a1):
+        yield np.matmul(mass[c], tabs.y_rows, out=q)
 
 
 def dist_induced_joint_exact(
@@ -259,19 +272,20 @@ def dist_induced_joint_exact(
 ) -> JointPmf:
     """Exact n-letter law of (source 1, source 2, output) words.
 
-    Sums the two message chains and the pair decoder over every randomness
-    block pair and message pair, the output word drawn from the product
-    channel law at the decoded codeword pair.  Axes are (X₁, X₂, Y) with
-    word alphabets; the table totals one within 1e-9 (checked).
+    Stacks :func:`_dist_words`' slices: both message chains and the pair
+    decoder over every randomness block pair and message pair.  Axes are
+    (X₁, X₂, Y) with word alphabets; the table totals one within 1e-9 (checked).
     """
     _check_joint_budget((*p_x1x2.table.shape, p_y_given_w1w2.table.shape[-1]), params.n, budget)
     tabs = _build_dist_tables(
         p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
         codebooks, binnings, params, budget,
     )
+    q = np.empty((*tabs.p_x_words.shape, tabs.y_rows.shape[1]))
+    for c, q_c in enumerate(_dist_words(tabs)):
+        q[c] = q_c
     return _word_law((*p_x1x2.names, p_y_given_w1w2.out_names[0]),
-                     (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0]), params.n,
-                     _dist_joint(tabs))
+                     (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0]), params.n, q)
 
 
 def dist_streamed_tv_deficit(
@@ -287,23 +301,18 @@ def dist_streamed_tv_deficit(
 ) -> tuple[float, bool]:
     """``tv_deficit(p_x1x2y, dist_induced_joint_exact(...))`` and validity.
 
-    Runs :func:`dist_induced_joint_exact`'s one whole-table contraction and
-    builds the whole target t[x1, x2, y] = Π_i p(x1_i, x2_i, y_i) letter by
-    letter, then sums |t − q| and q per source-1 word (:func:`_streamed_tv`).
-    The budget counts the largest array held at once.  The flag is both
-    legs' encoder validity, read off their message tables.
+    :func:`_streamed_tv` over source-1 words, with
+    :func:`dist_induced_joint_exact`'s slices (:func:`_dist_words`); neither
+    word table is built.  The budget counts the largest array held at once.
+    The flag is both legs' encoder validity, read off their message tables.
     """
-    alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
-    target = _letter_target(p_x1x2y, (*p_x1x2.names, p_y_given_w1w2.out_names[0]), alphabets)
     tabs = _build_dist_tables(
         p_x1x2, p_w1_given_x1, p_w2_given_x2, p_y_given_w1w2,
         codebooks, binnings, params, budget,
     )
-    n, (m1, m2) = params.n, params.m_sizes
-    (a1, a2), ay = tabs.p_x_words.shape, tabs.y_rows.shape[1]
-    # t and q, the letter factors, and one block pair's gathered output rows
-    cells = max(a1 * a2 * ay, n * a1 * a2 * alphabets[2].size, (m1 + 1) * max(a2, m2 + 1) * ay)
-    check_budget(cells, budget, what="streamed deficit")
-    xs1, xs2 = (enumerate_sequences(a.size, n) for a in alphabets[:2])
-    head = target[xs1.T[:, :, None], xs2.T[:, None, :]]  # (n, A1, A2, Y) letter factors
-    return _streamed_tv(zip(_word_rows(list(head)), _dist_joint(tabs)), a1, alphabets), tabs.valid
+    (a1, a2), ay, ny = tabs.p_x_words.shape, tabs.y_rows.shape[1], p_y_given_w1w2.table.shape[-1]
+    # the letter factors; per word: t with its prefixes, and q
+    check_budget(max(params.n * a1 * a2 * ny, 3 * a2 * ay), budget, what="streamed deficit")
+    names = (*p_x1x2.names, p_y_given_w1w2.out_names[0])
+    alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
+    return _streamed_tv(p_x1x2y, names, alphabets, params.n, _dist_words(tabs)), tabs.valid

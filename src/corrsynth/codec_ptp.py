@@ -630,16 +630,17 @@ def _half_word_rows(row_letters: np.ndarray, z_size: int) -> tuple[np.ndarray, n
 
 
 def _target_words(head: np.ndarray, zs: np.ndarray):
-    """Yield t[h, y] = Π_i head[i, c, h, y_i] per z-word c of ``zs``, in order.
+    """Yield t[h, y] = Π_i head[i, c, h, y_i] per word c of ``zs``, in order.
 
-    ``head`` (n, Az, H, Y) holds the letter factors, multiplied in letter
-    order: with the target's letters as head, t is the z-word's slice of
-    :func:`product_pmf`'s table bit for bit.  Consecutive big-endian z-words
-    share their leading letters, so the walk keeps the running product of
-    each prefix and extends it from the first letter that changes; this
-    needs head[i, c] to depend on z_c only through its first i+1 letters, as
-    a head built from z's letters does.  The yielded array is a workspace
-    the next word overwrites, and the caller may overwrite it too.
+    ``head`` (n, C, H, Y) holds the letter factors, multiplied in letter
+    order: with the target's letters as head, t is word c's slice of
+    :func:`product_pmf`'s table bit for bit.  Consecutive big-endian words
+    (z-words, or source-1 words for two encoders) share their leading
+    letters, so the walk keeps the running product of each prefix and
+    extends it from the first letter that changes; this needs head[i, c] to
+    depend on word c only through its first i+1 letters, as a head built
+    from the words' letters does.  The yielded array is a workspace the next
+    word overwrites, and the caller may overwrite it too.
     """
     n, az, width, ny = head.shape
     # prefix[i] holds the product of letters 0..i; the last is the word's t
@@ -797,24 +798,23 @@ def tv_deficit(p_xyz: JointPmf, induced: JointPmf, budget: int | None = None) ->
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
-def _letter_target(p: JointPmf, names: tuple[str, ...], alphabets: tuple[Alphabet, ...]):
-    """Single-letter target table on the codec's axes, checked like :func:`tv_deficit`."""
+def _streamed_tv(p: JointPmf, names, alphabets, n: int, slices) -> float:
+    """½ Σ|t − q| between the n-fold target and an induced law, one outer word at a time.
+
+    ``p`` is marginalized to the (outer, inner, output) axes ``names``, whose
+    letter alphabets must be the codec's ``alphabets``.  ``slices`` yields
+    q[inner, output] per outer word in lexicographic order (z-words for one
+    encoder, source-1 words for two); t, overwritten here, is the word's
+    slice of :func:`product_pmf`'s table (:func:`_target_words`).  Σq and
+    Σ|t − q| are summed per word and reduced once; Σq must be 1 ± 1e-9.
+    """
     marginal = p.marginalize(names)
     if marginal.alphabets != alphabets:
         raise ValueError("a streamed deficit requires the target on the codec's letter axes")
-    return marginal.table
-
-
-def _streamed_tv(pairs, words: int, alphabets: tuple[Alphabet, ...]) -> float:
-    """½ Σ|t − q| over per-word (target, induced) slices, overwriting t; Σq must be 1 ± 1e-9.
-
-    ``pairs`` yields one (t, q) pair for each of ``words`` words: the
-    z-words of the single-encoder codec, the source-1 words of the
-    two-encoder one.  Σq and Σ|t − q| are summed per word into one vector
-    each, reduced once at the end.
-    """
-    sums = np.empty((2, words))  # per word: Σq, Σ|t − q|
-    for w, (t, q) in enumerate(pairs):
+    outer, inner = (enumerate_sequences(a.size, n) for a in alphabets[:2])
+    head = marginal.table[outer.T[:, :, None], inner.T[:, None, :]]  # (n, outer, inner, Y)
+    sums = np.empty((2, outer.shape[0]))  # per word: Σq, Σ|t − q|
+    for w, (t, q) in enumerate(zip(_target_words(head, outer), slices)):
         sums[0, w] = q.sum()
         t -= q
         sums[1, w] = np.abs(t, out=t).sum()
@@ -837,32 +837,22 @@ def streamed_tv_deficit(
 ) -> tuple[float, bool]:
     """``tv_deficit(p_xyz, induced_joint_exact(...))`` without either word table, and validity.
 
-    Streams one side-information word at a time: the word's target slice
-    t[x, y] = Π_i p(x_i, y_i, z_i) (:func:`_target_words`) is
-    :func:`product_pmf`'s table bit for bit, and its induced slice q
-    (:func:`_induced_words`) is :func:`induced_joint_exact`'s, both in the
-    half-word association of the output rows.  |t − q| and q are summed per
-    z-word and reduced once (:func:`_streamed_tv`); the deficit can differ
-    from :func:`tv_deficit`'s in the last bits, which sums the full tables
-    in another order.  The budget counts the largest array held at once.
-    The flag is :func:`encoder_validity`'s, read off the deficit's own
-    message tables.
+    :func:`_streamed_tv` over side-information words with
+    :func:`induced_joint_exact`'s slices (:func:`_induced_words`); it can
+    differ from :func:`tv_deficit`, which sums in another order, in the last
+    bits.  The budget counts the largest array held at once.  The flag is
+    :func:`encoder_validity`'s, read off the deficit's own message tables.
     """
-    x_name, z_name = p_xz.names
-    alphabets = (p_xz.alphabets[0], p_y_given_zw.out_alphabets[0], p_xz.alphabets[1])
-    target = _letter_target(p_xyz, (x_name, p_y_given_zw.out_names[0], z_name), alphabets)
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
-    xs = enumerate_sequences(alphabets[0].size, n)
     # held throughout: the letter factors and the half-word table over the
     # n - n//2 trailing letters (the larger one); per word: t and q or the
     # output rows, and the (K, R, Ax) gather of message rows
-    fixed = max(n * az * (ax + rr) * ny, rr * (alphabets[2].size * ny) ** (n - n // 2))
+    fixed = max(n * az * (ax + rr) * ny, rr * (p_xz.alphabets[1].size * ny) ** (n - n // 2))
     check_budget(max(fixed, (ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
-    # t's letters p(x_i, y, z_i), per z-word
-    head = target[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]  # (n, Az, Ax, Y)
-    pairs = zip(_target_words(head, tabs.zs), _induced_words(tabs))
-    return _streamed_tv(pairs, az, alphabets), tabs.valid
+    names = (*p_xz.names[::-1], p_y_given_zw.out_names[0])
+    alphabets = (*p_xz.alphabets[::-1], p_y_given_zw.out_alphabets[0])
+    return _streamed_tv(p_xyz, names, alphabets, n, _induced_words(tabs)), tabs.valid
 
 
 def soft_covering_deficit(

@@ -83,7 +83,10 @@ are the references for the codecs' message and decoder tables.  Message 0 is
 the compensated complement ``_complement_to_one`` here and ``max(0, 1 - Σ)``
 in the tables, and the two can differ in the last bits.
 ``sample_dist_induced`` runs the two-encoder chain end to end by Monte Carlo:
-the sampling cross-check of ``dist_induced_joint_exact``.
+the sampling cross-check of ``dist_induced_joint_exact``.  ``dist_joint``
+contracts the two-encoder law over every block pair and message pair through
+one gather of output rows per block pair: the reference for the per-word
+slices of the pair-mass table.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ from corrsynth.codec_dist import (
     DistCodebooks,
     DistCodecParams,
     _build_dist_tables,
+    _DistSystemTables,
 )
 from corrsynth.codec_ptp import (
     BinningMap,
@@ -938,3 +942,14 @@ def sample_dist_induced(
     rows = tabs.decoded[mu1s, mu2s, m1s, m2s]
     y_codes = _rowwise_categorical(tabs.y_rows, rows, rng.random(num_samples))
     return x1_codes, x2_codes, y_codes
+
+
+def dist_joint(tabs: _DistSystemTables) -> np.ndarray:
+    """q[a1, a2, y] of the two-encoder law: one contraction over every block and message pair."""
+    k1, k2 = tabs.messages1.shape[0], tabs.messages2.shape[0]
+    out = 0.0
+    for mu1, mu2 in np.ndindex(k1, k2):
+        y_by_msgs = tabs.y_rows[tabs.decoded[mu1, mu2]]  # (M1+1, M2+1, Ay)
+        by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
+        out = out + np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
+    return out * (tabs.p_x_words[:, :, None] / (k1 * k2))

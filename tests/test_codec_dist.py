@@ -2,7 +2,13 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,6 +611,52 @@ def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n):
     target, args = streamed_case(name, n, seed=n)
     want = tv_deficit(target, dist_induced_joint_exact(*args))
     assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
+
+
+#: The reference gathers (M₁+1)(M₂+1)|Y|ⁿ output rows per block pair: 128 MB
+#: at n=5 on dist-demo, and as much again in tensordot's transposed copy.  A
+#: process started after that reports this one's peak RSS as its own
+#: (``test_an_n7_trial_peaks_below_300_mb``), so the check runs in a child.
+_SLICE_CHECK = """
+import json, sys
+import numpy as np
+from _oracles import dist_joint
+from corrsynth.codec_dist import _build_dist_tables, _dist_words
+from test_codec_dist import streamed_case
+worst = {}
+for name, n in json.loads(sys.argv[1]):
+    tabs = _build_dist_tables(*streamed_case(name, n, seed=n)[1])
+    got = np.stack([q.copy() for q in _dist_words(tabs)])
+    worst[f"{name} n={n}"] = float(np.abs(got - dist_joint(tabs)).max())
+print(json.dumps(worst))
+"""
+
+
+def test_word_slices_match_the_whole_table_contraction():
+    """Each source-1 word's slice of the pair-mass law is the gathered contraction's."""
+    cases = [*(("dist-demo", n) for n in range(1, 6)), *(("binary", n) for n in range(1, 5))]
+    paths = [str(Path(codec_ptp.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SLICE_CHECK, json.dumps(cases)], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    worst = json.loads(proc.stdout)
+    assert len(worst) == len(cases) and max(worst.values()) <= 1e-15, worst
+
+
+def test_the_two_encoder_deficit_holds_no_gathered_output_rows():
+    """On dist-demo at n=5 both entry points peak at no more than 32 MiB, pair mask included."""
+    target, args = streamed_case("dist-demo", 5, seed=0)
+    for run in (lambda: dist_streamed_tv_deficit(target, *args),
+                lambda: dist_induced_joint_exact(*args, budget=2_000_000)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 def test_the_decoder_pair_mask_counts_against_the_budget():
