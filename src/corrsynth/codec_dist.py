@@ -112,12 +112,6 @@ class DistCodecParams:
     def k_sizes(self) -> tuple[int, int]:
         return tuple(leg.k_size for leg in self.legs)
 
-    @property
-    def k_size(self) -> int:
-        """Total randomness blocks K = K₁·K₂."""
-        k1, k2 = self.k_sizes
-        return k1 * k2
-
 
 @dataclass(frozen=True)
 class DistCodebooks:
@@ -302,8 +296,10 @@ def dist_streamed_tv_deficit(
     """``tv_deficit(p_x1x2y, dist_induced_joint_exact(...))`` and validity.
 
     :func:`_streamed_tv` over source-1 words, with
-    :func:`dist_induced_joint_exact`'s slices (:func:`_dist_words`); neither
-    word table is built.  The budget counts the largest array held at once.
+    :func:`dist_induced_joint_exact`'s slices (:func:`_dist_words`) and
+    half-word target slices; neither word table is built, and the result
+    can differ from :func:`tv_deficit` in the last bits.  The budget counts
+    the largest array held at once.
     The flag is both legs' encoder validity, read off their message tables.
     """
     tabs = _build_dist_tables(
@@ -311,8 +307,10 @@ def dist_streamed_tv_deficit(
         codebooks, binnings, params, budget,
     )
     (a1, a2), ay, ny = tabs.p_x_words.shape, tabs.y_rows.shape[1], p_y_given_w1w2.table.shape[-1]
-    # the letter factors; per word: t with its prefixes, and q
-    check_budget(max(params.n * a1 * a2 * ny, 3 * a2 * ay), budget, what="streamed deficit")
+    n, nx1 = params.n, p_x1x2.alphabets[0].size
+    # the letter factors and the target's half-word tables; per word: t and q
+    half = sum((nx1 * ny) ** h for h in (n // 2, n - n // 2))
+    check_budget(max(n * a1 * a2 * ny, a2 * half, 2 * a2 * ay), budget, what="streamed deficit")
     names = (*p_x1x2.names, p_y_given_w1w2.out_names[0])
     alphabets = (*p_x1x2.alphabets, p_y_given_w1w2.out_alphabets[0])
-    return _streamed_tv(p_x1x2y, names, alphabets, params.n, _dist_words(tabs)), tabs.valid
+    return _streamed_tv(p_x1x2y, names, alphabets, n, _dist_words(tabs)), tabs.valid

@@ -615,47 +615,28 @@ def _build_system_tables(
     return _SystemTables(p_xz_words, messages, decoded, zs, row_letters, valid)
 
 
-def _half_word_rows(row_letters: np.ndarray, z_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gh, gt): the output rows' two half-word tables, over |Z| = ``z_size``.
+def _word_products(letters: np.ndarray, size: int):
+    """Yield Π_i letters[i, c, r, y_i] as an (R, Yⁿ) table per word c, in order.
 
-    With k = n // 2 and z = z_head·|Z|^(n−k) + z_tail, ``gh[z_head, r,
-    y_head]`` multiplies letters 0..k−1 and ``gt[z_tail, r, y_tail]`` letters
-    k..n−1, each in letter order (:func:`_word_rows`); row r of z is their
-    outer product.  At n = 1, k = 0 and gh is the one empty word: 1.0.
+    ``letters`` (n, Sⁿ, R, Y), S = ``size``, holds letter i's factor of each
+    big-endian word c (a z-word's output rows, or an outer word's target
+    slice), depending on c only through that letter.  With k = n // 2 and
+    c = c_head·S^(n−k) + c_tail, the half-word tables ``gh[c_head, r,
+    y_head]`` and ``gt[c_tail, r, y_tail]`` multiply letters 0..k−1 and
+    k..n−1, each in letter order (:func:`_word_rows`; at n = 1 gh is the
+    empty word, 1.0), and word c's table is their outer product.  The
+    yielded array is a workspace the next word overwrites, and the caller
+    may overwrite it too.
     """
-    n, _, rr, _ = row_letters.shape
-    k, tails = n // 2, z_size ** (n - n // 2)
-    gh = _word_rows(list(row_letters[:k, ::tails])) if k else np.ones((1, rr, 1))
-    return gh, _word_rows(list(row_letters[k:, :tails]))
-
-
-def _target_words(head: np.ndarray, zs: np.ndarray):
-    """Yield t[h, y] = Π_i head[i, c, h, y_i] per word c of ``zs``, in order.
-
-    ``head`` (n, C, H, Y) holds the letter factors, multiplied in letter
-    order: with the target's letters as head, t is word c's slice of
-    :func:`product_pmf`'s table bit for bit.  Consecutive big-endian words
-    (z-words, or source-1 words for two encoders) share their leading
-    letters, so the walk keeps the running product of each prefix and
-    extends it from the first letter that changes; this needs head[i, c] to
-    depend on word c only through its first i+1 letters, as a head built
-    from the words' letters does.  The yielded array is a workspace the next
-    word overwrites, and the caller may overwrite it too.
-    """
-    n, az, width, ny = head.shape
-    # prefix[i] holds the product of letters 0..i; the last is the word's t
-    prefix = [np.empty((width, ny ** (i + 1))) for i in range(n)]
-    shared = np.zeros(az, dtype=np.int64)  # leading letters z_c shares with z_{c-1}
-    shared[1:] = np.cumprod(zs[1:] == zs[:-1], axis=1).sum(axis=1)
-    for c in range(az):
-        if shared[c] == 0:
-            np.copyto(prefix[0], head[0, c])
-        for i in range(max(1, shared[c]), n):
-            # one new-letter value at a time: the inner loops run over the prefix
-            grown = prefix[i].reshape(width, ny**i, ny)
-            for y in range(ny):
-                np.multiply(prefix[i - 1], head[i, c, :, y, None], out=grown[:, :, y])
-        yield prefix[-1]
+    n, _, rr, _ = letters.shape
+    k, tails = n // 2, size ** (n - n // 2)
+    gh = _word_rows(list(letters[:k, ::tails])) if k else np.ones((1, rr, 1))
+    gt = _word_rows(list(letters[k:, :tails]))
+    out = np.empty((rr, gh.shape[2], gt.shape[2]))
+    for c in range(letters.shape[1]):
+        head, tail = divmod(c, tails)
+        # einsum's loop runs faster here than a broadcast multiply
+        yield np.einsum("rh,rt->rht", gh[head], gt[tail], out=out).reshape(rr, -1)
 
 
 def _induced_words(tabs: _SystemTables):
@@ -664,10 +645,10 @@ def _induced_words(tabs: _SystemTables):
     mass[r, x] = Σ_μ Σ_{m → r} P(m|x, μ) p(x, z_c)/K: a block's distinct
     words sit in one bin each, so per (μ, z) at most one message decodes to
     a row r >= 1 (a padded zero message stands in where none does), and row
-    0 (w0) takes every other message.  The output rows are outer products of
-    the half-word tables of :func:`_half_word_rows`, so q is in that
-    association, not the letter order of ``y_rows``.  The yielded array is
-    a workspace the next word overwrites.
+    0 (w0) takes every other message.  The output rows come from
+    :func:`_word_products`, so q is in the half-word association, not the
+    letter order of ``y_rows``.  The yielded array is a workspace the next
+    word overwrites.
     """
     kk, ax, m1 = tabs.messages.shape
     n, az, rr, ny = tabs.row_letters.shape
@@ -681,17 +662,12 @@ def _induced_words(tabs: _SystemTables):
     fallback = (tabs.decoded == 0).transpose(1, 0, 2).reshape(az, -1).astype(float)
     fallback_mass = fallback @ by_message.reshape(-1, ax)  # (Az, Ax)
     scale = tabs.p_xz_words.T / kk  # (Az, Ax)
-    gh, gt = _half_word_rows(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)
-    z_head, z_tail = np.divmod(np.arange(az), gt.shape[0])
-    # the workspace: one word's output rows and induced slice
-    rows, q = np.empty((rr, gh.shape[2], gt.shape[2])), np.empty((ax, ny**n))
-    for c in range(az):
-        # the outer products; einsum's loop runs faster here than a broadcast multiply
-        np.einsum("rh,rt->rht", gh[z_head[c]], gt[z_tail[c]], out=rows)
+    q = np.empty((ax, ny**n))  # the workspace
+    for c, rows in enumerate(_word_products(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)):
         mass = padded[source[:, c]].sum(axis=0)  # (R, Ax)
         mass[0] = fallback_mass[c]
         mass *= scale[c]
-        yield np.matmul(mass.T, rows.reshape(rr, -1), out=q)
+        yield np.matmul(mass.T, rows, out=q)
 
 
 def induced_joint_exact(
@@ -804,9 +780,11 @@ def _streamed_tv(p: JointPmf, names, alphabets, n: int, slices) -> float:
     ``p`` is marginalized to the (outer, inner, output) axes ``names``, whose
     letter alphabets must be the codec's ``alphabets``.  ``slices`` yields
     q[inner, output] per outer word in lexicographic order (z-words for one
-    encoder, source-1 words for two); t, overwritten here, is the word's
-    slice of :func:`product_pmf`'s table (:func:`_target_words`).  Σq and
-    Σ|t − q| are summed per word and reduced once; Σq must be 1 ± 1e-9.
+    encoder, source-1 words for two).  t, overwritten here, is the word's
+    target slice, built like the output rows (:func:`_word_products`): the
+    outer product of the half-word tables of the target's letter factors,
+    within a few ulp of :func:`product_pmf`'s slice.  Σq and Σ|t − q| are
+    summed per word and reduced once; Σq must be 1 ± 1e-9.
     """
     marginal = p.marginalize(names)
     if marginal.alphabets != alphabets:
@@ -814,7 +792,7 @@ def _streamed_tv(p: JointPmf, names, alphabets, n: int, slices) -> float:
     outer, inner = (enumerate_sequences(a.size, n) for a in alphabets[:2])
     head = marginal.table[outer.T[:, :, None], inner.T[:, None, :]]  # (n, outer, inner, Y)
     sums = np.empty((2, outer.shape[0]))  # per word: Σq, Σ|t − q|
-    for w, (t, q) in enumerate(zip(_target_words(head, outer), slices)):
+    for w, (t, q) in enumerate(zip(_word_products(head, alphabets[0].size), slices)):
         sums[0, w] = q.sum()
         t -= q
         sums[1, w] = np.abs(t, out=t).sum()
@@ -839,16 +817,18 @@ def streamed_tv_deficit(
 
     :func:`_streamed_tv` over side-information words with
     :func:`induced_joint_exact`'s slices (:func:`_induced_words`); it can
-    differ from :func:`tv_deficit`, which sums in another order, in the last
-    bits.  The budget counts the largest array held at once.  The flag is
-    :func:`encoder_validity`'s, read off the deficit's own message tables.
+    differ from :func:`tv_deficit`, whose target multiplies in letter order
+    and which sums in another order, in the last bits.  The budget counts
+    the largest array held at once.  The flag is :func:`encoder_validity`'s,
+    read off the deficit's own message tables.
     """
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
-    # held throughout: the letter factors and the half-word table over the
-    # n - n//2 trailing letters (the larger one); per word: t and q or the
-    # output rows, and the (K, R, Ax) gather of message rows
-    fixed = max(n * az * (ax + rr) * ny, rr * (p_xz.alphabets[1].size * ny) ** (n - n // 2))
+    # held throughout: the letter factors and the rows' and the target's
+    # half-word tables; per word: t and q or the output rows, and the
+    # (K, R, Ax) gather of message rows
+    half = sum((p_xz.alphabets[1].size * ny) ** h for h in (n // 2, n - n // 2))
+    fixed = max(n * az * (ax + rr) * ny, (ax + rr) * half)
     check_budget(max(fixed, (ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
     names = (*p_xz.names[::-1], p_y_given_zw.out_names[0])
     alphabets = (*p_xz.alphabets[::-1], p_y_given_zw.out_alphabets[0])

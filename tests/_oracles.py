@@ -461,6 +461,22 @@ def z_block(target_xyz, w_given_x, z):
     return big, rhs
 
 
+def half_word_product(head, c):
+    """Word c's slice Π_i head[i, c, h, y_i] over (n, C, H, Y) letter factors.
+
+    The running product of letters 0..n//2−1, and of the rest, each in
+    letter order (the head half of n = 1 is empty: 1.0), then their product.
+    """
+    n, _, width, _ = head.shape
+    halves = []
+    for letters in (range(n // 2), range(n // 2, n)):
+        part = np.ones((width, 1))
+        for i in letters:
+            part = (part[:, :, None] * head[i, c][:, None, :]).reshape(width, -1)
+        halves.append(part)
+    return (halves[0][:, :, None] * halves[1][:, None, :]).reshape(width, -1)
+
+
 def output_word_law(chan, a_word, b_word, y_word):
     """P(y^n | a^n, b^n) = prod_i chan[a_i, b_i, y_i], multiplied in letter order.
 

@@ -32,14 +32,17 @@ from corrsynth.codec_ptp import (
     tv_deficit,
 )
 from corrsynth.codec_dist import _build_dist_tables
+from corrsynth.codec_ptp import _word_products
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
+from corrsynth.typicality import enumerate_sequences
 
 from _oracles import (
     dist_decode_map,
     dist_encoder_pmf,
     encoder_subpmf,
+    half_word_product,
     output_word_law,
     sample_dist_induced,
     split_mu,
@@ -85,7 +88,7 @@ def test_params_sizes_split_and_validation():
     )
     assert [leg.l_size for leg in params.legs] == [4, 8]
     assert params.m_sizes == (2, 1)  # r2 = 0 collapses encoder 2 to one bin
-    assert params.k_sizes == (4, 2) and params.k_size == 8
+    assert params.k_sizes == (4, 2)
     assert split_mu(5, params) == (2, 1)  # high bits belong to encoder 1
     assert split_mu(0, params) == (0, 0)
     with pytest.raises(ValueError):
@@ -613,10 +616,25 @@ def test_streamed_deficit_equals_tv_of_the_exact_joint(name, n):
     assert abs(dist_streamed_tv_deficit(target, *args)[0] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_target_slices_are_half_word_products(n):
+    """Each source-1 word's target slice is the half-word product bit for bit
+    (at n=1 the head half is empty), and within 4 ulp of :func:`product_pmf`'s."""
+    target = streamed_case("dist-demo", n, seed=n)[0]
+    x1s, x2s = (enumerate_sequences(a.size, n) for a in target.alphabets[:2])
+    head = target.table[x1s.T[:, :, None], x2s.T[:, None, :]]
+    full = product_pmf(target, n).table
+    words = 0
+    for c, t in enumerate(_word_products(head, target.alphabets[0].size)):
+        assert np.array_equal(t, half_word_product(head, c))
+        assert np.all(np.abs(t - full[c]) <= 4 * np.spacing(full[c]))
+        words += 1
+    assert words == x1s.shape[0]
+
+
 #: The reference gathers (M₁+1)(M₂+1)|Y|ⁿ output rows per block pair: 128 MB
-#: at n=5 on dist-demo, and as much again in tensordot's transposed copy.  A
-#: process started after that reports this one's peak RSS as its own
-#: (``test_an_n7_trial_peaks_below_300_mb``), so the check runs in a child.
+#: at n=5 on dist-demo, and as much again in tensordot's transposed copy, so
+#: the check runs in a child and the test process never holds that much.
 _SLICE_CHECK = """
 import json, sys
 import numpy as np

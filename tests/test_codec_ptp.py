@@ -31,8 +31,8 @@ from corrsynth.codec_ptp import (
     _decoded_rows,
     _first_occurrence_dedup,
     _induced_words,
-    _target_words,
     _valid_rows,
+    _word_products,
 )
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
@@ -45,6 +45,7 @@ from _oracles import (
     decode_map,
     decoder_slack,
     encoder_subpmf,
+    half_word_product,
     induced_message_pmf,
     output_word_law,
 )
@@ -1003,7 +1004,9 @@ def test_streamed_deficit_checks_the_target_axes():
 
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
-    """Each z-word's target and induced slices are the full tables' slices at z."""
+    """Each z-word's induced slice is the full table's slice at z; its target
+    slice is the half-word product bit for bit, and within 4 ulp of
+    :func:`product_pmf`'s slice, which multiplies in letter order."""
     inst, args = instance_codec("synthesis-demo", n, seed=n)
     ind = induced_joint_exact(*args)
     target = product_pmf(inst.target_joint(), n).table
@@ -1011,9 +1014,10 @@ def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
     xs = enumerate_sequences(2, n)
     head = inst.target_joint().table[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]
     words = 0
-    for c, (t, q) in enumerate(zip(_target_words(head, tabs.zs), _induced_words(tabs))):
+    for c, (t, q) in enumerate(zip(_word_products(head, 2), _induced_words(tabs))):
         assert np.array_equal(q, ind.table[:, :, c])
-        assert np.array_equal(t, target[:, :, c])
+        assert np.array_equal(t, half_word_product(head, c))
+        assert np.all(np.abs(t - target[:, :, c]) <= 4 * np.spacing(target[:, :, c]))
         words += 1
     assert words == tabs.zs.shape[0]
 

@@ -377,11 +377,14 @@ def test_an_n7_trial_peaks_below_300_mb(tmp_path):
         "params": {"n": 7, "rt": 1.5, "r": 1.35, "c": 0.25, "delta": 0.5, "eta": 0.1, "seed": 0},
         "trials": 1,
     }))
+    # the child's own VmHWM: its ru_maxrss would start from this process's
+    # peak, which a process started by vfork and exec inherits
     script = (
-        "import resource, sys\n"
+        "import re, sys\n"
         "from corrsynth.cli import cli_dispatch\n"
         "rc = cli_dispatch(['simulate-ptp', '--spec', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1))\n"
     )
     src = str(Path(corrsynth.__file__).resolve().parent.parent)
     proc = subprocess.run(
