@@ -333,41 +333,16 @@ def _block_tables(
         )
 
 
-def _block_weights(table: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw index weights of one block from a weight table (:func:`_block_tables`).
-
-    Returns (weights (A, L), s (A,), valid (A,)); atypical source words get
-    all-zero weights, which downstream logic reads as a point mass on index 0.
-    ``ids[l]`` is the table column of index l.  Each weight is the product a
-    per-index evaluation forms, in the same letter order, and the gather
-    keeps the per-index memory layout, so weights, s and valid equal a
-    per-index evaluation bit for bit (the reference is
-    ``encoder_weight_batch`` in ``tests/_oracles.py``).  The message tables
-    and the scalar encoder oracle in ``tests/_oracles.py`` gather through
-    it, so their index weights agree to the last bit; encoder validity
-    decides ``s <= 1`` from the table itself (:func:`_valid_rows`), with the
-    same outcome.  Message 0 does not agree to the last bit:
-    :func:`_message_table` takes ``max(0, 1 - Σ)`` of the binned row, the
-    oracle the compensated complement ``_complement_to_one``, and the two
-    can differ in the last bits.
-    """
-    # t[:, ids] would come back in another memory order, and the row sums
-    # would then add in another order; np.take keeps the per-index layout.
-    weights = np.take(table, ids, axis=1)
-    s = weights.sum(axis=1)
-    return weights, s, s <= 1.0
-
-
 def _valid_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``s <= 1`` per row, s the row sum of :func:`_block_weights`' weights.
+    """``s <= 1`` per row, s the row sum of the block's gathered (A, L) weights.
 
     The weights are nonnegative, so any order of summing them is within
     gamma_L s of their exact sum (Higham 2002, sec. 4.2): the weighted sum
     ``table @ counts`` over the block's own columns, one term per codeword
-    times its index count, and the gathered (A, L) row sum alike.  So the
-    two lie within 2 L eps of each other, relative, and the weighted sum
-    decides every row outside twice that band around 1.  Rows inside it take
-    the gathered row sum, summed as :func:`_block_weights` sums it.
+    times its index count, and the gathered row sum alike.  So the two lie
+    within 2 L eps of each other, relative, and the weighted sum decides
+    every row outside twice that band around 1; rows inside it take the
+    gathered row sum.  Trials (:func:`_message_table`) and ``validity`` share it.
     """
     counts = np.bincount(ids, minlength=table.shape[1]).astype(float)
     cols = np.flatnonzero(counts)
@@ -392,7 +367,7 @@ def encoder_validity(
     blocks that share most of their words read one table over the
     codebook's distinct words (:func:`_block_tables`).  An empty typical
     input set or a degenerate codebook leaves nothing to oversubscribe:
-    vacuously valid, fraction 1.0.  Trials read it off :func:`_message_table`.
+    vacuously valid, fraction 1.0.  Trials decide by the same :func:`_valid_rows`.
     """
     p_x = p_joint_xw.marginalize((p_joint_xw.names[0],))
     xs = typical_set(p_x, params.n, params.delta, budget)
@@ -513,9 +488,9 @@ def _message_table(
     :func:`_word_ids` of the codebook's entries, flattened, and the blocks
     read their weights through :func:`_block_tables`.  Bins collect the
     index weights, invalid rows send nothing, and message 0 takes
-    ``max(0, 1 - Σ)`` of each row.  Atypical rows are all zero, so the flag
-    is :func:`encoder_validity`'s on the same joint (by :func:`_valid_rows`'
-    band argument).  A block holds its (A, L) index weights and the (L, M+1)
+    ``max(0, 1 - Σ)`` of each row.  Atypical rows are all zero, and rows are
+    decided by :func:`_valid_rows`, so the flag is :func:`encoder_validity`'s
+    on the same joint.  A block holds its (A, L) index weights and the (L, M+1)
     one-hot of its bins, and the budget bounds the larger.
     """
     cells = max(xs.shape[0], m_size + 1) * codebook.l_size
@@ -524,7 +499,10 @@ def _message_table(
     all_valid = True
     tables = _block_tables(xs, codebook, numbering, p_joint_xw, params, budget)
     for mu, (table, ids) in enumerate(tables):
-        weights, _, valid = _block_weights(table, ids)
+        # t[:, ids] would come back in another memory order, and the bins
+        # would then add in another order; np.take keeps the per-index layout.
+        weights = np.take(table, ids, axis=1)
+        valid = _valid_rows(table, ids)
         onehot = np.zeros((codebook.l_size, m_size + 1))
         onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
         msg[mu] = weights @ onehot
@@ -825,11 +803,11 @@ def streamed_tv_deficit(
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
     # held throughout: the letter factors and the rows' and the target's
-    # half-word tables; per word: t and q or the output rows, and the
+    # half-word tables; per word: t, q and the output rows at once, and the
     # (K, R, Ax) gather of message rows
     half = sum((p_xz.alphabets[1].size * ny) ** h for h in (n // 2, n - n // 2))
     fixed = max(n * az * (ax + rr) * ny, (ax + rr) * half)
-    check_budget(max(fixed, (ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
+    check_budget(max(fixed, (2 * ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
     names = (*p_xz.names[::-1], p_y_given_zw.out_names[0])
     alphabets = (*p_xz.alphabets[::-1], p_y_given_zw.out_alphabets[0])
     return _streamed_tv(p_xyz, names, alphabets, n, _induced_words(tabs)), tabs.valid

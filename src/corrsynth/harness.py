@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -267,19 +268,12 @@ def dist_instance_from_tables(p_x1x2, w1_given_x1, w2_given_x2, y_given_w1w2) ->
     )
 
 
-#: serialized kind -> (instance type, builder taking its fields' tables in order)
-_KINDS = {
-    "ptp": (PtpInstance, ptp_instance_from_tables),
-    "dist": (DistInstance, dist_instance_from_tables),
-}
-
-
 def instance_to_dict(instance) -> dict:
     """JSON-ready dict of the instance tables."""
-    for kind, (cls, _) in _KINDS.items():
-        if isinstance(instance, cls):
+    for kind, entry in _KINDS.items():
+        if isinstance(instance, entry.instance):
             return {"kind": kind, **{f.name: getattr(instance, f.name).table.tolist()
-                                     for f in fields(cls)}}
+                                     for f in fields(entry.instance)}}
     raise TypeError(f"not an instance: {type(instance).__name__}")
 
 
@@ -289,8 +283,8 @@ def instance_from_dict(d: dict):
         kind = d["kind"]
         if kind not in _KINDS:
             raise ValueError(f"malformed instance spec: unknown kind {kind!r}")
-        cls, build = _KINDS[kind]
-        return build(*(d[f.name] for f in fields(cls)))
+        entry = _KINDS[kind]
+        return entry.build(*(d[f.name] for f in fields(entry.instance)))
     except (KeyError, TypeError) as err:
         raise ValueError("malformed instance spec") from err
 
@@ -413,12 +407,6 @@ def parse_sweep(text: str) -> tuple[str, tuple[float, ...]]:
     return name, tuple(a + k * step for k in range(count))
 
 
-_SWEEPABLE = {
-    "ptp": ("rt", "r", "c", "delta", "eta"),
-    "dist": ("rt1", "rt2", "r1", "r2", "c1", "c2", "delta", "eta"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a Monte Carlo run depends on, and nothing else.
@@ -437,14 +425,13 @@ class ExperimentSpec:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ptp", "dist"):
-            raise ValueError(f"kind must be 'ptp' or 'dist', got {self.kind!r}")
-        want_inst = PtpInstance if self.kind == "ptp" else DistInstance
-        want_par = CodecParams if self.kind == "ptp" else DistCodecParams
-        if not isinstance(self.instance, want_inst):
-            raise ValueError(f"a {self.kind} spec needs a {want_inst.__name__}")
-        if not isinstance(self.params, want_par):
-            raise ValueError(f"a {self.kind} spec needs {want_par.__name__}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, _KINDS))}, got {self.kind!r}")
+        entry = _KINDS[self.kind]
+        if not isinstance(self.instance, entry.instance):
+            raise ValueError(f"a {self.kind} spec needs a {entry.instance.__name__}")
+        if not isinstance(self.params, entry.params):
+            raise ValueError(f"a {self.kind} spec needs {entry.params.__name__}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -453,9 +440,9 @@ class ExperimentSpec:
             enumeration_budget(self.budget)
         if self.sweep is not None:
             name, values = self.sweep
-            if name not in _SWEEPABLE[self.kind]:
+            if name not in entry.sweepable:
                 raise ValueError(
-                    f"cannot sweep {name!r}; sweepable: {_SWEEPABLE[self.kind]}"
+                    f"cannot sweep {name!r}; sweepable: {entry.sweepable}"
                 )
             values = tuple(float(v) for v in values)
             if not values or not all(math.isfinite(v) for v in values):
@@ -568,8 +555,7 @@ def experiment_spec_from_dict(d: dict) -> ExperimentSpec:
     try:
         kind = d["kind"]
         instance = resolve_instance(d["instance"])
-        params_cls = CodecParams if kind == "ptp" else DistCodecParams
-        params = params_cls(**d["params"])
+        params = _KINDS[kind].params(**d["params"])
         sweep = d.get("sweep")
         if isinstance(sweep, str):
             sweep = parse_sweep(sweep)
@@ -615,6 +601,25 @@ def _dist_trial(instance: DistInstance, params: DistCodecParams, budget):
     return tv, valid, books.first.degenerate or books.second.degenerate
 
 
+class _Kind(NamedTuple):
+    """A codec kind: instance type, its builder from tables, params type, sweepable params, trial."""
+
+    instance: type
+    build: Callable
+    params: type
+    sweepable: tuple[str, ...]
+    trial: Callable
+
+
+#: serialized kind -> _Kind; trials look their codec functions up when called
+_KINDS = {
+    "ptp": _Kind(PtpInstance, ptp_instance_from_tables, CodecParams,
+                 ("rt", "r", "c", "delta", "eta"), _ptp_trial),
+    "dist": _Kind(DistInstance, dist_instance_from_tables, DistCodecParams,
+                  ("rt1", "rt2", "r1", "r2", "c1", "c2", "delta", "eta"), _dist_trial),
+}
+
+
 def _map(fn, items, threads: int) -> tuple:
     """``fn`` over ``items``, in order, on ``threads`` worker threads (serial at 1)."""
     if threads > 1:
@@ -646,10 +651,7 @@ def run_tv_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentRepor
         tv, all_valid, degenerate = float("nan"), False, False
         skipped, reason = False, ""
         try:
-            if spec.kind == "ptp":
-                tv, all_valid, degenerate = _ptp_trial(spec.instance, params, spec.budget)
-            else:
-                tv, all_valid, degenerate = _dist_trial(spec.instance, params, spec.budget)
+            tv, all_valid, degenerate = _KINDS[spec.kind].trial(spec.instance, params, spec.budget)
         except BudgetExceededError:
             skipped, reason = True, "budget"
         return TrialRow(

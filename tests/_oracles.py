@@ -42,6 +42,8 @@ running product over letters, the reference for the letter-by-letter build.
 index, through an (A, L, n) gather, and ``first_occurrence_dedup`` numbers
 words with a dictionary of their bytes: the references for the per-word
 evaluation and the vectorised numbering, which must match them bit for bit.
+``block_weights`` gathers one block's index weights from a weight table
+and sums each row, as the scalar encoder oracles read them.
 ``block_weight_table`` builds one block's weight table over the block's own
 distinct words, and ``encoder_validity_per_block`` decides validity from one
 such table per block: the reference for the tables blocks share.
@@ -110,7 +112,6 @@ from corrsynth.codec_ptp import (
     BinningMap,
     Codebook,
     CodecParams,
-    _block_weights,
     _check_joint_budget,
     _conditional_rows,
     _first_occurrence_dedup,
@@ -520,6 +521,24 @@ def encoder_weight_batch(xs, entries_mu, p_joint_xw, epsilon, params):
     return weights, s, s <= 1.0
 
 
+def block_weights(table, ids):
+    """(weights (A, L), s (A,), valid (A,)) of one block, gathered from a weight table.
+
+    ``ids[l]`` is the table column of index l (``codec_ptp._block_tables``).
+    Each weight is the product a per-index evaluation forms, in the same
+    letter order, and the gather keeps the per-index memory layout, so
+    weights, s and valid equal ``encoder_weight_batch`` bit for bit.  The
+    scalar encoder oracles below gather through it, as the codec's message
+    tables gather with ``np.take``; the codec decides validity by
+    ``codec_ptp._valid_rows``, with the same outcome.
+    """
+    # t[:, ids] would come back in another memory order, and the row sums
+    # would then add in another order; np.take keeps the per-index layout.
+    weights = np.take(table, ids, axis=1)
+    s = weights.sum(axis=1)
+    return weights, s, s <= 1.0
+
+
 def block_weight_table(xs, entries_mu, p_joint_xw, epsilon, params):
     """(table (A, Θ), ids (L,)): one block's weights over its own distinct words."""
     ids, firsts = _first_occurrence_dedup(entries_mu)
@@ -772,7 +791,7 @@ def encoder_subpmf(
     deficit; otherwise the flag drops and the message convention takes over.
     """
     x = _coerce_word(x_seq, params.n)
-    weights, s, valid = _block_weights(*block_weight_table(
+    weights, s, valid = block_weights(*block_weight_table(
         x[None, :], codebook.entries[mu], p_joint_xw, codebook.epsilon, params
     ))
     s0, valid0 = float(s[0]), bool(valid[0])
@@ -872,7 +891,7 @@ def dist_encoder_pmf(
     x = np.asarray(x_seq, dtype=int)
     if x.shape != (params.n,):
         raise ValueError(f"expected a length-{params.n} word, got shape {x.shape}")
-    weights, s, valid = _block_weights(*block_weight_table(
+    weights, s, valid = block_weights(*block_weight_table(
         x[None, :], book.entries[mu], p_joint_xw, book.epsilon, params.legs[j - 1]
     ))
     return _message_pmf_from_labels(weights[0], bool(valid[0]), binning.labels[mu], binning.m_size)

@@ -26,7 +26,6 @@ from corrsynth.codec_ptp import (
     tv_deficit,
 )
 from corrsynth.codec_ptp import (
-    _block_weights,
     _build_system_tables,
     _decoded_rows,
     _first_occurrence_dedup,
@@ -406,7 +405,7 @@ def test_encoder_weights_equal_the_per_index_oracle(name):
     seen = dict.fromkeys(("repeats", "weighted", "unweighted", "invalid"), False)
     for block in entries:
         table = _oracles.block_weight_table(xs, block, p_joint_xw, epsilon, params)
-        got = _block_weights(*table)
+        got = _oracles.block_weights(*table)
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, epsilon, params)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -450,7 +449,7 @@ def test_encoder_weights_equal_the_per_index_oracle_on_random_shapes():
         xs = np.minimum((gen.random(given.shape)[..., None] > cdf.T[given]).sum(axis=-1), nx - 1)
         params = CodecParams(n=n, rt=1.0, r=0.5, c=0.0, delta=0.9, eta=0.1, seed=0)
         table = _oracles.block_weight_table(xs, block, p_joint_xw, 0.1, params)
-        got = _block_weights(*table)
+        got = _oracles.block_weights(*table)
         want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, 0.1, params)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -507,10 +506,10 @@ def test_packed_word_numbering_equals_the_dict_oracle_on_random_blocks():
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def test_codebook_validity_equals_the_per_block_oracle():
-    """One weight table per codebook gives the flags one table per block
-    gives: on random codebooks whose blocks share words, and on blocks whose
-    sums land on 1 within rounding, inside ``_valid_rows``' band."""
+def validity_cases():
+    """(codebook, joint, params) triples: three blocks whose sums land on 1
+    within rounding, inside ``_valid_rows``' band, then the demo's codebooks
+    and random codebooks whose blocks share words."""
     gen = np.random.default_rng(12)
     # three blocks of the near-one test's shape, each over its own 12 of
     # the 14 typical words, so the codebook's table has columns a block lacks
@@ -547,12 +546,35 @@ def test_codebook_validity_equals_the_per_block_oracle():
                              eta=float(gen.uniform(0.0, 0.5)), seed=0)
         book = Codebook(entries=entries, epsilon=float(gen.uniform(0.0, 0.3)), w_size=nw)
         cases.append((book, JointPmf.from_table(("X", "W"), table / table.sum()), params))
+    return cases
+
+
+def test_codebook_validity_equals_the_per_block_oracle():
+    """One weight table per codebook gives the flags one table per block
+    gives: on random codebooks whose blocks share words, and on blocks whose
+    sums land on 1 within rounding, inside ``_valid_rows``' band."""
     mixed = 0
-    for book, p_joint_xw, params in cases:
+    for book, p_joint_xw, params in validity_cases():
         got = encoder_validity(book, p_joint_xw, params)
         assert got == _oracles.encoder_validity_per_block(book, p_joint_xw, params)
         mixed += 0.0 < got[1] < 1.0
     assert mixed >= 60
+
+
+def test_a_trial_flag_is_encoder_validity():
+    """The flag the message tables return over every source word equals
+    ``encoder_validity``'s, on the cases above: both decide by ``_valid_rows``,
+    in its band too, where a row sum of the gathered weights could decide
+    otherwise than the table's weighted sum."""
+    seen = set()
+    for book, p_joint_xw, params in validity_cases():
+        xs = enumerate_sequences(p_joint_xw.table.shape[0], params.n)
+        labels = np.ones((book.k_size, book.l_size), dtype=np.int64)
+        numbering = codec_ptp._word_ids(book.entries.reshape(-1, params.n))
+        _, valid = codec_ptp._message_table(xs, book, numbering, labels, 1, p_joint_xw, params)
+        assert valid == encoder_validity(book, p_joint_xw, params)[0]
+        seen.add(valid)
+    assert seen == {True, False}
 
 
 def test_blocks_share_a_weight_table_only_when_they_share_words():
@@ -588,7 +610,7 @@ def test_blocks_share_a_weight_table_only_when_they_share_words():
             own += 1
             assert [t.shape[1] for t, _ in tables] == thetas
         for (t, block_ids), block in zip(tables, entries):
-            got = _block_weights(t, block_ids)
+            got = _oracles.block_weights(t, block_ids)
             want = _oracles.encoder_weight_batch(xs, block, p_joint_xw, book.epsilon, params)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
@@ -1004,18 +1026,29 @@ def test_streamed_deficit_checks_the_target_axes():
 
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
-    """Each z-word's induced slice is the full table's slice at z; its target
-    slice is the half-word product bit for bit, and within 4 ulp of
-    :func:`product_pmf`'s slice, which multiplies in letter order."""
+    """Each z-word's induced slice is the full table's slice at z, and its
+    output rows are within 4 ulp of the per-cell law of the row's decoded
+    word; its target slice is the half-word product bit for bit, and within
+    4 ulp of :func:`product_pmf`'s slice, which multiplies in letter order."""
     inst, args = instance_codec("synthesis-demo", n, seed=n)
+    p_xz, p_w_given_x, p_y_given_zw, cb, bn, params = args
     ind = induced_joint_exact(*args)
     target = product_pmf(inst.target_joint(), n).table
     tabs = _build_system_tables(*args)
     xs = enumerate_sequences(2, n)
     head = inst.target_joint().table[xs.T[:, None, :], :, tabs.zs.T[:, :, None]]
+    # each row's codeword, from the decoder oracle at one cell decoding to it
+    p_wz = JointPmf.from_table(("W", "Z"), np.einsum("xz,xw->wz", p_xz.table, p_w_given_x.table))
+    delta2 = decoder_slack(params.delta, 2, 3, 2)
+    cells = (np.argwhere(tabs.decoded == r)[0] for r in range(tabs.row_letters.shape[2]))
+    row_words = [decode_map(tabs.zs[z], m, mu, cb, bn, p_wz, delta2) for mu, z, m in cells]
+    ys = enumerate_sequences(3, n).T  # letter i of every output word: the oracle runs per letter
+    slices = zip(_word_products(head, 2), _induced_words(tabs), _word_products(tabs.row_letters, 2))
     words = 0
-    for c, (t, q) in enumerate(zip(_word_products(head, 2), _induced_words(tabs))):
+    for c, (t, q, rows) in enumerate(slices):
         assert np.array_equal(q, ind.table[:, :, c])
+        want = np.array([output_word_law(p_y_given_zw.table, tabs.zs[c], w, ys) for w in row_words])
+        assert np.all(np.abs(rows - want) <= 4 * np.spacing(want))
         assert np.array_equal(t, half_word_product(head, c))
         assert np.all(np.abs(t - target[:, :, c]) <= 4 * np.spacing(target[:, :, c]))
         words += 1
@@ -1038,6 +1071,39 @@ def test_streamed_deficit_budgets_its_largest_array():
     # factors (5,952) do not
     with pytest.raises(BudgetExceededError, match="streamed deficit"):
         streamed_tv_deficit(inst.target_joint(), *args, budget=4_000)
+
+
+def test_streamed_deficit_budgets_every_array_a_word_holds(monkeypatch):
+    """Per z-word the target slice t, q and the output rows are alive at
+    once: the "streamed deficit" term covers all three.  At n=6 with one
+    output row they outgrow every array the term counts besides."""
+    inst = named_instance("synthesis-demo")
+    params = CodecParams(n=6, rt=1.5, r=0.0, c=0.5, delta=0.5, eta=0.1, seed=0)
+    cb, bn = build_ptp_codec(inst.p_w(), params)
+    terms, held = [], []
+    check, products, words = codec_ptp.check_budget, codec_ptp._word_products, codec_ptp._induced_words
+
+    def spy_check(cells, budget=None, what="enumeration"):
+        if what == "streamed deficit":
+            terms.append(cells)
+        return check(cells, budget, what)
+
+    def spy(gen):
+        # the sizes one generator's yielded workspace takes, recorded once
+        def wrapped(*args):
+            for i, out in enumerate(gen(*args)):
+                if i == 0:
+                    held.append(out.size)
+                yield out
+        return wrapped
+
+    monkeypatch.setattr(codec_ptp, "check_budget", spy_check)
+    monkeypatch.setattr(codec_ptp, "_word_products", spy(products))
+    monkeypatch.setattr(codec_ptp, "_induced_words", spy(words))
+    streamed_tv_deficit(inst.target_joint(), inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
+    # t (64 x 729), q (64 x 729) and one row of 729: 94,041 cells
+    assert sorted(held) == [729, 64 * 729, 64 * 729]
+    assert len(terms) == 1 and terms[0] >= sum(held)
 
 
 def test_encoder_and_decoder_arrays_count_against_the_budget():

@@ -6,7 +6,7 @@ it:
 
 * the console-script entry in ``pyproject.toml``;
 * a module-level statement of the package other than an import (a dispatch
-  table such as ``cli._HANDLERS`` or ``harness._NAMED_INSTANCES``);
+  table such as ``cli._COMMANDS`` or ``harness._NAMED_INSTANCES``);
 * any name, attribute or dotted string in ``bench/*.py`` (the benchmark's
   calls and the tracer targets it patches by name);
 * ``tests/test_acceptance.py``;
