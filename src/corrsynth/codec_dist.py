@@ -20,7 +20,8 @@ Conventions carried over or pinned down here:
 - each codebook is pruned and renormalized by its own exact ε_j (the joint
   analysis tracks min(ε₁, ε₂), but only the per-codebook constant enters
   the law, so nothing here records the minimum);
-- the decoder's pair-typicality test runs at the plain slack δ;
+- the decoder's pair-typicality test runs at the plain slack δ, once per
+  distinct codeword pair; each index pair reads it through its word ids;
 - degenerate (empty-typical-set) codebooks follow the all-fallback
   convention of the single-encoder module.
 """
@@ -197,10 +198,10 @@ def _build_dist_tables(
     nx1, nx2 = (a.size for a in p_x1x2.alphabets)
     (k1, k2), (m1, m2) = params.k_sizes, params.m_sizes
     books = (codebooks.first, codebooks.second)
-    e1, e2 = (book.entries.reshape(-1, n) for book in books)
     cells = max(k1 * nx1**n * (m1 + 1), k2 * nx2**n * (m2 + 1), k1 * k2 * (m1 + 1) * (m2 + 1))
-    # the decoder's index-pair typicality mask is (K1 L1) x (K2 L2)
-    check_budget(max(cells, e1.shape[0] * e2.shape[0]), budget, what="message and decoder tables")
+    # the decoder's pair mask: per distinct word pair, gathered to (K1 L1) x (K2 L2) bytes
+    pairs = k1 * books[0].l_size * k2 * books[1].l_size
+    check_budget(max(cells, pairs), budget, what="message and decoder tables")
     p_x_words = ProductPmf(p_x1x2, n).table(budget)
     bn1, bn2 = binnings
     (numbering1, messages1, ok1), (numbering2, messages2, ok2) = (
@@ -215,11 +216,12 @@ def _build_dist_tables(
 
     # A (μ1, μ2, m1, m2) cell decodes when exactly one jointly typical index
     # pair sits in it; duplicate codewords count multiply.
-    a, b = np.nonzero(pairwise_typical_mask(e1, e2, p_w1w2, params.delta))
+    (id1, words1), (id2, words2) = numbering1, numbering2
+    typical = pairwise_typical_mask(words1, words2, p_w1w2, params.delta)  # distinct pairs
+    a, b = np.nonzero(typical[np.ix_(id1, id2)])
     mu1, mu2 = a // codebooks.first.l_size, b // codebooks.second.l_size
     cell = ((mu1 * k2 + mu2) * (m1 + 1) + bn1.labels.reshape(-1)[a]) * (m2 + 1)
     cell += bn2.labels.reshape(-1)[b]
-    (id1, words1), (id2, words2) = numbering1, numbering2
     pair = id1[a] * words2.shape[0] + id2[b]  # 0 = the fallback pair
     used, decoded = _decoded_rows(cell, pair, k1 * k2 * (m1 + 1) * (m2 + 1))
     decoded = decoded.reshape(k1, k2, m1 + 1, m2 + 1)

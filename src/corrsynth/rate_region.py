@@ -59,8 +59,6 @@ DIST_AXES = ("X1", "X2", "Y")
 #: default search-time cap on auxiliary alphabet sizes (the support-lemma
 #: bound (|X||Y||Z|)^2 is an upper limit, not a requirement, and explodes)
 DEFAULT_W_CAP = 8
-#: default cap on the time-sharing alphabet in distributed evaluations
-DEFAULT_Q_CAP = 4
 
 
 class InconsistentAuxError(ValueError):
@@ -1126,35 +1124,6 @@ def dist_joint_table(p_q, p_x1x2, w1_given_qx1, w2_given_qx2, y_given_qw1w2) -> 
     )
 
 
-def dist_induced_joint(p_x1x2y: JointPmf, aux: AuxChannelDist) -> JointPmf:
-    table = dist_joint_table(
-        aux.p_q,
-        p_x1x2y.marginalize(("X1", "X2")).table,
-        aux.p_w1_given_qx1.table,
-        aux.p_w2_given_qx2.table,
-        aux.p_y_given_qw1w2.table,
-    )
-    return JointPmf(
-        ("Q", "W1", "W2", "X1", "X2", "Y"),
-        (
-            aux.q_alphabet,
-            aux.w1_alphabet,
-            aux.w2_alphabet,
-            p_x1x2y.alphabet("X1"),
-            p_x1x2y.alphabet("X2"),
-            p_x1x2y.alphabet("Y"),
-        ),
-        table,
-    )
-
-
-def dist_consistency_residual(p_x1x2y: JointPmf, aux: AuxChannelDist) -> float:
-    """max |induced (X1,X2,Y) marginal - target| over all cells."""
-    induced = dist_induced_joint(p_x1x2y, aux).marginalize(DIST_AXES).table
-    target = p_x1x2y.marginalize(DIST_AXES).table
-    return float(np.abs(induced - target).max())
-
-
 @dataclass(frozen=True)
 class DistRateTriple:
     """The four clamped lower bounds of the two-encoder region (bits)."""
@@ -1194,12 +1163,14 @@ def dist_rates_for(
     tol: float = 1e-9,
     enforce_cardinality: bool = True,
 ) -> DistRateTriple:
-    """Evaluate the four lower bounds on the induced joint.
+    """Check consistency and evaluate the four bounds on one :func:`dist_joint_table`.
 
     The per-encoder cardinality defaults |W_j| <= |X_j| are working caps, not
     theoretical necessities; pass ``enforce_cardinality=False`` to lift them.
     """
-    residual = dist_consistency_residual(p_x1x2y, aux)
+    channels = (aux.p_w1_given_qx1.table, aux.p_w2_given_qx2.table, aux.p_y_given_qw1w2.table)
+    joint = dist_joint_table(aux.p_q, p_x1x2y.marginalize(("X1", "X2")).table, *channels)
+    residual = float(np.abs(joint.sum(axis=(0, 1, 2)) - p_x1x2y.marginalize(DIST_AXES).table).max())
     if residual > tol:
         raise InconsistentAuxError(residual, tol)
     if enforce_cardinality:
@@ -1207,9 +1178,7 @@ def dist_rates_for(
             raise ValueError("|W1| exceeds |X1|; pass enforce_cardinality=False to allow")
         if aux.w2_alphabet.size > p_x1x2y.alphabet("X2").size:
             raise ValueError("|W2| exceeds |X2|; pass enforce_cardinality=False to allow")
-    if aux.q_alphabet.size > DEFAULT_Q_CAP:
-        logger.debug("time-sharing alphabet size %d exceeds default cap", aux.q_alphabet.size)
-    return dist_table_rates(dist_induced_joint(p_x1x2y, aux).table)
+    return dist_table_rates(joint)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ The grid oracle scans every binary auxiliary channel p(w|x) on a uniform
 output channel p(y|w) is the unique solution of a 2x2 linear system, so each
 grid cell is either infeasible or evaluates exactly — no inner search.
 
-``ptp_induced_joint``, ``ptp_membership`` and ``dist_membership`` read
-one auxiliary pair's joint, or whether it certifies a rate point, through
-``rate_region``'s evaluators; only tests call them.  ``dist_bindings`` binds
+``ptp_induced_joint``, ``dist_induced_joint``, ``ptp_membership`` and
+``dist_membership`` read one auxiliary pair's joint, or whether it certifies
+a rate point, through ``rate_region``'s evaluators; only tests call them.
+``dist_induced_joint`` is the (Q, W1, W2, X1, X2, Y) joint as a checked
+``JointPmf``: the reference for the one table ``dist_rates_for`` reads its
+residual and its bounds off.  ``dist_bindings`` binds
 a two-encoder rate triple's informations to the exact systems' constants,
 and ``verify_markov_chain`` certifies a chain A - B - C by I(A;C|B).
 
@@ -191,6 +194,28 @@ def ptp_induced_joint(p_xyz: JointPmf, aux) -> JointPmf:
     return JointPmf(
         ("W",) + rate_region.PTP_AXES,
         (aux.w_alphabet,) + tuple(p_xyz.alphabet(a) for a in rate_region.PTP_AXES),
+        table,
+    )
+
+
+def dist_induced_joint(p_x1x2y: JointPmf, aux: rate_region.AuxChannelDist) -> JointPmf:
+    table = rate_region.dist_joint_table(
+        aux.p_q,
+        p_x1x2y.marginalize(("X1", "X2")).table,
+        aux.p_w1_given_qx1.table,
+        aux.p_w2_given_qx2.table,
+        aux.p_y_given_qw1w2.table,
+    )
+    return JointPmf(
+        ("Q", "W1", "W2", "X1", "X2", "Y"),
+        (
+            aux.q_alphabet,
+            aux.w1_alphabet,
+            aux.w2_alphabet,
+            p_x1x2y.alphabet("X1"),
+            p_x1x2y.alphabet("X2"),
+            p_x1x2y.alphabet("Y"),
+        ),
         table,
     )
 

@@ -33,10 +33,11 @@ from corrsynth.codec_ptp import (
 )
 from corrsynth.codec_dist import _build_dist_tables
 from corrsynth.codec_ptp import _word_products
+import corrsynth.codec_dist as codec_dist
 import corrsynth.codec_ptp as codec_ptp
 from corrsynth.harness import named_instance
 from corrsynth.probability import CondPmf, JointPmf
-from corrsynth.typicality import enumerate_sequences
+from corrsynth.typicality import enumerate_sequences, pairwise_typical_mask
 
 from _oracles import (
     dist_decode_map,
@@ -675,6 +676,39 @@ def test_the_two_encoder_deficit_holds_no_gathered_output_rows():
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def test_the_two_encoder_tables_peak_below_160_mib_at_n6():
+    """On dist-demo at n=6 (K·L = 4,344 indices a leg) the table build peaks
+    at no more than 160 MiB traced, against 309 MiB when every index pair
+    was tested for typicality."""
+    args = streamed_case("dist-demo", 6, seed=0)[1]
+    tracemalloc.start()
+    try:
+        _build_dist_tables(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 2**20
+
+
+def test_the_decoder_tests_pair_typicality_on_distinct_words(monkeypatch):
+    """The pair-typicality mask is taken over each leg's distinct words (51 of
+    them at n=6 on dist-demo), not over its K·L codebook indices; the indices
+    read it through their word ids."""
+    calls = []
+
+    def spy(seqs_a, seqs_b, table_ab, delta):
+        calls.append((seqs_a.shape, seqs_b.shape))
+        return pairwise_typical_mask(seqs_a, seqs_b, table_ab, delta)
+
+    args = streamed_case("dist-demo", 6, seed=0)[1]
+    books = (args[4].first, args[4].second)
+    assert [book.k_size * book.l_size for book in books] == [4344, 4344]
+    monkeypatch.setattr(codec_dist, "pairwise_typical_mask", spy)
+    _build_dist_tables(*args)
+    words = tuple(codec_ptp._word_ids(book.entries.reshape(-1, 6))[1].shape for book in books)
+    assert calls == [((51, 6), (51, 6))] == [words]
 
 
 def test_the_decoder_pair_mask_counts_against_the_budget():

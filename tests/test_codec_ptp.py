@@ -577,6 +577,29 @@ def test_a_trial_flag_is_encoder_validity():
     assert seen == {True, False}
 
 
+def test_a_row_in_the_band_is_decided_by_its_gathered_weights(monkeypatch):
+    """One codeword of weight 1/6 + ulp, read by all six indices of one block
+    (K = 1, L = 6, n = 1): the weighted sum ``table @ counts`` is exactly 1.0,
+    but the six gathered weights sum to 1.0000000000000002.  The row
+    oversubscribes, so the trial flag and ``encoder_validity`` both say invalid;
+    deciding by the weighted sum alone would call it valid."""
+    weight = 1 / 6 + np.spacing(1 / 6)
+    table, ids = np.full((1, 1), weight), np.zeros(6, dtype=np.int64)
+    assert (table @ np.bincount(ids).astype(float))[0] == 1.0
+    assert np.take(table, ids, axis=1).sum() == 1.0000000000000002
+    monkeypatch.setattr(codec_ptp, "_block_tables", lambda *args: [(table, ids)])
+    p_joint_xw = JointPmf.from_table(("X", "W"), np.array([[0.5, 0.5]]))
+    params = CodecParams(n=1, rt=math.log2(6), r=0.0, c=0.0, delta=0.5, eta=0.0, seed=0)
+    book = Codebook(entries=np.zeros((1, 6, 1), dtype=np.int64), epsilon=0.0, w_size=2)
+    assert (book.k_size, book.l_size) == (1, params.l_size) == (1, 6)
+    xs = enumerate_sequences(1, 1)
+    numbering = codec_ptp._word_ids(book.entries.reshape(-1, 1))
+    labels = np.ones((1, 6), dtype=np.int64)
+    messages, valid = codec_ptp._message_table(xs, book, numbering, labels, 1, p_joint_xw, params)
+    assert not valid and messages[0, 0].tolist() == [1.0, 0.0]
+    assert encoder_validity(book, p_joint_xw, params) == (False, 0.0)
+
+
 def test_blocks_share_a_weight_table_only_when_they_share_words():
     """Blocks drawn from one pool of words read one table over the
     codebook's words; blocks drawn from pools of their own, U above twice the

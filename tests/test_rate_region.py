@@ -15,6 +15,7 @@ from _oracles import (
     consistent_y_channel,
     descend_from,
     dist_bindings,
+    dist_induced_joint,
     dist_membership,
     logit_gradient,
     max_entropy_kkt,
@@ -40,7 +41,6 @@ from corrsynth.rate_region import (
     SearchConfig,
     aux_dist_from_tables,
     aux_ptp_from_tables,
-    dist_induced_joint,
     dist_rates_for,
     pareto_prune,
     ptp_bindings,
@@ -1125,6 +1125,37 @@ def test_dist_cardinality_cap_and_override():
         dist_rates_for(target, aux)
     rates = dist_rates_for(target, aux, enforce_cardinality=False)
     assert rates.r1 >= 0.0
+
+
+def dist_case_sizes(seed):
+    """|Q| = 1-3 and 2-3 letters on each other axis, varying with the seed."""
+    return dict(nq=1 + seed % 3, nx1=2 + seed % 2, nx2=2 + seed // 2 % 2,
+                nw1=2 + seed // 4 % 2, nw2=2 + seed // 8 % 2, ny=2 + seed // 3 % 2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_an_inconsistent_aux_reports_the_oracle_joint_residual(seed):
+    """An aux drawn apart from the target's: the residual ``dist_rates_for``
+    raises is, bit for bit, the largest deviation of the oracle joint's
+    (X1, X2, Y) marginal from the target's."""
+    sizes = dist_case_sizes(seed)
+    target = aux_first_dist(seed, **sizes)[0]
+    aux = aux_first_dist(seed + 1000, **sizes)[1]
+    induced = dist_induced_joint(target, aux).marginalize(rate_region.DIST_AXES).table
+    want = float(np.abs(induced - target.marginalize(rate_region.DIST_AXES).table).max())
+    assert want > 1e-6
+    with pytest.raises(InconsistentAuxError) as err:
+        dist_rates_for(target, aux, enforce_cardinality=False)
+    assert err.value.residual == want and err.value.tol == 1e-9
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_consistent_aux_rates_are_read_off_the_oracle_joint(seed):
+    """For an aux the target is built from, the rates equal, bit for bit,
+    ``dist_table_rates`` of the oracle's checked joint."""
+    target, aux = aux_first_dist(seed, **dist_case_sizes(seed))
+    want = rate_region.dist_table_rates(dist_induced_joint(target, aux).table)
+    assert dist_rates_for(target, aux, enforce_cardinality=False) == want
 
 
 def test_dist_induced_joint_has_declared_chains():
