@@ -416,6 +416,7 @@ class _SystemTables:
     decoded: np.ndarray  # (K, Az, M+1) output-row ids, 0 = w0
     zs: np.ndarray  # (Az, n) side-information words
     row_letters: np.ndarray  # (n, Az, R, Y) factors p(y | z_i, w_i); row 0 = w0, then decoded
+    halves: np.ndarray  # (2, R) ids of each row word's head half (n//2 letters) and tail half
     valid: bool  # every message-table row is a proper sub-PMF (encoder validity)
 
     @property
@@ -445,13 +446,19 @@ def _decoded_rows(cell: np.ndarray, code: np.ndarray, size: int) -> tuple[np.nda
     """
     candidate = np.zeros(size, dtype=np.int64)
     candidate[cell] = code
-    decoded = np.where(np.bincount(cell, minlength=size) == 1, candidate, 0)
-    # codes are nonnegative word (or word-pair) numbers: a one-byte presence
-    # mask over 0..max code replaces a sort of the cells
-    present = np.zeros(int(code.max(initial=0)) + 1, dtype=bool)
-    present[decoded] = True
+    return _ranked(np.where(np.bincount(cell, minlength=size) == 1, candidate, 0))
+
+
+def _ranked(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct codes, ascending; each code's rank among them).
+
+    Codes are nonnegative word (or word-pair) numbers: a one-byte presence
+    mask over 0..max code replaces a sort.
+    """
+    present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+    present[codes] = True
     used = np.flatnonzero(present)
-    return used, np.searchsorted(used, decoded)
+    return used, np.searchsorted(used, codes)
 
 
 def _word_rows(letters: list[np.ndarray]) -> np.ndarray:
@@ -487,11 +494,13 @@ def _message_table(
     ``labels[μ, l]`` is the bin of index l in block μ; ``numbering`` is
     :func:`_word_ids` of the codebook's entries, flattened, and the blocks
     read their weights through :func:`_block_tables`.  Bins collect the
-    index weights, invalid rows send nothing, and message 0 takes
-    ``max(0, 1 - Σ)`` of each row.  Atypical rows are all zero, and rows are
-    decided by :func:`_valid_rows`, so the flag is :func:`encoder_validity`'s
-    on the same joint.  A block holds its (A, L) index weights and the (L, M+1)
-    one-hot of its bins, and the budget bounds the larger.
+    index weights as ``table @ counts``, counts[u, m] the number of the
+    block's indices of word u in bin m; invalid rows send nothing, and
+    message 0 takes ``max(0, 1 - Σ)`` of each row.  Atypical rows are all
+    zero, and rows are decided by :func:`_valid_rows`, so the flag is
+    :func:`encoder_validity`'s on the same joint.  The budget's L·max(A, M+1)
+    cells bound a block's (A, M+1) messages and, within a factor 2 (U <= 2L),
+    its (U, M+1) counts.
     """
     cells = max(xs.shape[0], m_size + 1) * codebook.l_size
     check_budget(cells, budget, what="encoder index weights")
@@ -499,13 +508,10 @@ def _message_table(
     all_valid = True
     tables = _block_tables(xs, codebook, numbering, p_joint_xw, params, budget)
     for mu, (table, ids) in enumerate(tables):
-        # t[:, ids] would come back in another memory order, and the bins
-        # would then add in another order; np.take keeps the per-index layout.
-        weights = np.take(table, ids, axis=1)
         valid = _valid_rows(table, ids)
-        onehot = np.zeros((codebook.l_size, m_size + 1))
-        onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
-        msg[mu] = weights @ onehot
+        cells = ids * (m_size + 1) + labels[mu]  # (word, bin) of each index
+        counts = np.bincount(cells, minlength=table.shape[1] * (m_size + 1)).astype(float)
+        np.matmul(table, counts.reshape(-1, m_size + 1), out=msg[mu])
         msg[mu, ~valid] = 0.0
         all_valid = all_valid and bool(valid.all())
     msg[:, :, 0] = np.maximum(0.0, 1.0 - msg[:, :, 1:].sum(axis=2))
@@ -590,16 +596,18 @@ def _build_system_tables(
     used, decoded = _decoded_rows(cell, gid[ee], kk * zs.shape[0] * (mm + 1))
     decoded = decoded.reshape(kk, zs.shape[0], mm + 1)
     row_letters = p_y_given_zw.table[zs.T[:, :, None], words[used].T[:, None, :]]
-    return _SystemTables(p_xz_words, messages, decoded, zs, row_letters, valid)
+    halves = np.stack([_ranked(h @ codebook.w_size ** np.arange(h.shape[1])[::-1])[1]
+                       for h in np.hsplit(words[used], [n // 2])])  # by base-|W| code
+    return _SystemTables(p_xz_words, messages, decoded, zs, row_letters, halves, valid)
 
 
 def _word_products(letters: np.ndarray, size: int):
     """Yield Π_i letters[i, c, r, y_i] as an (R, Yⁿ) table per word c, in order.
 
     ``letters`` (n, Sⁿ, R, Y), S = ``size``, holds letter i's factor of each
-    big-endian word c (a z-word's output rows, or an outer word's target
-    slice), depending on c only through that letter.  With k = n // 2 and
-    c = c_head·S^(n−k) + c_tail, the half-word tables ``gh[c_head, r,
+    big-endian word c, depending on c only through that letter: the target
+    slices of the deficit's outer words, r an inner word.  With k = n // 2
+    and c = c_head·S^(n−k) + c_tail, the half-word tables ``gh[c_head, r,
     y_head]`` and ``gt[c_tail, r, y_tail]`` multiply letters 0..k−1 and
     k..n−1, each in letter order (:func:`_word_rows`; at n = 1 gh is the
     empty word, 1.0), and word c's table is their outer product.  The
@@ -623,10 +631,14 @@ def _induced_words(tabs: _SystemTables):
     mass[r, x] = Σ_μ Σ_{m → r} P(m|x, μ) p(x, z_c)/K: a block's distinct
     words sit in one bin each, so per (μ, z) at most one message decodes to
     a row r >= 1 (a padded zero message stands in where none does), and row
-    0 (w0) takes every other message.  The output rows come from
-    :func:`_word_products`, so q is in the half-word association, not the
-    letter order of ``y_rows``.  The yielded array is a workspace the next
-    word overwrites.
+    0 (w0) takes every other message.  Row r's output law is the outer
+    product of the half-word tables (read off ``row_letters`` as
+    :func:`_word_products` reads them) of its word's head half h (n//2
+    letters) and tail half t (``halves``).  So the mass goes to an (Ax,
+    H_d·T_d) cell matrix, contracted by (Ax·H_d, T_d) @ (T_d, Y^(n−k)) and
+    then per x by the head table, which leaves q in the target slices'
+    (x, y_head, y_tail) layout; no (R, Yⁿ) output row is built.  The
+    yielded array is a workspace the next word overwrites.
     """
     kk, ax, m1 = tabs.messages.shape
     n, az, rr, ny = tabs.row_letters.shape
@@ -640,12 +652,23 @@ def _induced_words(tabs: _SystemTables):
     fallback = (tabs.decoded == 0).transpose(1, 0, 2).reshape(az, -1).astype(float)
     fallback_mass = fallback @ by_message.reshape(-1, ax)  # (Az, Ax)
     scale = tabs.p_xz_words.T / kk  # (Az, Ax)
-    q = np.empty((ax, ny**n))  # the workspace
-    for c, rows in enumerate(_word_products(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)):
+    # gh[z_head, h, y_head] and gt[z_tail, t, y_tail], off one row of each half
+    k, tails = n // 2, (int(tabs.zs[-1, 0]) + 1) ** (n - n // 2)
+    reps = [np.unique(ids, return_index=True)[1] for ids in tabs.halves]
+    gh = _word_rows(list(tabs.row_letters[:k, ::tails][:, :, reps[0]])) if k else np.ones((1, 1, 1))
+    gt = _word_rows(list(tabs.row_letters[k:, :tails][:, :, reps[1]]))
+    (_, hd, yh), (_, td, yt) = gh.shape, gt.shape
+    gh = gh.transpose(0, 2, 1).copy()  # (Z_head, Y_head, H_d)
+    spot = tabs.halves[0] * td + tabs.halves[1]
+    cell, part, q = np.zeros((ax, hd * td)), np.empty((ax * hd, yt)), np.empty((ax, yh, yt))
+    for c in range(az):
+        head, tail = divmod(c, tails)
         mass = padded[source[:, c]].sum(axis=0)  # (R, Ax)
         mass[0] = fallback_mass[c]
         mass *= scale[c]
-        yield np.matmul(mass.T, rows, out=q)
+        cell[:, spot] = mass.T
+        np.matmul(cell.reshape(ax * hd, td), gt[tail], out=part)
+        yield np.matmul(gh[head], part.reshape(ax, hd, yt), out=q).reshape(ax, -1)
 
 
 def induced_joint_exact(
@@ -758,10 +781,10 @@ def _streamed_tv(p: JointPmf, names, alphabets, n: int, slices) -> float:
     ``p`` is marginalized to the (outer, inner, output) axes ``names``, whose
     letter alphabets must be the codec's ``alphabets``.  ``slices`` yields
     q[inner, output] per outer word in lexicographic order (z-words for one
-    encoder, source-1 words for two).  t, overwritten here, is the word's
-    target slice, built like the output rows (:func:`_word_products`): the
-    outer product of the half-word tables of the target's letter factors,
-    within a few ulp of :func:`product_pmf`'s slice.  Σq and Σ|t − q| are
+    encoder, source-1 words for two), outputs big-endian.  t, overwritten
+    here, is the word's target slice from :func:`_word_products`: the outer
+    product of the half-word tables of the target's letter factors, within a
+    few ulp of :func:`product_pmf`'s slice.  Σq and Σ|t − q| are
     summed per word and reduced once; Σq must be 1 ± 1e-9.
     """
     marginal = p.marginalize(names)
@@ -797,17 +820,20 @@ def streamed_tv_deficit(
     :func:`induced_joint_exact`'s slices (:func:`_induced_words`); it can
     differ from :func:`tv_deficit`, whose target multiplies in letter order
     and which sums in another order, in the last bits.  The budget counts
-    the largest array held at once.  The flag is :func:`encoder_validity`'s,
-    read off the deficit's own message tables.
+    the largest set of arrays held at once: per word, t, q and the two
+    half-word products' operands (:func:`_induced_words`).  The flag is
+    :func:`encoder_validity`'s, read off the deficit's own message tables.
     """
     tabs = _build_system_tables(p_xz, p_w_given_x, p_y_given_zw, codebook, binning, params, budget)
     (kk, ax, _), (n, az, rr, ny) = tabs.messages.shape, tabs.row_letters.shape
     # held throughout: the letter factors and the rows' and the target's
-    # half-word tables; per word: t, q and the output rows at once, and the
-    # (K, R, Ax) gather of message rows
+    # half-word tables; per word: t, q, the (Ax, H_d·T_d) cells and the
+    # (Ax·H_d, Y^(n−k)) partial product at once, and the (K, R, Ax) gather
     half = sum((p_xz.alphabets[1].size * ny) ** h for h in (n // 2, n - n // 2))
     fixed = max(n * az * (ax + rr) * ny, (ax + rr) * half)
-    check_budget(max(fixed, (2 * ax + rr) * ny**n, kk * rr * ax), budget, what="streamed deficit")
+    hd, td = (int(ids.max()) + 1 for ids in tabs.halves)
+    word = ax * (2 * ny**n + hd * td + hd * ny ** (n - n // 2))
+    check_budget(max(fixed, word, kk * rr * ax), budget, what="streamed deficit")
     names = (*p_xz.names[::-1], p_y_given_zw.out_names[0])
     alphabets = (*p_xz.alphabets[::-1], p_y_given_zw.out_alphabets[0])
     return _streamed_tv(p_xyz, names, alphabets, n, _induced_words(tabs)), tabs.valid

@@ -40,6 +40,11 @@ entry, as the reference for the vectorized construction.
 
 ``output_word_law`` evaluates one cell of a codec's output-word table as a
 running product over letters, the reference for the letter-by-letter build.
+``dense_induced_words`` multiplies each z-word's row mass by its R dense
+output rows, and ``onehot_message_table`` multiplies each block's gathered
+(A, L) index weights by a one-hot of their bins: the references for the
+contraction over distinct half words and for the messages from (word, bin)
+counts.
 
 ``encoder_weight_batch`` evaluates the encoder's index weights once per
 index, through an (A, L, n) gather, and ``first_occurrence_dedup`` numbers
@@ -115,12 +120,15 @@ from corrsynth.codec_ptp import (
     BinningMap,
     Codebook,
     CodecParams,
+    _block_tables,
     _check_joint_budget,
     _conditional_rows,
     _first_occurrence_dedup,
     _rowwise_categorical,
+    _SystemTables,
     _valid_rows,
     _weight_columns,
+    _word_products,
 )
 from corrsynth.polyhedra import (
     LinearRow,
@@ -1013,3 +1021,49 @@ def dist_joint(tabs: _DistSystemTables) -> np.ndarray:
         by_m1 = np.tensordot(tabs.messages2[mu2], y_by_msgs, axes=([1], [1]))  # (A2, M1+1, Ay)
         out = out + np.tensordot(tabs.messages1[mu1], by_m1, axes=([1], [1]))
     return out * (tabs.p_x_words[:, :, None] / (k1 * k2))
+
+
+def dense_induced_words(tabs: _SystemTables):
+    """Yield q[x, y] = P(x, y, z_c) per z-word c as the mass times R dense output rows.
+
+    The row mass is built as ``_induced_words`` builds it; each word's (R, Yⁿ) output rows
+    come from ``_word_products`` of ``row_letters``, in the half-word
+    association, and q is their (Ax, R) @ (R, Yⁿ) product: the reference
+    for the contraction over distinct half words.
+    """
+    kk, ax, m1 = tabs.messages.shape
+    n, az, rr, ny = tabs.row_letters.shape
+    mu_i, z_i, m_i = np.nonzero(tabs.decoded)
+    source = np.full((kk, az, rr), m1) + (m1 + 1) * np.arange(kk)[:, None, None]
+    source[mu_i, z_i, tabs.decoded[mu_i, z_i, m_i]] = m_i + (m1 + 1) * mu_i
+    by_message = tabs.messages.transpose(0, 2, 1)  # (K, M+1, Ax)
+    padded = np.concatenate([by_message, np.zeros((kk, 1, ax))], axis=1).reshape(-1, ax)
+    fallback = (tabs.decoded == 0).transpose(1, 0, 2).reshape(az, -1).astype(float)
+    fallback_mass = fallback @ by_message.reshape(-1, ax)  # (Az, Ax)
+    scale = tabs.p_xz_words.T / kk  # (Az, Ax)
+    for c, rows in enumerate(_word_products(tabs.row_letters, int(tabs.zs[-1, 0]) + 1)):
+        mass = padded[source[:, c]].sum(axis=0)  # (R, Ax)
+        mass[0] = fallback_mass[c]
+        mass *= scale[c]
+        yield mass.T @ rows
+
+
+def onehot_message_table(xs, codebook, numbering, labels, m_size, p_joint_xw, params):
+    """(K, A, M+1) message PMFs and validity, each block's bins as an (L, M+1) one-hot.
+
+    Gathers a block's (A, L) index weights per index and multiplies them by
+    the one-hot of the indices' bins: the reference for the messages from
+    (word, bin) counts.  Rows are decided by ``_valid_rows``.
+    """
+    msg = np.empty((codebook.k_size, xs.shape[0], m_size + 1))
+    all_valid = True
+    for mu, (table, ids) in enumerate(_block_tables(xs, codebook, numbering, p_joint_xw, params)):
+        weights = np.take(table, ids, axis=1)
+        valid = _valid_rows(table, ids)
+        onehot = np.zeros((codebook.l_size, m_size + 1))
+        onehot[np.arange(codebook.l_size), labels[mu]] = 1.0
+        msg[mu] = weights @ onehot
+        msg[mu, ~valid] = 0.0
+        all_valid = all_valid and bool(valid.all())
+    msg[:, :, 0] = np.maximum(0.0, 1.0 - msg[:, :, 1:].sum(axis=2))
+    return msg, all_valid

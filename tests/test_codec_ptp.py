@@ -34,6 +34,7 @@ from corrsynth.codec_ptp import (
     _word_products,
 )
 import corrsynth.codec_ptp as codec_ptp
+from corrsynth.codec_dist import DistCodecParams, build_dist_codec
 from corrsynth.harness import named_instance
 from corrsynth.harness import ptp_instance_from_tables
 from corrsynth.probability import CondPmf, JointPmf, total_variation
@@ -655,6 +656,61 @@ def test_blocks_share_a_weight_table_only_when_they_share_words():
             assert np.array_equal(msg[mu], want[0])
 
 
+def message_table_cases():
+    """(source words, codebook, labels, M, joint, params) of three encoders:
+    synthesis-demo's, whose blocks share one weight table; one whose blocks
+    share few words (|X| = |W| = 4, n = 6, rt 0.5, c 0.5), a table per block;
+    and leg 1 of dist-demo, whose per-index bins put a word's indices in one
+    bin more than once."""
+    inst = named_instance("synthesis-demo")
+    params = CodecParams(n=6, rt=1.5, r=1.35, c=0.25, delta=0.5, eta=0.1, seed=11)
+    cb, bn = build_ptp_codec(inst.p_w(), params)
+    labels = np.stack([bn.messages(mu) for mu in range(cb.k_size)])
+    cases = [(enumerate_sequences(2, 6), cb, labels, bn.m_size, inst.p_joint_xw(), params)]
+    table = np.random.default_rng(5).gamma(2.0, size=(4, 4)) + np.eye(4)
+    joint = JointPmf.from_table(("X", "W"), table / table.sum())
+    params = CodecParams(n=6, rt=0.5, r=0.25, c=0.5, delta=0.5, eta=0.1, seed=0)
+    cb, bn = build_ptp_codec(joint.marginalize(("W",)), params)
+    labels = np.stack([bn.messages(mu) for mu in range(cb.k_size)])
+    cases.append((enumerate_sequences(4, 6), cb, labels, bn.m_size, joint, params))
+    dist = named_instance("dist-demo")
+    dparams = DistCodecParams(n=3, rt1=1.75, rt2=1.75, r1=1.6, r2=1.6, c1=0.25, c2=0.25,
+                              delta=0.5, eta=0.45, seed=0)
+    books, binnings = build_dist_codec(dist.p_w1(), dist.p_w2(), dparams)
+    joint = codec_ptp.encoder_joint(dist.p_x1x2, 0, dist.p_w1_given_x1)
+    cases.append((enumerate_sequences(2, 3), books.first, binnings[0].labels, binnings[0].m_size,
+                  joint, dparams.legs[0]))
+    return cases
+
+
+def test_messages_from_bin_counts_match_the_one_hot_product():
+    """``table @ counts`` over (word, bin) counts gives every message row the
+    gathered one-hot product gives, within 2 L eps s of each bin, s the
+    row's bin total (message 0, a complement of that total, within 2 (L+M)
+    eps s + eps), and the same validity flag; invalid rows are exact."""
+    eps, paths, legs = np.finfo(float).eps, set(), []
+    for xs, book, labels, m_size, joint, params in message_table_cases():
+        numbering = codec_ptp._word_ids(book.entries.reshape(-1, params.n))
+        got, valid = codec_ptp._message_table(xs, book, numbering, labels, m_size, joint, params)
+        want, want_valid = _oracles.onehot_message_table(xs, book, numbering, labels, m_size, joint, params)
+        assert valid == want_valid
+        # bins 1..M, then message 0
+        s = want[:, :, 1:].sum(axis=2)
+        assert np.all(np.abs(got - want)[:, :, 1:] <= 2 * book.l_size * eps * s[:, :, None])
+        assert np.all(np.abs(got - want)[:, :, 0] <= 2 * (book.l_size + m_size) * eps * s + eps)
+        assert np.array_equal(got[s == 0], want[s == 0])
+        ids = numbering[0].reshape(book.k_size, -1)
+        thetas = [np.unique(block).size for block in ids]
+        paths.add(numbering[1].shape[0] <= 2 * max(thetas))
+        counts = [np.bincount(block * (m_size + 1) + row) for block, row in zip(ids, labels)]
+        split = any(len(set(zip(b, r))) > np.unique(b).size for b, r in zip(ids, labels))
+        legs.append((max(c.max() for c in counts), split))
+    # both weight-table paths; the two-encoder leg splits a word over bins and
+    # puts one (word, bin) pair's indices in with a count above 1
+    assert paths == {True, False}
+    assert legs[2][0] > 1 and legs[2][1] and not legs[0][1] and not legs[1][1]
+
+
 def test_decoded_rows_equal_the_unique_oracle():
     gen = np.random.default_rng(7)
     none = np.zeros(0, dtype=np.int64)
@@ -1027,14 +1083,15 @@ def test_streamed_deficit_on_a_null_codebook():
     assert abs(streamed_tv_deficit(inst.target_joint(), *args)[0] - want) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("seed", [3, 4])
 def test_streamed_deficit_on_single_letter_alphabets_is_exactly_zero(seed):
     inst = ptp_instance_from_tables([[1.0]], [[0.25, 0.4, 0.35]], [[[1.0]] * 3])
     params = CodecParams(n=3, rt=1.875, r=0.875, c=0.875, delta=0.9, eta=0.625, seed=seed)
     cb, bn = build_ptp_codec(inst.p_w(), params, allow_degenerate=True)
     args = (inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
     ind = induced_joint_exact(*args)
-    # seed 4: the message complements leave the one cell a few ulps off 1
+    # seed 3's messages make the one cell exactly 1; seed 4's complements
+    # leave it a few ulps off
     assert (ind.table.item() != 1.0) == (seed == 4)
     assert tv_deficit(inst.target_joint(), ind) == 0.0
     assert streamed_tv_deficit(inst.target_joint(), *args)[0] == 0.0
@@ -1078,6 +1135,32 @@ def test_chunk_slices_equal_the_full_tables_bit_for_bit(n):
     assert words == tabs.zs.shape[0]
 
 
+@pytest.mark.parametrize("name", sorted(STREAM_RATES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_induced_words_match_the_dense_row_product(name, n):
+    """Each z-word's q, contracted over the decoded words' distinct head and
+    tail halves, is within 4 ulp of the mass times the R dense output rows
+    (``_oracles.dense_induced_words``).  n = 1 has an empty head half (a null
+    codebook, every codeword w0 itself), odd n has H_d ≠ T_d, and on the
+    reference one codeword of the first block is set to w0 = 0ⁿ, which no
+    typical draw gives there."""
+    _, args = instance_codec(name, n)
+    if name == "reference" and n > 1:
+        p_xz, p_w_given_x, p_y_given_zw, cb, bn, params = args
+        entries = cb.entries.copy()
+        entries[0, 0] = 0
+        cb = Codebook(entries=entries, epsilon=cb.epsilon, w_size=cb.w_size)
+        args = (p_xz, p_w_given_x, p_y_given_zw, cb, sample_binning(cb, params, derived_rng(n, 1)), params)
+    tabs = _build_system_tables(*args)
+    hd, td = tabs.halves.max(axis=1) + 1
+    assert hd == td == 1 if n == 1 else hd < td or n % 2 == 0
+    words = 0
+    for q, want in zip(_induced_words(tabs), _oracles.dense_induced_words(tabs)):
+        assert np.all(np.abs(q - want) <= 4 * np.spacing(want))
+        words += 1
+    assert words == tabs.zs.shape[0]
+
+
 def test_streamed_deficit_budgets_its_largest_array():
     inst, args = instance_codec("synthesis-demo", 4)
     assert 10_000 < 12**4
@@ -1086,8 +1169,9 @@ def test_streamed_deficit_budgets_its_largest_array():
     want = tv_deficit(inst.target_joint(), induced_joint_exact(*args))
     got, _ = streamed_tv_deficit(inst.target_joint(), *args, budget=10_000)
     assert abs(got - want) <= 1e-12
-    # the encoder's (L, M+1) one-hot of the bins (64 x 43 = 2,752 cells) is
-    # refused before it is built
+    # the encoder index weights term, L·max(A, M+1) = 64 x 43 = 2,752 cells,
+    # is refused first (it still counts the gathered (L, M+1) one-hot that
+    # bin counts replaced, an over-count)
     with pytest.raises(BudgetExceededError, match="encoder index weights needs 2752 "):
         streamed_tv_deficit(inst.target_joint(), *args, budget=2_000)
     # the message tables (1,376 cells) and the one-hot fit, the letter
@@ -1097,40 +1181,60 @@ def test_streamed_deficit_budgets_its_largest_array():
 
 
 def test_streamed_deficit_budgets_every_array_a_word_holds(monkeypatch):
-    """Per z-word the target slice t, q and the output rows are alive at
-    once: the "streamed deficit" term covers all three.  At n=6 with one
-    output row they outgrow every array the term counts besides."""
+    """Per z-word the target slice t, q, the (Ax, H_d·T_d) cell matrix and
+    the (Ax·H_d, Y^(n−k)) partial product are alive at once: the "streamed
+    deficit" term covers all four.  At n=6 with one output row (H_d = T_d =
+    1) they outgrow every array the term counts besides."""
     inst = named_instance("synthesis-demo")
     params = CodecParams(n=6, rt=1.5, r=0.0, c=0.5, delta=0.5, eta=0.1, seed=0)
     cb, bn = build_ptp_codec(inst.p_w(), params)
-    terms, held = [], []
-    check, products, words = codec_ptp.check_budget, codec_ptp._word_products, codec_ptp._induced_words
+    terms, held, products = [], [], []
+    check, targets, words = codec_ptp.check_budget, codec_ptp._word_products, codec_ptp._induced_words
+    matmul = np.matmul
 
     def spy_check(cells, budget=None, what="enumeration"):
         if what == "streamed deficit":
             terms.append(cells)
         return check(cells, budget, what)
 
-    def spy(gen):
-        # the sizes one generator's yielded workspace takes, recorded once
-        def wrapped(*args):
-            for i, out in enumerate(gen(*args)):
-                if i == 0:
-                    held.append(out.size)
-                yield out
-        return wrapped
+    def spy_targets(*args):
+        # the size of the yielded workspace, recorded once
+        for i, out in enumerate(targets(*args)):
+            if i == 0:
+                held.append(out.size)
+            yield out
+
+    def spy_words(tabs):
+        # records q and, from the first word's products, the cell matrix
+        # and the partial product they read and write
+        gen = words(tabs)
+        products.append([])
+        q = next(gen)
+        (cell, part), (_, out) = products.pop()
+        held.extend([q.size, cell, part])
+        assert out == q.size
+        yield q
+        yield from gen
+
+    def spy_matmul(a, b, out=None):
+        if products:
+            products[-1].append((np.size(a), np.size(out)))
+        return matmul(a, b, out=out)
 
     monkeypatch.setattr(codec_ptp, "check_budget", spy_check)
-    monkeypatch.setattr(codec_ptp, "_word_products", spy(products))
-    monkeypatch.setattr(codec_ptp, "_induced_words", spy(words))
+    monkeypatch.setattr(codec_ptp, "_word_products", spy_targets)
+    monkeypatch.setattr(codec_ptp, "_induced_words", spy_words)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
     streamed_tv_deficit(inst.target_joint(), inst.p_xz, inst.p_w_given_x, inst.p_y_given_zw, cb, bn, params)
-    # t (64 x 729), q (64 x 729) and one row of 729: 94,041 cells
-    assert sorted(held) == [729, 64 * 729, 64 * 729]
+    # t (64 x 729), q (64 x 729), the cells (64 x 1) and the partial product
+    # (64 x 27): 95,104 cells
+    assert sorted(held) == [64, 64 * 27, 64 * 729, 64 * 729]
     assert len(terms) == 1 and terms[0] >= sum(held)
 
 
 def test_encoder_and_decoder_arrays_count_against_the_budget():
-    """The (A, L) index weights of a block, the (A, U) weight table and the
+    """The encoder index weights term (A·L cells per block, though bin counts
+    replaced the block's (A, L) gather), the (A, U) weight table and the
     Az × ΣΘ decoder typicality mask are each refused before they are built."""
     inst = named_instance("synthesis-demo")
 
